@@ -186,68 +186,3 @@ def test_sweep_workers_equivalence(benchmark, bench_record):
     print()
     print(f"Sweep 4-worker equivalence: {json.dumps(entry)}")
     assert entry["rows_identical"], "parallel sweep rows diverged from serial"
-
-
-def test_schedule_fanout_equivalence(benchmark, bench_record):
-    """``dcc_schedule(workers=2)`` deletes the same vertices as serial.
-
-    This deployment sits *below* the process-fanout crossover (the very
-    regression this bench's earlier numbers exposed: 0.54s fanned vs
-    0.04s serial at 250 nodes), so the plain ``workers=2`` run must
-    silently stay serial; a second run forces the pool on via
-    ``REPRO_FANOUT_MIN_NODES=0`` to keep the identity contract measured.
-    """
-    from repro.parallel.runner import fanout_crossover
-
-    graph, protected = _deployment()
-
-    def run(workers):
-        start = time.perf_counter()
-        result = dcc_schedule(
-            graph, protected, TAU, rng=random.Random(0), workers=workers
-        )
-        return result, time.perf_counter() - start
-
-    def measure():
-        gated = run(1), run(2)
-        previous = os.environ.get("REPRO_FANOUT_MIN_NODES")
-        os.environ["REPRO_FANOUT_MIN_NODES"] = "0"
-        try:
-            forced = run(2)
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_FANOUT_MIN_NODES", None)
-            else:
-                os.environ["REPRO_FANOUT_MIN_NODES"] = previous
-        return gated, forced
-
-    ((serial, serial_wall), (gated, gated_wall)), (forced, forced_wall) = (
-        benchmark.pedantic(measure, rounds=1, iterations=1)
-    )
-    entry = {
-        "nodes": NODES,
-        "tau": TAU,
-        "workers": 2,
-        "cpu_count": os.cpu_count(),
-        "scale": "smoke" if SMOKE else "full",
-        "crossover_min_nodes": fanout_crossover(),
-        "fanout_engaged": gated.counters.deletability_tests
-        > serial.counters.deletability_tests,
-        "removed_identical": gated.removed == serial.removed
-        and forced.removed == serial.removed,
-        "serial_wall_s": round(serial_wall, 4),
-        "workers2_wall_s": round(gated_wall, 4),
-        "workers2_forced_wall_s": round(forced_wall, 4),
-        "serial_tests": serial.counters.deletability_tests,
-        "fanout_tests": forced.counters.deletability_tests,
-    }
-    bench_record("schedule_fanout_workers2", entry)
-    print()
-    print(f"Schedule fan-out equivalence: {json.dumps(entry)}")
-    assert entry["removed_identical"], "fanned-out schedule diverged from serial"
-    assert not entry["fanout_engaged"], (
-        "sub-crossover deployment should not have engaged the pool"
-    )
-    assert forced.counters.deletability_tests > serial.counters.deletability_tests, (
-        "forced run did not actually exercise the eager fan-out path"
-    )

@@ -4,21 +4,16 @@ The REPRO3xx rule family (the ``repro-race`` CLI) statically proves the
 concurrency contracts DESIGN.md sections 9-10 *state* — the disciplines
 the distributed-correctness argument hinges on:
 
-* **Segment lifecycle as a state machine** (REPRO301-304).  Every
-  ``SharedMemory`` create happens in the coordinator's publish module
-  and is dominated by a close/unlink on all exit paths (try/finally
-  analysis); workers only attach read-only, copy, and drop — they never
-  write through attached buffers and never unlink.
 * **Cross-process channel audit** (REPRO305-306).  The only data
-  crossing a pool boundary is shm descriptors, pickled compact tuples,
-  deletion logs, halo rows and counter/span deltas.  Closures and task
-  arguments capturing ``NetworkGraph``/engine/tracer objects at
+  crossing a pool boundary is pickled compact tuples, halo rows and
+  counter/span deltas.  Closures and task arguments capturing
+  ``NetworkGraph``/engine/tracer objects at
   ``parallel_starmap``/``ShardWorkerPool``/``submit`` sites are flagged.
 * **Fork-inheritance safety** (REPRO307).  Module-level mutable state
-  (ambient tracer, warm worker engine, chaos stream) must be
-  re-initialized in a worker bootstrap or derived from the env-exported
-  knobs, the way ``REPRO_SANITIZE`` already is — anything else is a
-  stale copy in every forked worker.
+  (ambient tracer, chaos stream) must be re-initialized in a worker
+  bootstrap or derived from the env-exported knobs, the way
+  ``REPRO_SANITIZE`` already is — anything else is a stale copy in
+  every forked worker.
 * **The knob registry** (REPRO308).  Every ``os.environ`` access of a
   ``REPRO_*`` name must be declared in :mod:`repro.knobs`, and literal
   defaults must match the registry's.
@@ -41,19 +36,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import knobs as _knobs
 from repro.checks.engine import Finding, ModuleContext, Rule
-from repro.checks.rules import _dotted, _import_map, _resolve, _snippet
+from repro.checks.rules import _dotted, _import_map, _resolve
 
 #: Directories the ownership/lifecycle rules apply to.
 _SCOPE = ("repro/parallel/", "repro/shard/", "repro/topology/", "repro/obs/")
-
-#: The only module allowed to create or unlink shared segments.
-_PUBLISH_MODULE = "repro/parallel/shm.py"
-
-#: Worker-side (attach/copy/drop) modules: the consumer half of shm.
-_WORKER_MODULES = ("repro/shard/segment.py", "repro/shard/runtime.py")
-
-#: Coordinator-side factory functions returning owned segment handles.
-_PUBLISHERS = ("publish_blocks", "publish_graph", "publish_partition")
 
 #: Names whose presence in a pool-boundary argument means a rich
 #: coordinator object would cross the process boundary.
@@ -72,11 +58,6 @@ _RICH_NAMES = frozenset(
     }
 )
 
-#: Teardown methods that may discharge a class attribute's segment.
-_TEARDOWN_METHODS = frozenset(
-    {"close", "__exit__", "__del__", "shutdown", "stop", "teardown"}
-)
-
 #: Function-name shapes accepted as re-initialization hooks (REPRO307).
 _REINIT_NAME = re.compile(
     r"^_?(init|reset|enable|disable|clear|install|activate|deactivate)"
@@ -85,10 +66,6 @@ _REINIT_NAME = re.compile(
 
 def _in_scope(path: str) -> bool:
     return any(part in path for part in _SCOPE)
-
-
-def _is_worker_module(path: str) -> bool:
-    return any(part in path for part in _WORKER_MODULES)
 
 
 def _functions(
@@ -109,386 +86,6 @@ def _functions(
                 yield from walk(child, owner)
 
     yield from walk(tree, None)
-
-
-def _is_create_call(node: ast.AST, imports: Dict[str, str]) -> bool:
-    """``SharedMemory(create=True, ...)`` — a raw segment creation."""
-    if not isinstance(node, ast.Call):
-        return False
-    target = _resolve(node.func, imports) or _dotted(node.func) or ""
-    if not target.endswith("SharedMemory"):
-        return False
-    for kw in node.keywords:
-        if kw.arg == "create":
-            value = kw.value
-            return bool(
-                isinstance(value, ast.Constant) and value.value is True
-            )
-    return False
-
-
-def _is_publisher_call(node: ast.AST, imports: Dict[str, str]) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    target = _resolve(node.func, imports) or _dotted(node.func) or ""
-    return target.rsplit(".", 1)[-1] in _PUBLISHERS
-
-
-def _creator_calls(
-    fn: ast.FunctionDef, imports: Dict[str, str]
-) -> List[ast.Call]:
-    return [
-        node
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call)
-        and (_is_create_call(node, imports) or _is_publisher_call(node, imports))
-    ]
-
-
-def _mentions_name(node: ast.AST, name: str) -> bool:
-    return any(
-        isinstance(sub, ast.Name) and sub.id == name for sub in ast.walk(node)
-    )
-
-
-def _protected_positions(fn: ast.FunctionDef) -> List[ast.AST]:
-    """Statements that run on exceptional exits: finally and handler bodies."""
-    covered: List[ast.AST] = []
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Try):
-            for stmt in node.finalbody:
-                covered.extend(ast.walk(stmt))
-            for handler in node.handlers:
-                for stmt in handler.body:
-                    covered.extend(ast.walk(stmt))
-    return covered
-
-
-class ShmCreateScopeRule(Rule):
-    """Raw segment creation outside the coordinator's publish module."""
-
-    rule_id = "REPRO301"
-    name = "shm-create-scope"
-    summary = "SharedMemory(create=True) outside the publish module"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not _in_scope(ctx.rel_path) or _PUBLISH_MODULE in ctx.rel_path:
-            return
-        imports = _import_map(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if _is_create_call(node, imports):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "SharedMemory(create=True) outside the coordinator's "
-                    f"publish module ({_PUBLISH_MODULE}): only the "
-                    "coordinator creates segments; workers attach",
-                )
-
-
-class ShmLifecycleRule(Rule):
-    """Every created segment is dominated by a close on all exit paths."""
-
-    rule_id = "REPRO302"
-    name = "shm-lifecycle"
-    summary = "segment create not dominated by close/unlink on all exit paths"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not _in_scope(ctx.rel_path):
-            return
-        imports = _import_map(ctx.tree)
-        for fn, owner in _functions(ctx.tree):
-            for call in _creator_calls(fn, imports):
-                yield from self._check_binding(ctx, fn, owner, call)
-
-    # ------------------------------------------------------------------
-    def _check_binding(
-        self,
-        ctx: ModuleContext,
-        fn: ast.FunctionDef,
-        owner: Optional[ast.ClassDef],
-        call: ast.Call,
-    ) -> Iterator[Finding]:
-        # `with publish_...() as x:` discharges the handle by construction.
-        for node in ast.walk(fn):
-            if isinstance(node, ast.With):
-                for item in node.items:
-                    if item.context_expr is call:
-                        return
-        # `return publish_blocks(...)`: ownership transfers to the caller.
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Return) and node.value is not None:
-                if call in ast.walk(node.value):
-                    return
-        binding = self._binding_of(fn, call)
-        if binding is None:
-            yield self.finding(
-                ctx,
-                call,
-                f"segment handle of '{_snippet(call)}' is dropped: bind it "
-                "and close it on every exit path (with / try-finally)",
-            )
-            return
-        kind, name = binding
-        if kind == "attr":
-            if owner is None or not self._class_discharges(owner, name):
-                yield self.finding(
-                    ctx,
-                    call,
-                    f"segment stored on self.{name} but the class has no "
-                    "teardown (close/__exit__/...) that closes it — the "
-                    "coordinator must unlink on every exit path",
-                )
-            return
-        # Local-name binding: returned, or closed under try/finally.
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Return) and node.value is not None:
-                if _mentions_name(node.value, name):
-                    return
-        protected = _protected_positions(fn)
-        closes = [
-            node
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("close", "unlink")
-            and _mentions_name(node.func.value, name)
-        ]
-        if not closes:
-            yield self.finding(
-                ctx,
-                call,
-                f"segment '{name}' from '{_snippet(call)}' is never closed "
-                "in this function and never returned — it leaks in /dev/shm",
-            )
-        elif not any(node in protected for node in closes):
-            yield self.finding(
-                ctx,
-                call,
-                f"segment '{name}' is closed only on the fall-through path; "
-                "an exception between create and close leaks it — move the "
-                "close into a finally (or use the handle as a context "
-                "manager)",
-            )
-
-    def _binding_of(
-        self, fn: ast.FunctionDef, call: ast.Call
-    ) -> Optional[Tuple[str, str]]:
-        """How the creator's result is held: ('local'|'attr', name)."""
-        local: Optional[str] = None
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and node.value is call:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    local = target.id
-                elif isinstance(target, ast.Attribute) and isinstance(
-                    target.value, ast.Name
-                ) and target.value.id == "self":
-                    return "attr", target.attr
-        if local is None:
-            return None
-        # A local appended onto / stored into a self attribute is owned
-        # by the class (e.g. self._segments.append(segment)).
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("append", "add")
-                and isinstance(node.func.value, ast.Attribute)
-                and isinstance(node.func.value.value, ast.Name)
-                and node.func.value.value.id == "self"
-                and any(_mentions_name(arg, local) for arg in node.args)
-            ):
-                return "attr", node.func.value.attr
-        return "local", local
-
-    def _class_discharges(self, owner: ast.ClassDef, attr: str) -> bool:
-        """Does any teardown method of ``owner`` close ``self.<attr>``?"""
-        for node in owner.body:
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            if node.name not in _TEARDOWN_METHODS:
-                continue
-            touches_attr = any(
-                isinstance(sub, ast.Attribute)
-                and sub.attr == attr
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == "self"
-                for sub in ast.walk(node)
-            )
-            calls_close = any(
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in ("close", "unlink")
-                for sub in ast.walk(node)
-            )
-            if touches_attr and calls_close:
-                return True
-        return False
-
-
-class ShmWorkerDisciplineRule(Rule):
-    """Workers attach/copy/drop: no unlink, no writes through attachments."""
-
-    rule_id = "REPRO303"
-    name = "shm-worker-discipline"
-    summary = "worker-side unlink or write through an attached buffer"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not _in_scope(ctx.rel_path):
-            return
-        imports = _import_map(ctx.tree)
-        if _PUBLISH_MODULE not in ctx.rel_path:
-            yield from self._check_unlink(ctx, imports)
-        if _is_worker_module(ctx.rel_path):
-            yield from self._check_writes(ctx, imports)
-
-    def _check_unlink(
-        self, ctx: ModuleContext, imports: Dict[str, str]
-    ) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "unlink"
-            ):
-                continue
-            receiver = _resolve(node.func.value, imports) or ""
-            # Filesystem unlink (os.unlink, Path.unlink) is not segment
-            # lifecycle; everything else is coordinator-only.
-            if receiver.startswith(("os", "pathlib")):
-                continue
-            yield self.finding(
-                ctx,
-                node,
-                "unlink outside the coordinator's publish module: workers "
-                "and consumers never unlink segments (the coordinator owns "
-                "the lifecycle)",
-            )
-
-    def _check_writes(
-        self, ctx: ModuleContext, imports: Dict[str, str]
-    ) -> Iterator[Finding]:
-        for fn, __ in _functions(ctx.tree):
-            attached: Set[str] = set()
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Assign) and isinstance(
-                    node.value, ast.Call
-                ):
-                    target = _resolve(node.value.func, imports) or (
-                        _dotted(node.value.func) or ""
-                    )
-                    if target.endswith("frombuffer") and isinstance(
-                        node.targets[0], ast.Name
-                    ):
-                        attached.add(node.targets[0].id)
-                if (
-                    isinstance(node, ast.Call)
-                    and (
-                        (_resolve(node.func, imports) or "") == "mmap.mmap"
-                    )
-                    and not any(
-                        (_dotted(arg) or "").endswith("ACCESS_READ")
-                        for arg in list(node.args)
-                        + [kw.value for kw in node.keywords]
-                    )
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "worker-side mmap without ACCESS_READ: attachments "
-                        "are read-only (copy into private engine state)",
-                    )
-            for node in ast.walk(fn):
-                target = None
-                if isinstance(node, ast.Assign):
-                    target = node.targets[0]
-                elif isinstance(node, ast.AugAssign):
-                    target = node.target
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in attached
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"write through attached buffer "
-                        f"'{target.value.id}': workers copy out of "
-                        "segments, never into them",
-                    )
-
-
-class ShmAttachDropRule(Rule):
-    """Attachments are unmapped in a finally (attach -> copy -> drop)."""
-
-    rule_id = "REPRO304"
-    name = "shm-attach-drop"
-    summary = "attachment not closed in a finally block"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not _in_scope(ctx.rel_path):
-            return
-        imports = _import_map(ctx.tree)
-        for fn, __ in _functions(ctx.tree):
-            for node in ast.walk(fn):
-                if not (
-                    isinstance(node, ast.Call)
-                    and (
-                        (_resolve(node.func, imports) or "")
-                        .rsplit(".", 1)[-1]
-                        == "attach_blocks"
-                    )
-                ):
-                    continue
-                yield from self._check_site(ctx, fn, node)
-
-    def _check_site(
-        self, ctx: ModuleContext, fn: ast.FunctionDef, call: ast.Call
-    ) -> Iterator[Finding]:
-        # `return attach_blocks(...)` hands the pair to the caller.
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Return) and node.value is not None:
-                if call in ast.walk(node.value):
-                    return
-        handle: Optional[str] = None
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and node.value is call:
-                target = node.targets[0]
-                if isinstance(target, ast.Tuple) and len(target.elts) == 2:
-                    second = target.elts[1]
-                    if isinstance(second, ast.Name):
-                        handle = second.id
-                elif isinstance(target, ast.Name):
-                    handle = target.id
-        if handle is None:
-            yield self.finding(
-                ctx,
-                call,
-                "attachment from attach_blocks is not bound: the mapping "
-                "can never be dropped",
-            )
-            return
-        finals: List[ast.AST] = []
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Try):
-                for stmt in node.finalbody:
-                    finals.extend(ast.walk(stmt))
-        closed = any(
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "close"
-            and _mentions_name(node.func.value, handle)
-            for node in finals
-        )
-        if not closed:
-            yield self.finding(
-                ctx,
-                call,
-                f"attachment '{handle}' is not closed in a finally: workers "
-                "attach, copy into private state, then drop the mapping on "
-                "every exit path",
-            )
 
 
 def _boundary_sites(
@@ -606,11 +203,10 @@ class PoolBoundaryArgsRule(Rule):
                     yield self.finding(
                         ctx,
                         call,
-                        f"'{name}' crosses a pool boundary: only shm "
-                        "descriptors, compact pickled tuples, deletion "
-                        "logs, halo rows and counter/span deltas may "
-                        "cross — convert to a compact form first "
-                        "(compact_graph_blob / descriptors / payloads)",
+                        f"'{name}' crosses a pool boundary: only compact "
+                        "pickled tuples, halo rows and counter/span "
+                        "deltas may cross — convert to a compact form "
+                        "first (partition_parts / payloads)",
                     )
 
     def _rich_name(self, node: ast.AST) -> Optional[str]:
@@ -792,10 +388,6 @@ class KnobRegistryRule(Rule):
 
 #: Rule metadata, mirrored in --list-rules and the docs.
 CONCURRENCY_RULES: Tuple[Tuple[str, str, str], ...] = (
-    ("REPRO301", "shm-create-scope", ShmCreateScopeRule.summary),
-    ("REPRO302", "shm-lifecycle", ShmLifecycleRule.summary),
-    ("REPRO303", "shm-worker-discipline", ShmWorkerDisciplineRule.summary),
-    ("REPRO304", "shm-attach-drop", ShmAttachDropRule.summary),
     ("REPRO305", "pool-boundary-callable", PoolBoundaryCallableRule.summary),
     ("REPRO306", "pool-boundary-args", PoolBoundaryArgsRule.summary),
     ("REPRO307", "fork-inherited-state", ForkInheritedStateRule.summary),
@@ -806,10 +398,6 @@ CONCURRENCY_RULES: Tuple[Tuple[str, str, str], ...] = (
 def concurrency_rules() -> Sequence[Rule]:
     """Fresh instances of every REPRO3xx rule, id order."""
     return (
-        ShmCreateScopeRule(),
-        ShmLifecycleRule(),
-        ShmWorkerDisciplineRule(),
-        ShmAttachDropRule(),
         PoolBoundaryCallableRule(),
         PoolBoundaryArgsRule(),
         ForkInheritedStateRule(),

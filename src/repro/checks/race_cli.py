@@ -8,8 +8,8 @@ Examples::
     repro-race --list-rules
 
 Runs the REPRO3xx concurrency family (:mod:`repro.checks.concurrency`)
-— shm segment lifecycle, pool-boundary channel audit, fork-inheritance
-safety, the knob registry — through the same engine as ``repro-lint``:
+— pool-boundary channel audit, fork-inheritance safety, the knob
+registry — through the same engine as ``repro-lint``:
 inline ``# repro: allow[RULE]`` suppressions, a committed baseline
 (``repro-race.baseline.json``) and byte-stable text/JSON reports.
 
@@ -39,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-race",
         description=(
             "Ownership and lifecycle verifier for the process-parallel "
-            "layer: shm state machine, pool-boundary channels, "
-            "fork-inherited state, knob registry."
+            "layer: pool-boundary channels, fork-inherited state, "
+            "knob registry."
         ),
     )
     return add_front_args(parser, DEFAULT_BASELINE)

@@ -154,11 +154,11 @@ def _unseeded_call(node: ast.Call) -> bool:
 class NumpyRngRule(Rule):
     """Unseeded ``numpy.random`` use, now that numpy is in the runtime.
 
-    The batched verdict kernel pulled numpy into library code, so the
-    REPRO101 argument applies to its RNG surface too — in all three
-    shapes it comes in: ``default_rng()`` / ``SeedSequence()`` /
-    bit generators without an explicit seed (``None`` counts — that is
-    OS entropy), ``Generator(...)`` wrapping an unseeded bit generator,
+    Numpy is in library code (wave-MIS propagation, coverage
+    evaluation), so the REPRO101 argument applies to its RNG surface
+    too — in all three shapes it comes in: ``default_rng()`` /
+    ``SeedSequence()`` / bit generators without an explicit seed
+    (``None`` counts — that is OS entropy), ``Generator(...)`` wrapping an unseeded bit generator,
     and the legacy module-level draws (``numpy.random.rand`` et al.),
     which mutate process-global state no worker can reproduce.
     ``numpy.random.seed`` is flagged with the latter: seeding the

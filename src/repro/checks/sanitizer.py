@@ -161,7 +161,6 @@ class Sanitizer:
         self.checks: Dict[str, int] = {}
         self.violations: List[Violation] = []
         self._hit_tick = 0
-        self._batch_tick = 0
 
     # -- accounting ----------------------------------------------------
     def _count(self, kind: str) -> None:
@@ -221,29 +220,6 @@ class Sanitizer:
                 vertex=v,
                 tau=tau,
                 cached=verdict,
-                oracle=expected,
-            )
-
-    def check_batch_verdict(self, graph: Any, v: int, tau: int, verdict: bool) -> None:
-        """A batched-kernel verdict against the dict oracle (stride-sampled).
-
-        The batch path answers hundreds of candidates per call, so unlike
-        :meth:`check_fresh_verdict` (every fresh scalar verdict) this hook
-        samples with the same stride as the cache-hit check — the oracle
-        still covers every code path of the packed pipeline over a run,
-        without multiplying the batch win away.
-        """
-        self._batch_tick += 1
-        if self._batch_tick % self.stride:
-            return
-        self._count("batch_verdict")
-        expected = oracle_deletable(graph, v, tau)
-        if expected != verdict:
-            self._violate(
-                "batch-verdict-divergence",
-                vertex=v,
-                tau=tau,
-                batch=verdict,
                 oracle=expected,
             )
 

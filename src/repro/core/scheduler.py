@@ -37,16 +37,9 @@ from time import perf_counter
 from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.core.criterion import VertexCycle, is_tau_partitionable
-from repro.cycles.batch import batch_verdicts_enabled
 from repro.network.graph import NetworkGraph
 from repro.obs.tracer import current_metrics, current_tracer
-from repro.parallel.runner import (
-    ScheduleFanout,
-    fanout_worthwhile,
-    resolve_workers,
-)
 from repro.topology import LocalTopologyEngine, TopologyCounters, mis_separation
-from repro.topology.mis import WaveMIS
 
 
 @dataclass
@@ -135,23 +128,15 @@ def dcc_schedule(
     boundary repair share one engine across criterion checks and
     scheduling).
 
-    ``workers`` (``1`` = serial, ``0``/``None`` = auto-detect) fans the
-    round's deletability verdicts across a process pool of warm engine
-    replicas in ``parallel`` mode — see :mod:`repro.parallel`.  Verdicts
-    are pure functions of the current graph, so the schedule is
-    bit-identical to the serial run at any worker count; the fan-out
-    tests every candidate eagerly (trading the serial path's lazy
-    blocked-candidate skips for concurrency).  Jobs below the
-    :func:`repro.parallel.runner.fanout_crossover` size never fan out —
-    the pool would cost more than the verdicts.  ``sequential`` mode
-    takes one verdict per round and always runs serially.
-
     ``shards`` partitions the deployment into halo-exchange region
     shards (see :mod:`repro.shard`) and runs the round-synchronous
     sharded coordinator instead of the monolithic loop; the schedule is
     vertex-identical either way.  Sharded runs require ``parallel`` mode
-    and no prebuilt ``engine``; ``workers`` then counts persistent shard
-    workers (``1`` hosts every shard in-process).
+    and no prebuilt ``engine``.  ``workers`` counts persistent shard
+    workers (``1`` hosts every shard in-process, ``0``/``None``
+    auto-detects) and is only meaningful with ``shards=``: an unsharded
+    run is always a single in-process loop, so any ``workers`` other
+    than ``1`` without ``shards=`` raises :class:`ValueError`.
 
     ``tracer`` / ``metrics`` default to the ambient observers
     (:func:`repro.obs.tracer.observe`); a run with both disabled pays
@@ -165,6 +150,11 @@ def dcc_schedule(
     rng = rng if rng is not None else random.Random(seed)
     tracer = tracer if tracer is not None else current_tracer()
     metrics = metrics if metrics is not None else current_metrics()
+    if shards is None and workers != 1:
+        raise ValueError(
+            f"workers={workers!r} needs shards=: unsharded schedules run "
+            "in-process (pass shards=N to schedule on N region shards)"
+        )
     if shards is not None:
         if mode != "parallel":
             raise ValueError("sharded scheduling requires parallel mode")
@@ -195,21 +185,9 @@ def dcc_schedule(
     missing = protected_set - work.vertex_set()
     if missing:
         raise KeyError(f"protected nodes not in graph: {sorted(missing)[:5]}")
-    fanout = None
-    if mode == "parallel":
-        pool_size = resolve_workers(workers)
-        # Crossover guard: on small graphs the pool's startup + per-round
-        # IPC dwarfs the verdicts, so the request silently runs serial
-        # (results are identical either way).
-        if pool_size > 1 and fanout_worthwhile(len(work), pool_size):
-            fanout = ScheduleFanout(work, tau, pool_size, capture=tracer.enabled)
-    try:
-        return _dcc_schedule_rounds(
-            engine, work, protected_set, tau, rng, mode, fanout, tracer, metrics
-        )
-    finally:
-        if fanout is not None:
-            fanout.close()
+    return _dcc_schedule_rounds(
+        engine, work, protected_set, tau, rng, mode, tracer, metrics
+    )
 
 
 def _dcc_schedule_rounds(
@@ -219,7 +197,6 @@ def _dcc_schedule_rounds(
     tau: int,
     rng: random.Random,
     mode: str,
-    fanout,
     tracer,
     metrics,
 ) -> ScheduleResult:
@@ -227,11 +204,6 @@ def _dcc_schedule_rounds(
     deletions_per_round: List[int] = []
     separation = mis_separation(tau)
     counters_before = engine.counters.as_dict() if metrics is not None else None
-    use_batch = (
-        mode == "parallel"
-        and batch_verdicts_enabled()
-        and engine.kernel is not None
-    )
     round_no = 0
 
     while True:
@@ -258,67 +230,15 @@ def _dcc_schedule_rounds(
                     ]
                     rng.shuffle(order)
                     discovery.set(candidates=len(order))
-                    if fanout is not None:
-                        # The coordinator blocks here on the worker pool;
-                        # the barrier span minus the imported chunk busy
-                        # time is the fanned run's wait lane in the
-                        # attribution analysis.
-                        with tracer.trace("fanout.barrier", round=round_no):
-                            verdict_of = fanout.verdicts(
-                                order, engine.counters, tracer
-                            )
-                    else:
-                        verdict_of = None
                 with tracer.trace("scheduler.mis_draw", round=round_no) as draw:
                     blocked: Set[int] = set()
                     batch = []
-                    if verdict_of is None and use_batch:
-                        # Wave MIS: each step's label propagation finds
-                        # every candidate whose smaller-priority
-                        # neighbours within the separation radius are
-                        # all decided — testable candidates are
-                        # pairwise conflict-free and resolve in one
-                        # batched kernel call; candidates inside a
-                        # winner's radius drop without any test.  The
-                        # tested set and the winner set equal the lazy
-                        # scan's exactly, with zero ball extractions
-                        # (the lazy scan pays one BFS per winner).
-                        mis = WaveMIS(
-                            engine.kernel,
-                            (
-                                (v, position)
-                                for position, v in enumerate(order)
-                            ),
-                            separation - 1,
-                        )
-                        # Loop to the fixpoint, not until a testable-
-                        # empty step: a wave may decide only blocked
-                        # candidates (every current local minimum sits
-                        # inside a winner's radius) while later-priority
-                        # candidates still await their turn.
-                        while mis.undecided_count():
-                            testable, wave_blocked = mis.step()
-                            if not testable and not wave_blocked:
-                                break  # pragma: no cover - unreachable
-                            for v, verdict in zip(
-                                testable,
-                                engine.span_verdicts_batch(testable),
-                            ):
-                                mis.record_verdict(v, verdict)
-                        # winners() is priority-ascending: the lazy
-                        # scan's deletion order.
-                        batch = mis.winners()
-                    else:
-                        for v in order:
-                            if v in blocked:
-                                continue
-                            if (
-                                verdict_of[v]
-                                if verdict_of is not None
-                                else engine.deletable(v)
-                            ):
-                                batch.append(v)
-                                blocked |= engine.ball(v, separation - 1)
+                    for v in order:
+                        if v in blocked:
+                            continue
+                        if engine.deletable(v):
+                            batch.append(v)
+                            blocked |= engine.ball(v, separation - 1)
                     draw.set(winners=len(batch))
                 if not batch:
                     break
@@ -345,8 +265,6 @@ def _dcc_schedule_rounds(
                 for v in batch:
                     engine.delete_vertex(v)
                     removed.append(v)
-            if fanout is not None:
-                fanout.record_deletions(batch)
             deletions_per_round.append(len(batch))
         if metrics is not None:
             metrics.observe(

@@ -34,9 +34,8 @@ reports the attribution block is stripped down to its deterministic
 skeleton (round/sub-round/row counts) by
 :func:`repro.obs.export.strip_volatile`.
 
-Unsharded runs get a coarse fallback: the fan-out barrier
-(``fanout.barrier``) is the wait lane (an upper bound — it includes the
-workers' own compute), phase spans make up the compute lane, the round
+Unsharded runs get a coarse fallback: the monolithic loop never waits
+on a barrier, so its phase spans make up the compute lane and the round
 remainder is merge.
 """
 
@@ -90,7 +89,6 @@ def _attribute_sharded(segment: Sequence[Any]) -> Dict[str, Any]:
     barrier: Dict[int, Dict[int, float]] = {}
     halo: Dict[int, Dict[str, float]] = {}
     busy: Dict[int, Dict[int, Dict[int, float]]] = {}
-    shm_attach_s = 0.0
     span_import_s = 0.0
 
     for span in segment:
@@ -121,8 +119,6 @@ def _attribute_sharded(segment: Sequence[Any]) -> Dict[str, Any]:
             per = busy.setdefault(attrs["round"], {}).setdefault(0, {})
             shard = attrs["shard"]
             per[shard] = per.get(shard, 0.0) + span.wall_s
-        elif name == "shm.attach":
-            shm_attach_s += span.wall_s
         elif name == "shard.merge":
             span_import_s += span.wall_s
 
@@ -188,8 +184,10 @@ def _attribute_sharded(segment: Sequence[Any]) -> Dict[str, Any]:
             }
             for s in range(shard_count)
         ],
+        # Partitions ship pickled, so no worker attaches shared memory;
+        # the key stays (at zero) for consumers of the attribution block.
         "setup": {
-            "shm_attach_s": shm_attach_s,
+            "shm_attach_s": 0.0,
             "span_import_s": span_import_s,
         },
         "critical_path_s": totals["compute_s"],
@@ -209,15 +207,12 @@ _COMPUTE_PHASES = (
 def _attribute_unsharded(spans: Sequence[Any]) -> Optional[Dict[str, Any]]:
     round_wall: Dict[int, float] = {}
     phase_s: Dict[int, float] = {}
-    wait_s: Dict[int, float] = {}
     for span in spans:
         rnd = span.attrs.get("round")
         if rnd is None:
             continue
         if span.name == "scheduler.round":
             round_wall[rnd] = round_wall.get(rnd, 0.0) + span.wall_s
-        elif span.name == "fanout.barrier":
-            wait_s[rnd] = wait_s.get(rnd, 0.0) + span.wall_s
         elif span.name in _COMPUTE_PHASES:
             phase_s[rnd] = phase_s.get(rnd, 0.0) + span.wall_s
     if not round_wall:
@@ -227,18 +222,14 @@ def _attribute_unsharded(spans: Sequence[Any]) -> Optional[Dict[str, Any]]:
     totals["wall_s"] = 0.0
     for rnd in sorted(round_wall):
         wall = round_wall[rnd]
-        # The fan-out barrier nests inside scheduler.candidates, so the
-        # compute lane is the phase time net of the wait (an upper-bound
-        # wait: it includes the workers' own compute).
-        wait = min(wait_s.get(rnd, 0.0), phase_s.get(rnd, 0.0))
-        compute = max(0.0, phase_s.get(rnd, 0.0) - wait)
+        compute = phase_s.get(rnd, 0.0)
         row = {
             "round": rnd,
             "wall_s": wall,
             "compute_s": compute,
-            "barrier_wait_s": wait,
+            "barrier_wait_s": 0.0,
             "halo_s": 0.0,
-            "merge_s": max(0.0, wall - compute - wait),
+            "merge_s": max(0.0, wall - compute),
             "subrounds": 0,
             "halo_rows": 0,
             "halo_bytes": 0,
@@ -373,7 +364,6 @@ def attribution_summary(
             lines.append(f"    per-shard busy: {busy}")
         setup = run["setup"]
         lines.append(
-            "    setup: shm attach %.4fs, span import %.4fs"
-            % (setup["shm_attach_s"], setup["span_import_s"])
+            "    setup: span import %.4fs" % setup["span_import_s"]
         )
     return "\n".join(lines)

@@ -154,7 +154,6 @@ _LANE_SPAN_COLORS = {
     "shard.subround": "#1f77b4",
     "shard.apply": "#2ca02c",
     "shard.verdicts": "#aec7e8",
-    "shm.attach": "#9467bd",
     "halo.route": "#ff7f0e",
     "shard.merge": "#8c564b",
 }
@@ -186,7 +185,7 @@ def render_lane_timeline(
 
     The coordinator lane holds the round structure (``halo.route``
     blocks, ``shard.merge``); each ``proc``-tagged process (shards,
-    fan-out chunk workers) gets its own lane of top-level busy
+    pool tasks) gets its own lane of top-level busy
     intervals.  ``shard.barrier`` windows are shaded behind every lane —
     shard busy bars covering the shading show parallel compute, the
     uncovered remainder is coordinator barrier wait.  A rows-per-route

@@ -5,25 +5,15 @@ submission/consumption, worker-local warm engines, counter merging).
 """
 
 from repro.parallel.runner import (
-    ScheduleFanout,
     ShardWorkerPool,
     chunk_evenly,
-    compact_graph_blob,
-    fanout_crossover,
-    fanout_worthwhile,
-    graph_from_blob,
     parallel_starmap,
     resolve_workers,
 )
 
 __all__ = [
-    "ScheduleFanout",
     "ShardWorkerPool",
     "chunk_evenly",
-    "compact_graph_blob",
-    "fanout_crossover",
-    "fanout_worthwhile",
-    "graph_from_blob",
     "parallel_starmap",
     "resolve_workers",
 ]

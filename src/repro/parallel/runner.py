@@ -1,25 +1,23 @@
 """Process-parallel execution layer for independent-by-construction work.
 
-Three fan-out sites in the stack are embarrassingly parallel *by
-construction*: deletability verdicts of one MIS round (each verdict is a
-pure function of the current graph), sweep cells (each cell builds its
-own deployment from its own seed), and repeated figure trials.  This
-module runs them on a ``ProcessPoolExecutor`` under one determinism
-contract:
+Two sites in the stack are embarrassingly parallel *by construction*:
+sweep cells (each cell builds its own deployment from its own seed) and
+repeated figure trials, which run through :func:`parallel_starmap`.
+Sharded scheduling runs on :class:`ShardWorkerPool`, whose persistent
+workers each own a fixed set of region shards.  Both follow one
+determinism contract:
 
 * **Work is chunked deterministically.**  Tasks are submitted in a fixed
   order derived from the caller's (already seeded) ordering and results
   are consumed in submission order — never completion order — so output
   is byte-identical to a serial run at the same seeds, regardless of
   worker count or OS scheduling.
-* **Workers hold warm, worker-local state.**  A scheduling fan-out ships
-  the compact graph once per worker (pickled vertex/edge lists, not the
-  object graph) and each worker builds its own
-  :class:`~repro.topology.LocalTopologyEngine` — kernel CSR mirror,
-  verdict cache and span memo included.  Rounds then send only the
-  deletion log suffix each worker is missing; workers replay it through
-  the engine's incremental invalidation, so caches stay warm across
-  rounds without any shared memory.
+* **Workers hold warm, worker-local state.**  A shard worker receives
+  its partitions once, as pickled vertex/edge parts, and builds its own
+  :class:`~repro.topology.LocalTopologyEngine` per shard — kernel CSR
+  mirror, verdict cache and span memo included.  Rounds then send only
+  boundary-band rows, so caches stay warm across rounds without any
+  shared memory.
 * **Counters merge back.**  Workers return
   :class:`~repro.topology.TopologyCounters` deltas with their results;
   the caller merges them into its own counters, so instrumentation is a
@@ -33,17 +31,12 @@ contract:
   worker-pool path and the serial inline path, so a serial run and a
   fanned-out run produce identical run-reports once the volatile
   wall-clock fields are stripped (DESIGN.md section 6).
-
-Verdicts are deterministic functions of ``(graph, tau)``, so the fan-out
-changes *where* they are computed but never *what* they are — schedules
-and figure rows are reproduced bit-for-bit at fixed seeds.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import random
 import time
 import traceback
@@ -61,47 +54,14 @@ from typing import (
 
 from repro import knobs
 from repro.checks.sanitizer import current_sanitizer
-from repro.cycles.batch import batch_verdicts_enabled
-from repro.parallel.shm import (
-    SharedBlocks,
-    ShmSource,
-    attach_graph,
-    publish_graph,
-    publish_partition,
-    shm_available,
-    shm_enabled,
-)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import (
-    NULL_TRACER,
     Tracer,
     current_metrics,
     current_tracer,
     observe,
     reset_ambient,
 )
-from repro.topology import TopologyCounters
-
-
-#: Below this many graph vertices, a per-round verdict fan-out costs more
-#: in process startup, graph shipping and per-round IPC than the verdicts
-#: themselves (BENCH_kernel.json: 250-node fig2 at workers=2 ran 13x
-#: slower than serial).  Calibrated well above the measured break-even so
-#: borderline jobs stay on the always-safe serial path.  The value lives
-#: in the knob registry (one documented default for the constant *and*
-#: the ``REPRO_FANOUT_MIN_NODES`` override); this name is kept as a
-#: read-only alias for callers and benchmarks.
-SCHEDULE_FANOUT_MIN_NODES = int(knobs.knob("REPRO_FANOUT_MIN_NODES").default or 0)
-
-
-def fanout_crossover() -> int:
-    """The effective fan-out crossover in graph vertices.
-
-    ``REPRO_FANOUT_MIN_NODES`` overrides the registry default — tests
-    set it to ``0`` to force the pool on small graphs, benchmarks record
-    the effective value next to their timings.
-    """
-    return knobs.get_int("REPRO_FANOUT_MIN_NODES")
 
 
 # ----------------------------------------------------------------------
@@ -179,16 +139,6 @@ def _chaos_wait(futures: Sequence[Future]) -> None:
     if chaos is not None:
         for future in chaos.permuted(futures):
             future.exception()
-
-
-def fanout_worthwhile(job_size: int, workers: Optional[int]) -> bool:
-    """Should a schedule of ``job_size`` vertices fan out at all?
-
-    The crossover guard for :class:`ScheduleFanout`: requesting workers
-    on a small job silently runs serial (identical results either way —
-    the fan-out only moves where verdicts are computed).
-    """
-    return resolve_workers(workers) > 1 and job_size >= fanout_crossover()
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -327,214 +277,14 @@ def parallel_starmap(
 
 
 # ----------------------------------------------------------------------
-# Scheduling fan-out: warm per-worker engines + deletion-log replay
-# ----------------------------------------------------------------------
-def compact_graph_blob(graph) -> bytes:
-    """A graph serialized as sorted vertex/edge lists (no object graph)."""
-    vertices = tuple(sorted(graph.vertices()))
-    edges = tuple(sorted(graph.edges()))
-    return pickle.dumps((vertices, edges), protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def graph_from_blob(blob: bytes):
-    from repro.network.graph import NetworkGraph
-
-    vertices, edges = pickle.loads(blob)
-    graph = NetworkGraph(vertices)
-    for u, v in edges:
-        graph.add_edge(u, v)
-    return graph
-
-
-# Worker-local warm state, installed by the pool initializer.  One
-# engine per worker process: its kernel mirror, verdict cache and span
-# memo survive across rounds and are kept consistent by replaying the
-# deletion log through the engine's own invalidation.
-_WORKER_ENGINE = None
-_WORKER_APPLIED = 0
-
-
-def _init_schedule_worker(source, tau: int) -> None:
-    """Build this worker's warm engine from ``source``.
-
-    ``source`` is a compact pickled blob, or a
-    :class:`~repro.parallel.shm.ShmSource` naming a shared CSR segment
-    — attached read-only, copied into the private engine graph, then
-    unmapped (the coordinator owns the segment).
-    """
-    global _WORKER_ENGINE, _WORKER_APPLIED
-    from repro.topology import LocalTopologyEngine
-
-    # Fork-inheritance hygiene (REPRO307): drop any ambient observers
-    # inherited from the coordinator — workers observe through explicit
-    # capture-local tracers only.
-    reset_ambient()
-    if isinstance(source, ShmSource):
-        graph = attach_graph(source.descriptor)
-    else:
-        graph = graph_from_blob(source)
-    _WORKER_ENGINE = LocalTopologyEngine(graph, tau)
-    _WORKER_APPLIED = 0
-
-
-def _test_candidates(
-    log: Tuple[int, ...],
-    chunk: Sequence[int],
-    capture: bool = False,
-    label: Optional[str] = None,
-) -> Tuple[List[int], List[bool], Dict[str, int], Optional[Any]]:
-    """Verdicts for ``chunk`` after replaying the missing log suffix.
-
-    With ``capture`` a fresh worker-local tracer observes the chunk's
-    engine work (verdict and kernel spans) and its export rides back
-    with the counter delta; the warm engine is detached from the tracer
-    afterwards so later uncaptured rounds pay the null-tracer guard only.
-    """
-    global _WORKER_APPLIED
-    chaos = current_chaos()
-    if chaos is not None:
-        # Seeded worker-side jitter: perturbs which chunk finishes
-        # first, never what any chunk computes.
-        chaos.delay()
-    engine = _WORKER_ENGINE
-    for v in log[_WORKER_APPLIED:]:
-        engine.delete_vertex(v)
-    _WORKER_APPLIED = len(log)
-    before = engine.counters.as_dict()
-    trace_payload: Optional[Any] = None
-    if batch_verdicts_enabled():
-        # Workers inherit REPRO_BATCH_VERDICTS through the environment;
-        # the whole chunk becomes one batched kernel call (verdicts are
-        # pure, so the answers — and the schedule — are unchanged).
-        def chunk_verdicts():
-            return engine.span_verdicts_batch(list(chunk))
-
-    else:
-        def chunk_verdicts():
-            return [engine.deletable(v) for v in chunk]
-
-    if capture:
-        tracer = Tracer()
-        engine.set_observers(tracer=tracer)
-        try:
-            verdicts = chunk_verdicts()
-        finally:
-            engine.set_observers(tracer=NULL_TRACER)
-        trace_payload = tracer.export_payload(process=label)
-    else:
-        verdicts = chunk_verdicts()
-    after = engine.counters.as_dict()
-    delta = {name: after[name] - before[name] for name in after}
-    return list(chunk), verdicts, delta, trace_payload
-
-
-class ScheduleFanout:
-    """Per-round deletability fan-out with warm worker engines.
-
-    Built once per schedule from the *initial* graph; each round calls
-    :meth:`verdicts` with the candidate order and the caller records the
-    round's deletions with :meth:`record_deletions`, which become the
-    log prefix every worker replays before its next chunk.  Use as a
-    context manager so the pool is torn down on any exit path.
-    """
-
-    def __init__(
-        self, graph, tau: int, workers: int, capture: bool = False
-    ) -> None:
-        if workers < 2:
-            raise ValueError("ScheduleFanout needs at least 2 workers")
-        self.workers = workers
-        self.capture = capture
-        self._log: List[int] = []
-        self._segment: Optional[SharedBlocks] = None
-        try:
-            if shm_enabled() and shm_available():
-                # Publish once; every worker attaches the same segment
-                # instead of unpickling its own copy of the graph.
-                self._segment = publish_graph(graph)
-                source: Any = ShmSource(self._segment.descriptor)
-            else:
-                source = compact_graph_blob(graph)
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_schedule_worker,
-                initargs=(source, tau),
-            )
-        except BaseException:
-            # Coordinator ownership holds on the failure path too: a
-            # published segment must not outlive a pool that never
-            # started (/dev/shm leaks survive the process).
-            if self._segment is not None:
-                self._segment.close()
-                self._segment = None
-            raise
-
-    def record_deletions(self, batch: Iterable[int]) -> None:
-        self._log.extend(batch)
-
-    def verdicts(
-        self,
-        candidates: Sequence[int],
-        counters: TopologyCounters,
-        tracer=None,
-    ) -> Dict[int, bool]:
-        """Deletability of every candidate on the current logged graph.
-
-        With a ``capture``-enabled fan-out and an enabled ``tracer``,
-        each worker chunk's spans import under a ``fanout.chunk`` span
-        in submission order.
-        """
-        log = tuple(self._log)
-        capture = self.capture and tracer is not None and tracer.enabled
-        futures = [
-            self._pool.submit(
-                _test_candidates, log, chunk, capture, f"chunk{index}"
-            )
-            for index, chunk in enumerate(
-                chunk_evenly(list(candidates), self.workers)
-            )
-        ]
-        _chaos_wait(futures)
-        out: Dict[int, bool] = {}
-        for index, future in enumerate(futures):
-            chunk, verdicts, delta, trace_payload = future.result()
-            out.update(zip(chunk, verdicts))
-            counters.merge(TopologyCounters(**delta))
-            if trace_payload is not None:
-                with tracer.trace("fanout.chunk", chunk=index, size=len(chunk)):
-                    tracer.import_spans(trace_payload)
-        return out
-
-    def close(self) -> None:
-        try:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        finally:
-            # Unlink even when shutdown itself blows up (e.g. a worker
-            # crashed hard): the segment is the only state that would
-            # survive this process.
-            if self._segment is not None:
-                self._segment.close()
-                self._segment = None
-
-    def __enter__(self) -> "ScheduleFanout":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
 # Sharded scheduling: persistent warm workers, one partition per shard
 # ----------------------------------------------------------------------
 def _shard_worker_main(conn, inits, tau: int, capture: bool) -> None:
     """One worker process hosting a fixed set of :class:`LocalShard`\\ s.
 
-    ``inits`` is ``[(shard index, partition source), ...]`` where each
-    source is whatever :class:`LocalShard` accepts — pickled parts or a
-    shared-memory descriptor; the partitions (CSR mirrors, verdict
-    caches) live for the whole schedule and the per-round messages carry
-    only rows — the persistent-warm-worker replacement for per-call
-    graph shipping.
+    ``inits`` is ``[(shard index, partition parts), ...]``; the
+    partitions (CSR mirrors, verdict caches) live for the whole schedule
+    and the per-round messages carry only rows.
     """
     from repro.shard.runtime import LocalShard
 
@@ -603,15 +353,10 @@ def _shard_worker_main(conn, inits, tau: int, capture: bool) -> None:
 class ShardWorkerPool:
     """Persistent warm workers for sharded scheduling.
 
-    Unlike :class:`ScheduleFanout` (fresh base graph per pool, deletion
-    log replayed per call), each worker here *owns* its shards'
-    partitions for the lifetime of the schedule: the partitions ship
-    once at startup and every subsequent message is boundary-band rows.
-    The startup transport is picked here: shared-memory CSR segments
-    when ``REPRO_SHM`` is on and the host supports them (workers attach
-    read-only; this pool owns the segments and unlinks them in
-    :meth:`close`), pickled partition parts otherwise.  Shards are
-    assigned to workers contiguously by index (:func:`chunk_evenly`),
+    Each worker *owns* its shards' partitions for the lifetime of the
+    schedule: the partitions ship once at startup, as pickled partition
+    parts, and every subsequent message is boundary-band rows.  Shards
+    are assigned to workers contiguously by index (:func:`chunk_evenly`),
     and all merge points key on shard index, so results are identical
     at any worker count — including the in-process backend at
     ``workers=1``.
@@ -629,19 +374,13 @@ class ShardWorkerPool:
 
         if workers < 2:
             raise ValueError("ShardWorkerPool needs at least 2 workers")
-        self._segments: List[SharedBlocks] = []
         self._procs: List[multiprocessing.Process] = []
         self._conns: List[Any] = []
         try:
-            if shm_enabled() and shm_available():
-                sources: List[Any] = []
-                for spec in specs:
-                    segment = publish_partition(graph, spec)
-                    self._segments.append(segment)
-                    sources.append(ShmSource(segment.descriptor))
-            else:
-                sources = [partition_parts(graph, spec) for spec in specs]
-            inits = list(enumerate(sources))
+            inits = [
+                (index, partition_parts(graph, spec))
+                for index, spec in enumerate(specs)
+            ]
             assignments = chunk_evenly(inits, workers)
             self._assigned: List[List[int]] = [
                 [index for index, __ in chunk] for chunk in assignments
@@ -658,8 +397,8 @@ class ShardWorkerPool:
                 self._procs.append(proc)
                 self._conns.append(parent_conn)
         except BaseException:
-            # A partially-built pool still owns everything it published
-            # and spawned; close() tolerates the partial state.
+            # A partially-built pool still owns every worker it spawned;
+            # close() tolerates the partial state.
             self.close()
             raise
 
@@ -676,8 +415,7 @@ class ShardWorkerPool:
             except (BrokenPipeError, OSError):
                 # Dead before the request even landed: same deterministic
                 # error as a mid-reply death, same cleanup path (the
-                # scheduler's finally runs close(), which unlinks every
-                # published segment).
+                # scheduler's finally runs close()).
                 raise RuntimeError(
                     f"shard worker {i} died mid-schedule "
                     f"(pipe closed before {kind!r})"
@@ -690,7 +428,7 @@ class ShardWorkerPool:
             except EOFError:
                 # The worker died without replying (crash, OOM kill).
                 # Raising here lands in the scheduler's finally, whose
-                # close() still unlinks every published segment.
+                # close() reaps the surviving workers.
                 raise RuntimeError(
                     f"shard worker {i} died mid-schedule "
                     f"(no reply to {kind!r})"
@@ -749,24 +487,17 @@ class ShardWorkerPool:
         return self._merged("finish", [None] * len(self._conns))
 
     def close(self) -> None:
-        try:
-            for conn in self._conns:
-                try:
-                    conn.send(("stop", None))
-                except (BrokenPipeError, OSError):
-                    pass
-            for proc in self._procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - defensive teardown
-                    proc.terminate()
-            for conn in self._conns:
-                conn.close()
-        finally:
-            # Segment unlink is the part that must survive any teardown
-            # failure above: /dev/shm outlives the coordinator process.
-            segments, self._segments = self._segments, []
-            for segment in segments:
-                segment.close()
+        for conn in self._conns:
+            try:
+                conn.send(("stop", None))
+            except (BrokenPipeError, OSError):
+                pass
+        for proc in self._procs:
+            proc.join(timeout=5.0)
+            if proc.is_alive():  # pragma: no cover - defensive teardown
+                proc.terminate()
+        for conn in self._conns:
+            conn.close()
 
     def __enter__(self) -> "ShardWorkerPool":
         return self

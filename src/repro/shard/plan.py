@@ -99,8 +99,8 @@ def partition_parts(
 
     ``(owned, halo, boundary, induced edges sorted)`` — the in-process
     transport: the inline backend hands this straight to
-    :class:`~repro.shard.runtime.LocalShard`, and the pickled and
-    shared-memory transports both derive from it.
+    :class:`~repro.shard.runtime.LocalShard`, and the pickled transport
+    derives from it.
     """
     members = set(spec.members)
     edges: List[Tuple[int, int]] = []

@@ -36,10 +36,9 @@ stay correct even then.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.checks.sanitizer import current_sanitizer
-from repro.cycles.batch import numpy_available, span_verdict_batch
 from repro.cycles.horton import ShortCycleSpan
 from repro.network.graph import NetworkGraph
 from repro.obs.tracer import NULL_TRACER
@@ -378,121 +377,6 @@ class LocalTopologyEngine:
         if sanitizer is not None:
             sanitizer.check_fresh_verdict(self.graph, v, self.tau, verdict)
         return verdict
-
-    def span_verdicts_batch(self, vertices: Sequence[int]) -> List[bool]:
-        """Definition 5 verdicts for a wave of vertices, batched.
-
-        Semantically ``[self.deletable(v) for v in vertices]`` — same
-        owned-region guard, verdict cache, span memo, counters and
-        sanitizer hooks, in the same per-vertex order — but the fresh
-        verdicts of the wave are stacked into one vectorized GF(2)
-        elimination (:func:`repro.cycles.batch.span_verdict_batch`)
-        under a single ``kernel.batch_verdict`` span instead of one
-        Python elimination per vertex.  Cache and span-memo hits are
-        resolved *before* packing, so a warm wave never builds a
-        matrix.  Engines without the packed path's prerequisites
-        (dict-based engines, ball-cached kernel engines, numpy missing)
-        fall back to the scalar loop; the batch path itself falls back
-        per candidate outside its envelope (DESIGN.md section 10), so
-        the answer is total either way.
-        """
-        if self.owned is not None:
-            for v in vertices:
-                if v not in self.owned:
-                    raise OwnedRegionError(
-                        f"verdict requested for {v} outside the engine's "
-                        "owned region"
-                    )
-        if not (self.use_kernel and not self.cache_balls and numpy_available()):
-            return [self.deletable(v) for v in vertices]
-        self._sync()
-        counters = self.counters
-        sanitizer = current_sanitizer()
-        results: List[Optional[bool]] = [None] * len(vertices)
-        fresh: List[int] = []
-        counters.deletability_queries += len(vertices)
-        verdict_cache = self._verdicts
-        for position, v in enumerate(vertices):
-            cached = verdict_cache.get(v)
-            if cached is not None:
-                counters.deletability_cache_hits += 1
-                if sanitizer is not None:
-                    sanitizer.check_cached_verdict(
-                        self.graph, v, self.tau, cached
-                    )
-                results[position] = cached
-            else:
-                fresh.append(position)
-        if not fresh:
-            return results  # type: ignore[return-value]
-        counters.deletability_tests += len(fresh)
-        kernel = self._kernel
-        member_lists: List[List[int]] = []
-        packed_positions: List[int] = []
-        signatures: List[Optional[Tuple]] = []
-        for position in fresh:
-            v = vertices[position]
-            slots = kernel.punctured_ball_slots(v, self.radius)
-            counters.ball_computations += 1
-            counters.bfs_expansions += len(slots) + 1
-            if not slots:
-                # An isolated vertex supports no cycles; deletion is safe.
-                results[position] = True
-                continue
-            if self.memoize_spans:
-                __, sig = kernel.member_rows_signature(slots)
-                memoized = self.span_memo.get(self.tau, sig)
-                if memoized is not None:
-                    counters.span_memo_hits += 1
-                    results[position] = memoized
-                    continue
-                counters.span_memo_misses += 1
-            else:
-                sig = None
-            member_lists.append(slots)
-            packed_positions.append(position)
-            signatures.append(sig)
-        if member_lists:
-            counters.span_computations += len(member_lists)
-            tracer = self.tracer
-            metrics = self.metrics
-            if tracer.enabled or metrics is not None:
-                start = perf_counter()
-                if tracer.enabled:
-                    with tracer.trace(
-                        "kernel.batch_verdict",
-                        candidates=len(member_lists),
-                        tau=self.tau,
-                    ):
-                        verdicts = span_verdict_batch(
-                            kernel, member_lists, self.tau
-                        )
-                else:
-                    verdicts = span_verdict_batch(kernel, member_lists, self.tau)
-                if metrics is not None:
-                    metrics.observe(
-                        "engine.batch_verdict_wall_s",
-                        perf_counter() - start,
-                        volatile=True,
-                    )
-            else:
-                verdicts = span_verdict_batch(kernel, member_lists, self.tau)
-            for position, sig, verdict in zip(
-                packed_positions, signatures, verdicts
-            ):
-                results[position] = verdict
-                if sig is not None:
-                    counters.span_memo_evictions += self.span_memo.put(
-                        self.tau, sig, verdict
-                    )
-        for position in fresh:
-            v = vertices[position]
-            verdict = results[position]
-            if self.cache_verdicts:
-                verdict_cache[v] = verdict
-            if sanitizer is not None:
-                sanitizer.check_batch_verdict(self.graph, v, self.tau, verdict)
-        return results  # type: ignore[return-value]
 
     def _fresh_verdict(self, v: int) -> bool:
         if self.use_kernel and not self.cache_balls:

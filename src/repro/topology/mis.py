@@ -19,23 +19,18 @@ neighbourhood per pass; the copy is taken at construction, when the
 round's deletions have already unlinked dead slots, so labels can never
 relay through a deleted vertex).  Statuses are monotone — undecided ->
 winner/loser, never back — so any interleaving of wave steps converges
-to the same fixpoint: the greedy MIS of the priority order.  That makes
-one implementation serve both consumers:
-
-* the unsharded scheduler (:mod:`repro.core.scheduler`) loops steps to
-  the fixpoint, feeding each wave's testable set to
-  :meth:`~repro.topology.engine.LocalTopologyEngine.span_verdicts_batch`;
-* the shard runtime (:mod:`repro.shard.runtime`) runs one step per
-  sub-round against the statuses known at the barrier, tests only its
-  *owned* testable candidates, and learns foreign decisions through
-  :meth:`WaveMIS.apply_row` — the tested set per round is provably the
-  serial scan's (no eager redundant verdicts).
+to the same fixpoint: the greedy MIS of the priority order.  Its
+consumer is the shard runtime (:mod:`repro.shard.runtime`): each shard
+runs steps per sub-round against the statuses known at the barrier,
+tests only its *owned* testable candidates, and learns foreign
+decisions through :meth:`WaveMIS.apply_row` — the tested set per round
+is provably the serial lazy scan's (no eager redundant verdicts), and
+the winners are the lazy scan's exactly.
 
 Snapshot semantics: a step decides against the statuses frozen at its
-entry, exactly the shard barrier's contract, so sharded and unsharded
-runs walk the same wave sequence.  Without numpy the propagation runs
-in pure Python over the same live adjacency lists — same answers,
-test-scale speed.
+entry, exactly the shard barrier's contract.  Without numpy the
+propagation runs in pure Python over the same live adjacency lists —
+same answers, test-scale speed.
 """
 
 from __future__ import annotations
@@ -289,10 +284,6 @@ class WaveMIS:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    def winners(self) -> List[int]:
-        """All winners so far, priority-ascending (the deletion order)."""
-        return sorted(self._winners, key=self._prio.__getitem__)
-
     def undecided_count(self) -> int:
         """Open candidates (owned ones only, under an ``owned`` filter)."""
         return self._open_owned

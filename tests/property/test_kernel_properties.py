@@ -1,39 +1,23 @@
 """Property-based tests: CSR kernel == dict oracle, parallel == serial.
 
-Two invariants carry the whole PR:
+Two invariants carry the kernel:
 
 * the kernel's compact-adjacency primitives (BFS distances, deletability
   verdicts) agree with the dict-based reference implementations on any
   graph and after any interleaving of mutations, and
-* fanning work over a process pool never changes output — schedules and
-  sweep rows at a fixed seed are byte-identical at any worker count.
+* spreading a schedule over region shards and worker processes never
+  changes output — schedules at a fixed seed are byte-identical to the
+  serial run at any worker count.
 """
 
-import os
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scheduler import dcc_schedule
 from repro.network.graph import NetworkGraph
 from repro.topology import LocalTopologyEngine
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _force_fanout():
-    # The crossover guard would keep these tiny graphs off the process
-    # pool; zero it so the pool path is what gets property-tested.
-    # (Module-scoped by hand: hypothesis rejects function-scoped
-    # fixtures under @given.)
-    previous = os.environ.get("REPRO_FANOUT_MIN_NODES")
-    os.environ["REPRO_FANOUT_MIN_NODES"] = "0"
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_FANOUT_MIN_NODES", None)
-    else:
-        os.environ["REPRO_FANOUT_MIN_NODES"] = previous
 
 
 def _random_graph(seed: int, nodes: int, density: float) -> NetworkGraph:
@@ -109,8 +93,14 @@ class TestParallelMatchesSerial:
         serial = dcc_schedule(
             graph, protected, tau, rng=random.Random(seed), workers=1
         )
-        fanned = dcc_schedule(
-            graph, protected, tau, rng=random.Random(seed), workers=2
-        )
-        assert fanned.removed == serial.removed
-        assert fanned.deletions_per_round == serial.deletions_per_round
+        for workers in (1, 2):
+            sharded = dcc_schedule(
+                graph,
+                protected,
+                tau,
+                rng=random.Random(seed),
+                shards=2,
+                workers=workers,
+            )
+            assert sharded.removed == serial.removed
+            assert sharded.deletions_per_round == serial.deletions_per_round

@@ -1,4 +1,4 @@
-"""Unit tests for the repro-bounds front: symbolic radii, capacities, CLI."""
+"""Unit tests for the repro-bounds front: symbolic radii, stage cutoffs, CLI."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from repro.checks.protocol import FloodSpec, ProtocolContract, extract_contract
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
-BATCH = SRC / "repro" / "cycles" / "batch.py"
 
 
 def run_tree(tmp_path: Path, sources: dict) -> tuple:
@@ -275,32 +274,9 @@ class TestFloodTTL:
 
 
 # ----------------------------------------------------------------------
-# REPRO405/406: packed capacities
+# REPRO405: Horton stage-3 cutoffs
 # ----------------------------------------------------------------------
 class TestCapacities:
-    def test_real_batch_is_clean(self, tmp_path):
-        findings, manifest = run_tree(
-            tmp_path, {"repro/cycles/batch.py": BATCH.read_text()}
-        )
-        assert findings == []
-        assert manifest.capacities["BATCH_MAX_MEMBERS"] == 64
-        assert manifest.capacities["chord_capacity"] == 64 * 4
-        assert manifest.capacities["width_classes"][0][0] == 1
-
-    def test_drifted_member_capacity_flagged(self, tmp_path):
-        source = BATCH.read_text().replace(
-            "BATCH_MAX_MEMBERS = 64", "BATCH_MAX_MEMBERS = 128", 1
-        )
-        findings, __ = run_tree(tmp_path, {"repro/cycles/batch.py": source})
-        assert "REPRO405" in rules_of(findings)
-
-    def test_literal_bypass_guard_flagged(self, tmp_path):
-        source = BATCH.read_text().replace(
-            "tau <= PACKED_TAU_MAX", "tau <= 4", 1
-        )
-        findings, __ = run_tree(tmp_path, {"repro/cycles/batch.py": source})
-        assert "REPRO406" in rules_of(findings)
-
     def test_drifted_stage_cutoff_flagged(self, tmp_path):
         findings, __ = run_tree(
             tmp_path,

@@ -33,14 +33,14 @@ class TestRegistry:
             assert k.description
 
     def test_lookup_and_unknown_hint(self):
-        assert knobs.knob("REPRO_SHM").kind == "flag"
+        assert knobs.knob("REPRO_CHAOS").kind == "flag"
         with pytest.raises(KeyError, match="REPRO308"):
             knobs.knob("REPRO_NOPE")
 
     def test_knob_names_filters(self):
         assert knobs.knob_names() == tuple(k.name for k in knobs.KNOBS)
         fingerprinted = knobs.knob_names(fingerprint=True)
-        assert "REPRO_SHM" in fingerprinted
+        assert "REPRO_SANITIZE" in fingerprinted
         assert "REPRO_CHAOS" in fingerprinted
         assert "REPRO_BENCH_SCALE" not in fingerprinted
         assert set(knobs.knob_names(layer="parallel")) <= set(
@@ -51,21 +51,21 @@ class TestRegistry:
 class TestAccessors:
     def test_flag_false_words(self, monkeypatch):
         for word in ("", "0", "false", "off", "no", "False", "OFF"):
-            monkeypatch.setenv("REPRO_SHM", word)
-            assert knobs.get_flag("REPRO_SHM") is False
-        monkeypatch.delenv("REPRO_SHM")
-        assert knobs.get_flag("REPRO_SHM") is False
+            monkeypatch.setenv("REPRO_CHAOS", word)
+            assert knobs.get_flag("REPRO_CHAOS") is False
+        monkeypatch.delenv("REPRO_CHAOS")
+        assert knobs.get_flag("REPRO_CHAOS") is False
         for word in ("1", "true", "yes", "warn"):
-            monkeypatch.setenv("REPRO_SHM", word)
-            assert knobs.get_flag("REPRO_SHM") is True
+            monkeypatch.setenv("REPRO_CHAOS", word)
+            assert knobs.get_flag("REPRO_CHAOS") is True
 
     def test_int_default_and_parse(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FANOUT_MIN_NODES", raising=False)
-        assert knobs.get_int("REPRO_FANOUT_MIN_NODES") == 2000
-        monkeypatch.setenv("REPRO_FANOUT_MIN_NODES", "17")
-        assert knobs.get_int("REPRO_FANOUT_MIN_NODES") == 17
-        monkeypatch.setenv("REPRO_FANOUT_MIN_NODES", "not-a-number")
-        assert knobs.get_int("REPRO_FANOUT_MIN_NODES") == 2000
+        monkeypatch.delenv("REPRO_SANITIZE_STRIDE", raising=False)
+        assert knobs.get_int("REPRO_SANITIZE_STRIDE") == 1
+        monkeypatch.setenv("REPRO_SANITIZE_STRIDE", "17")
+        assert knobs.get_int("REPRO_SANITIZE_STRIDE") == 17
+        monkeypatch.setenv("REPRO_SANITIZE_STRIDE", "not-a-number")
+        assert knobs.get_int("REPRO_SANITIZE_STRIDE") == 1
 
     def test_int_without_declared_default_raises_when_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_SHARDS", raising=False)
@@ -82,19 +82,6 @@ class TestAccessors:
 
 
 class TestConsumersAgree:
-    def test_fanout_crossover_reads_the_registry(self, monkeypatch):
-        from repro.parallel.runner import (
-            SCHEDULE_FANOUT_MIN_NODES,
-            fanout_crossover,
-        )
-
-        declared = int(knobs.knob("REPRO_FANOUT_MIN_NODES").default)
-        assert SCHEDULE_FANOUT_MIN_NODES == declared == 2000
-        monkeypatch.delenv("REPRO_FANOUT_MIN_NODES", raising=False)
-        assert fanout_crossover() == declared
-        monkeypatch.setenv("REPRO_FANOUT_MIN_NODES", "0")
-        assert fanout_crossover() == 0
-
     def test_bench_fingerprint_derives_from_registry(self):
         from repro.obs.bench import KNOB_NAMES
 

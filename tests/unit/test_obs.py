@@ -663,7 +663,6 @@ class TestAttribution:
     def test_unsharded_fallback(self):
         spans = [
             _span("scheduler.candidates", 1, 0.2, round=0),
-            _span("fanout.barrier", 2, 0.15, round=0),
             _span("scheduler.mis_draw", 1, 0.1, round=0),
             _span("scheduler.deletion", 1, 0.05, round=0),
             _span("scheduler.round", 0, 0.4, round=0, mode="parallel"),
@@ -671,8 +670,10 @@ class TestAttribution:
         attribution = attribute_spans(spans)
         assert attribution["mode"] == "parallel"
         (row,) = attribution["runs"][0]["rounds"]
-        assert row["barrier_wait_s"] == pytest.approx(0.15)
-        assert row["compute_s"] == pytest.approx(0.2)
+        # The monolithic loop has no barrier: the phases are compute,
+        # the round remainder is merge.
+        assert row["barrier_wait_s"] == pytest.approx(0.0)
+        assert row["compute_s"] == pytest.approx(0.35)
         assert row["merge_s"] == pytest.approx(0.05)
         assert row["wall_s"] == pytest.approx(
             row["compute_s"]

@@ -36,319 +36,6 @@ def rules_of(findings):
 
 
 # ----------------------------------------------------------------------
-# REPRO301: shm-create-scope
-# ----------------------------------------------------------------------
-class TestShmCreateScope:
-    def test_flags_create_outside_publish_module(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def grab():
-                return SharedMemory(create=True, size=64)
-            """,
-            rel="repro/shard/runtime.py",
-        )
-        assert "REPRO301" in rules_of(findings)
-
-    def test_publish_module_may_create(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def publish():
-                return SharedMemory(create=True, size=64)
-            """,
-            rel="repro/parallel/shm.py",
-        )
-        assert "REPRO301" not in rules_of(findings)
-
-    def test_attach_is_not_a_create(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def attach(name):
-                return SharedMemory(name=name)
-            """,
-            rel="repro/shard/runtime.py",
-        )
-        assert "REPRO301" not in rules_of(findings)
-
-    def test_out_of_scope_tree_ignored(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def whatever():
-                return SharedMemory(create=True, size=64)
-            """,
-            rel="repro/analysis/tool.py",
-        )
-        assert "REPRO301" not in rules_of(findings)
-
-
-# ----------------------------------------------------------------------
-# REPRO302: shm-lifecycle
-# ----------------------------------------------------------------------
-class TestShmLifecycle:
-    def test_flags_fall_through_only_close(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from repro.parallel.shm import publish_blocks
-
-            def run(blocks):
-                seg = publish_blocks(blocks)
-                do_work(seg)
-                seg.close()
-            """,
-        )
-        assert "REPRO302" in rules_of(findings)
-
-    def test_flags_never_closed(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from repro.parallel.shm import publish_blocks
-
-            def run(blocks):
-                seg = publish_blocks(blocks)
-                do_work(seg)
-            """,
-        )
-        assert "REPRO302" in rules_of(findings)
-
-    def test_try_finally_close_passes(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from repro.parallel.shm import publish_blocks
-
-            def run(blocks):
-                seg = publish_blocks(blocks)
-                try:
-                    do_work(seg)
-                finally:
-                    seg.close()
-            """,
-        )
-        assert "REPRO302" not in rules_of(findings)
-
-    def test_with_statement_passes(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from repro.parallel.shm import publish_blocks
-
-            def run(blocks):
-                with publish_blocks(blocks) as seg:
-                    do_work(seg)
-            """,
-        )
-        assert "REPRO302" not in rules_of(findings)
-
-    def test_returning_the_handle_transfers_ownership(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from repro.parallel.shm import publish_blocks
-
-            def run(blocks):
-                seg = publish_blocks(blocks)
-                return seg
-            """,
-        )
-        assert "REPRO302" not in rules_of(findings)
-
-    def test_self_attr_without_teardown_flagged(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from repro.parallel.shm import publish_blocks
-
-            class Pool:
-                def __init__(self, blocks):
-                    self._segment = publish_blocks(blocks)
-            """,
-        )
-        assert "REPRO302" in rules_of(findings)
-
-    def test_self_attr_with_closing_teardown_passes(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from repro.parallel.shm import publish_blocks
-
-            class Pool:
-                def __init__(self, blocks):
-                    self._segment = publish_blocks(blocks)
-
-                def close(self):
-                    if self._segment is not None:
-                        self._segment.close()
-            """,
-        )
-        assert "REPRO302" not in rules_of(findings)
-
-    def test_append_to_self_list_with_teardown_passes(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from repro.parallel.shm import publish_blocks
-
-            class Pool:
-                def __init__(self, parts):
-                    self._segments = []
-                    for part in parts:
-                        segment = publish_blocks(part)
-                        self._segments.append(segment)
-
-                def close(self):
-                    for segment in self._segments:
-                        segment.close()
-            """,
-        )
-        assert "REPRO302" not in rules_of(findings)
-
-
-# ----------------------------------------------------------------------
-# REPRO303: shm-worker-discipline
-# ----------------------------------------------------------------------
-class TestShmWorkerDiscipline:
-    def test_flags_worker_unlink(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            def drop(segment):
-                segment.unlink()
-            """,
-            rel="repro/shard/runtime.py",
-        )
-        assert "REPRO303" in rules_of(findings)
-
-    def test_os_unlink_is_filesystem_not_segment(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            import os
-
-            def cleanup(path):
-                os.unlink(path)
-            """,
-            rel="repro/shard/runtime.py",
-        )
-        assert "REPRO303" not in rules_of(findings)
-
-    def test_flags_write_through_attached_buffer(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            import numpy as np
-
-            def corrupt(buf):
-                view = np.frombuffer(buf, dtype=np.int64)
-                view[0] = 7
-            """,
-            rel="repro/shard/runtime.py",
-        )
-        assert "REPRO303" in rules_of(findings)
-
-    def test_copy_out_passes(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            import numpy as np
-
-            def copy_out(buf):
-                view = np.frombuffer(buf, dtype=np.int64)
-                return view.copy()
-            """,
-            rel="repro/shard/runtime.py",
-        )
-        assert "REPRO303" not in rules_of(findings)
-
-    def test_flags_writable_mmap(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            import mmap
-
-            def attach(fd, nbytes):
-                return mmap.mmap(fd, nbytes)
-            """,
-            rel="repro/shard/segment.py",
-        )
-        assert "REPRO303" in rules_of(findings)
-
-    def test_read_only_mmap_passes(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            import mmap
-
-            def attach(fd, nbytes):
-                return mmap.mmap(fd, nbytes, access=mmap.ACCESS_READ)
-            """,
-            rel="repro/shard/segment.py",
-        )
-        assert "REPRO303" not in rules_of(findings)
-
-
-# ----------------------------------------------------------------------
-# REPRO304: shm-attach-drop
-# ----------------------------------------------------------------------
-class TestShmAttachDrop:
-    def test_flags_attachment_without_finally(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from repro.shard.segment import attach_blocks
-
-            def load(descriptor):
-                blocks, attachment = attach_blocks(descriptor)
-                return consume(blocks)
-            """,
-            rel="repro/shard/runtime.py",
-        )
-        assert "REPRO304" in rules_of(findings)
-
-    def test_finally_close_passes(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from repro.shard.segment import attach_blocks
-
-            def load(descriptor):
-                blocks, attachment = attach_blocks(descriptor)
-                try:
-                    return consume(blocks)
-                finally:
-                    attachment.close()
-            """,
-            rel="repro/shard/runtime.py",
-        )
-        assert "REPRO304" not in rules_of(findings)
-
-    def test_returned_attachment_transfers_ownership(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from repro.shard.segment import attach_blocks
-
-            def open_blocks(descriptor):
-                return attach_blocks(descriptor)
-            """,
-            rel="repro/shard/runtime.py",
-        )
-        assert "REPRO304" not in rules_of(findings)
-
-
-# ----------------------------------------------------------------------
 # REPRO305: pool-boundary-callable
 # ----------------------------------------------------------------------
 class TestPoolBoundaryCallable:
@@ -646,7 +333,7 @@ class TestRaceCli:
     def test_select_and_list_rules(self, tmp_path, capsys):
         assert race_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "REPRO301" in out and "knob-registry" in out
+        assert "REPRO305" in out and "knob-registry" in out
         assert race_main([str(tmp_path), "--select", "bogus-rule"]) == 2
 
 
