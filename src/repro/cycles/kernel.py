@@ -2,7 +2,9 @@
 
 The deletability primitive of Definition 5 bottoms out in three loops:
 k-ball extraction (BFS), chord numbering (spanning forest), and
-tau-capped closure streaming into a GF(2) elimination.  The dict-of-sets
+tau-capped closure streaming into a GF(2) elimination; before the last
+two, each ball is shrunk to its strong-collapse core, which has the same
+verdict.  The dict-of-sets
 :class:`~repro.network.graph.NetworkGraph` pays hashing and allocation
 on every step of all three.  :class:`CSRGraph` is a compact int-indexed
 mirror of a ``NetworkGraph`` — vertex ids are mapped onto dense slots,
@@ -400,7 +402,9 @@ class CSRGraph:
         chords, then staged cycle enumeration feeds the elimination with
         early exit at full rank.  ``mrows`` (member-restricted sorted
         rows, e.g. from :meth:`member_rows_signature`) lets the BFS skip
-        re-filtering the full adjacency rows.  The subspace spanned is a
+        re-filtering the full adjacency rows.  Both tests run on the
+        strong-collapse core (:meth:`strong_collapse`), which has the
+        same verdict as the full subgraph.  The subspace spanned is a
         canonical function of the subgraph, so the verdict agrees with
         the dict-based :class:`~repro.cycles.horton.ShortCycleSpan`
         oracle.
@@ -408,19 +412,21 @@ class CSRGraph:
         trc = self.tracer
         if trc is None or not trc.enabled:
             return self._span_connected_verdict(members, tau, mrows)
-        with trc.trace("kernel.span_verdict", members=len(members), tau=tau):
-            return self._span_connected_verdict(members, tau, mrows)
+        with trc.trace(
+            "kernel.span_verdict", members=len(members), tau=tau
+        ) as handle:
+            return self._span_connected_verdict(members, tau, mrows, handle)
 
     def _span_connected_verdict(
         self,
         members: Sequence[int],
         tau: int,
         mrows: Optional[Dict[int, List[int]]] = None,
+        handle=None,
     ) -> bool:
         if tau < 3:
             raise ValueError("tau must be at least 3 (the shortest cycle)")
-        count = len(members)
-        if count == 0:
+        if not members:
             return True
         if mrows is None:
             adj = self.adj
@@ -432,6 +438,10 @@ class CSRGraph:
             mrows = {
                 u: [w for w in adj[u] if mstamp[w] == token] for u in members
             }
+        members, mrows = self.strong_collapse(members, mrows)
+        if handle is not None:
+            handle.set(core=len(members))
+        count = len(members)
 
         # Spanning tree + connectivity from the lowest slot; ``parent``
         # doubles as the visited mark (-1 = member not yet reached).
@@ -454,6 +464,71 @@ class CSRGraph:
         if reached != count:
             return False
         return self._stream_member_closures(members, mrows, parent, tau)
+
+    def strong_collapse(
+        self, members: Sequence[int], mrows: Dict[int, List[int]]
+    ) -> Tuple[Sequence[int], Dict[int, List[int]]]:
+        """The dominated-vertex-free core of the subgraph on ``members``.
+
+        A member ``u`` is *dominated* by a member neighbour ``v`` when
+        N[u] is a subset of N[v] (closed neighbourhoods in the current
+        induced subgraph).  Removing ``u`` keeps the Definition 5 verdict
+        for every tau >= 3: paths through ``u`` reroute through ``v``,
+        and the triangles ``u-a-v`` carry the cycles through ``u`` both
+        ways (DESIGN.md section 5).  Dominated members are removed until
+        none is left — Barmak & Minian's strong collapse.  Closed
+        neighbourhoods are int bitsets over positions in ``members``.
+
+        Returns the core as sorted slots with its member-restricted rows.
+        ``members`` and ``mrows`` come back as they are when nothing is
+        dominated; the caller's ``mrows`` is never mutated.
+        """
+        # Scratch: ``bit`` is each member's positional bit, ``closed``
+        # its closed neighbourhood (0 once removed, so a removed vertex
+        # never dominates), and a stamp equal to ``tok`` marks a queued
+        # member.  The rank stages reinitialise ``_acc`` and ``_dist``
+        # before reading them, and stamps are only read against a fresh
+        # token.
+        bit = self._acc
+        closed = self._dist
+        stamp = self._stamp
+        b = 1
+        for u in members:
+            bit[u] = b
+            b <<= 1
+        for u in members:
+            closed[u] = bit[u] + sum(map(bit.__getitem__, mrows[u]))
+        self._token += 1
+        tok = self._token
+        for u in members:
+            stamp[u] = tok
+        # Low-degree members are the likeliest to be dominated: pop them
+        # first.  A removal re-queues its neighbours, the only members
+        # whose domination it can create.
+        work = sorted(members, key=lambda u: len(mrows[u]), reverse=True)
+        removed = False
+        while work:
+            u = work.pop()
+            stamp[u] = 0
+            cu = closed[u]
+            for w in mrows[u]:
+                cw = closed[w]
+                if cu | cw == cw:
+                    closed[u] = 0
+                    bu = bit[u]
+                    for x in mrows[u]:
+                        cx = closed[x]
+                        if cx:
+                            closed[x] = cx ^ bu
+                            if stamp[x] != tok:
+                                stamp[x] = tok
+                                work.append(x)
+                    removed = True
+                    break
+        if not removed:
+            return members, mrows
+        core = [u for u in members if closed[u]]
+        return core, {u: [w for w in mrows[u] if closed[w]] for u in core}
 
     def stream_short_closures(
         self,

@@ -147,17 +147,26 @@ def generate_greenorbs_trace(
         neighbors_in_range[v].append(u)
 
     trace = RssiTrace()
+    gauss = rng.gauss
+    fading = config.fading_sigma_db
+    # Per-receiver ``(sender, mean RSSI + shadowing)``: static per link,
+    # so only the fading is drawn again in later epochs.
+    links: Dict[int, List[Tuple[int, float]]] = {}
     for __ in range(config.epochs):
         for receiver in nodes:
-            heard: List[Tuple[float, int]] = []
-            for sender in neighbors_in_range[receiver]:
-                d = distance(positions[receiver], positions[sender])
-                rssi = (
-                    _mean_rssi(config, d)
-                    + shadow(receiver, sender)
-                    + rng.gauss(0.0, config.fading_sigma_db)
-                )
-                heard.append((rssi, sender))
+            static = links.get(receiver)
+            if static is None:
+                # First epoch: the lazy shadow() draws stay interleaved
+                # with the fading draws, as the rng stream requires.
+                static = links[receiver] = []
+                heard: List[Tuple[float, int]] = []
+                for sender in neighbors_in_range[receiver]:
+                    d = distance(positions[receiver], positions[sender])
+                    base = _mean_rssi(config, d) + shadow(receiver, sender)
+                    static.append((sender, base))
+                    heard.append((base + gauss(0.0, fading), sender))
+            else:
+                heard = [(base + gauss(0.0, fading), sender) for sender, base in static]
             heard.sort(reverse=True)
             trace.extend(
                 RssiRecord(receiver=receiver, sender=sender, rssi_dbm=rssi)

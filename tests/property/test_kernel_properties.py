@@ -4,17 +4,21 @@ Two invariants carry the kernel:
 
 * the kernel's compact-adjacency primitives (BFS distances, deletability
   verdicts) agree with the dict-based reference implementations on any
-  graph and after any interleaving of mutations, and
+  graph and after any interleaving of mutations — including the
+  strong-collapsed span verdict, on unit-disk balls where the collapse
+  does fire — and
 * spreading a schedule over region shards and worker processes never
   changes output — schedules at a fixed seed are byte-identical to the
   serial run at any worker count.
 """
 
+import math
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.checks.sanitizer import oracle_deletable
 from repro.core.scheduler import dcc_schedule
 from repro.network.graph import NetworkGraph
 from repro.topology import LocalTopologyEngine
@@ -28,6 +32,26 @@ def _random_graph(seed: int, nodes: int, density: float) -> NetworkGraph:
             if rng.random() < density:
                 graph.add_edge(u, v)
     return graph
+
+
+def _unit_disk_graph(seed: int, nodes: int, radius: float) -> NetworkGraph:
+    rng = random.Random(seed)
+    points = [(rng.random(), rng.random()) for _ in range(nodes)]
+    graph = NetworkGraph(range(nodes))
+    for u in range(nodes):
+        for v in range(u + 1, nodes):
+            if math.dist(points[u], points[v]) < radius:
+                graph.add_edge(u, v)
+    return graph
+
+
+@st.composite
+def unit_disk_or_gnp_graphs(draw):
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    nodes = draw(st.integers(min_value=8, max_value=30))
+    if draw(st.booleans()):
+        return _random_graph(seed, nodes, draw(st.sampled_from((0.15, 0.25, 0.4))))
+    return _unit_disk_graph(seed, nodes, draw(st.sampled_from((0.25, 0.35, 0.5))))
 
 
 @st.composite
@@ -79,6 +103,34 @@ class TestKernelAgreesWithOracle:
             assert csr.bfs_distances(v, cutoff=cutoff) == graph.bfs_distances(
                 v, cutoff=cutoff
             )
+
+
+def test_collapsed_verdict_matches_dict_oracle():
+    collapsed = []
+
+    @given(unit_disk_or_gnp_graphs(), st.integers(min_value=3, max_value=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def check(graph, tau, data):
+        # A random deletion prefix, applied through the mirror.
+        csr = graph.csr()
+        order = data.draw(st.permutations(sorted(graph.vertices())))
+        for victim in order[: data.draw(st.integers(0, len(order) // 2))]:
+            csr.delete_vertex(victim)
+        radius = math.ceil(tau / 2)
+        fired = False
+        for v in sorted(graph.vertices()):
+            slots = csr.punctured_ball_slots(v, radius)
+            if slots:
+                mrows, _ = csr.member_rows_signature(slots)
+                fired |= len(csr.strong_collapse(slots, mrows)[0]) < len(slots)
+            verdict = csr.span_connected_verdict(slots, tau)
+            assert verdict == oracle_deletable(graph, v, tau)
+        collapsed.append(fired)
+
+    check()
+    # G(n,p) balls rarely have dominated vertices; the unit-disk half
+    # keeps the property from passing without the collapse ever firing.
+    assert sum(collapsed) > 0.6 * len(collapsed)
 
 
 class TestParallelMatchesSerial:

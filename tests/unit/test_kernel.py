@@ -7,6 +7,7 @@ the kernel to it, including across incremental mutations and on the
 non-monotone slot path (vertices added out of id order).
 """
 
+import math
 import random
 
 import pytest
@@ -109,7 +110,7 @@ def test_signatures_match_on_non_monotone_slots():
     assert sig == view_sig
 
 
-@pytest.mark.parametrize("tau", [3, 4, 5, 6])
+@pytest.mark.parametrize("tau", [3, 4, 5, 6, 7, 8])
 def test_span_connected_verdict_matches_oracle(tau):
     g = _random_graph(8, n=18, p=0.3)
     csr = g.csr()
@@ -138,3 +139,87 @@ def test_engine_kernel_matches_oracle_across_deletions():
         victim = rng.choice(alive)
         kernel_engine.delete_vertex(victim)
         oracle_engine.delete_vertex(victim)
+
+
+def _unit_disk_graph(seed, n=40, radius=0.3):
+    rng = random.Random(seed)
+    points = [(rng.random(), rng.random()) for _ in range(n)]
+    g = NetworkGraph(range(n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if math.dist(points[u], points[v]) < radius:
+                g.add_edge(u, v)
+    return g
+
+
+def _collapse(g, member_ids):
+    csr = g.csr()
+    slots = csr.member_slots(member_ids)
+    mrows, _ = csr.member_rows_signature(slots)
+    core, rows = csr.strong_collapse(slots, mrows)
+    return csr, slots, core, rows
+
+
+def test_strong_collapse_core_is_induced_and_undominated():
+    fired = 0
+    for seed in range(6):
+        g = _unit_disk_graph(seed)
+        csr = g.csr()
+        for v in sorted(g.vertices()):
+            slots = csr.punctured_ball_slots(v, 2)
+            if not slots:
+                continue
+            mrows, _ = csr.member_rows_signature(slots)
+            before = {u: list(row) for u, row in mrows.items()}
+            core, rows = csr.strong_collapse(slots, mrows)
+            assert mrows == before  # the caller's rows are left alone
+            assert core == sorted(core) and set(core) <= set(slots)
+            fired += len(core) < len(slots)
+            members = set(core)
+            for u in core:
+                assert rows[u] == [w for w in csr.adj[u] if w in members]
+            closed = {u: set(rows[u]) | {u} for u in core}
+            for u in core:
+                assert not any(closed[u] <= closed[w] for w in rows[u])
+    assert fired > 0
+
+
+def test_strong_collapse_complete_graph_to_one_vertex():
+    g = NetworkGraph(range(6))
+    for u in range(6):
+        for v in range(u + 1, 6):
+            g.add_edge(u, v)
+    csr, _, core, rows = _collapse(g, range(6))
+    assert len(core) == 1 and rows == {core[0]: []}
+    assert csr.span_connected_verdict(csr.member_slots(range(6)), 3)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_strong_collapse_leaves_long_cycles_untouched(n):
+    g = NetworkGraph(range(n))
+    for u in range(n):
+        g.add_edge(u, (u + 1) % n)
+    _, slots, core, rows = _collapse(g, range(n))
+    assert core == slots
+    assert all(len(row) == 2 for row in rows.values())
+
+
+def test_strong_collapse_twins_keep_one_survivor():
+    # A 5-cycle plus a twin of vertex 0 (same closed neighbourhood).
+    g = NetworkGraph(range(6))
+    for u in range(5):
+        g.add_edge(u, (u + 1) % 5)
+    for w in (0, 1, 4):
+        g.add_edge(5, w)
+    csr, _, core, _ = _collapse(g, range(6))
+    survivors = {csr.ids[u] for u in core}
+    assert len(survivors) == 5 and len(survivors & {0, 5}) == 1
+
+
+def test_strong_collapse_keeps_disconnected_ball_disconnected():
+    g = NetworkGraph(range(6))
+    for a, b in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)):
+        g.add_edge(a, b)
+    csr, slots, core, _ = _collapse(g, range(6))
+    assert {csr.ids[u] < 3 for u in core} == {True, False}
+    assert not csr.span_connected_verdict(slots, 3)

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.network.graph import NetworkGraph
 from repro.obs import (
     ATTRIBUTION_SCHEMA,
     MetricsRegistry,
@@ -149,6 +150,21 @@ class TestTracer:
         sink = Tracer()
         sink.import_spans(source.export_spans())
         assert sink.dropped == 1
+
+    def test_span_verdict_records_ball_and_core_size(self):
+        # A wheel: the hub dominates every rim vertex, so the 7-vertex
+        # ball collapses to a single vertex before the rank test.
+        graph = NetworkGraph(range(7))
+        for v in range(1, 7):
+            graph.add_edge(0, v)
+            graph.add_edge(v, v % 6 + 1)
+        csr = graph.csr()
+        tracer = Tracer()
+        csr.tracer = tracer
+        assert csr.span_connected_verdict(csr.member_slots(range(7)), 3)
+        (span,) = tracer.spans()
+        assert span.name == "kernel.span_verdict"
+        assert span.attrs == {"members": 7, "tau": 3, "core": 1}
 
 
 class TestNullTracer:

@@ -1,5 +1,7 @@
 """Unit tests for RSSI traces and the synthetic GreenOrbs generator."""
 
+import hashlib
+
 import pytest
 
 from repro.traces.greenorbs import (
@@ -132,3 +134,15 @@ class TestGreenOrbsGenerator:
         a = generate_greenorbs_trace(config, seed=5)
         b = generate_greenorbs_trace(config, seed=6)
         assert a.graph.edge_set() != b.graph.edge_set()
+
+    def test_record_stream_is_pinned(self):
+        # Pins the rng stream: the static per-link RSSI, the shadowing
+        # draws and the fading draws must keep their order and values.
+        trace = generate_greenorbs_trace(GreenOrbsConfig(node_count=60, epochs=5), seed=1)
+        digest = hashlib.sha256()
+        for r in trace.trace.records:
+            digest.update(repr((r.receiver, r.sender, r.rssi_dbm)).encode())
+        assert len(trace.trace.records) == 2995
+        assert digest.hexdigest() == (
+            "d031a7c37b91a9f8fd24a5004ec401dfb74feecaecb6df3b6931620b25172d4a"
+        )
