@@ -8,18 +8,9 @@ network — are built once per session and shared.
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-from typing import Any, Dict
-
 import pytest
 
-from repro.obs.bench import stamp_entry
-from repro.obs.export import merge_json_entry
 from repro.traces.greenorbs import GreenOrbsConfig, generate_greenorbs_trace
-
-BENCH_KERNEL_JSON = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
-BENCH_SHARD_JSON = Path(__file__).resolve().parent.parent / "BENCH_shard.json"
 
 
 def pytest_addoption(parser):
@@ -37,54 +28,6 @@ def paper_scale(request) -> bool:
 
 
 @pytest.fixture(scope="session")
-def bench_workers() -> int:
-    """Worker count for figure benches' repeated trials.
-
-    ``REPRO_BENCH_WORKERS`` (default ``1`` = serial; ``0`` auto-detects)
-    fans the independent runs of fig 2/3/4 over the parallel layer.
-    Results are byte-identical at any value, so the recorded figures
-    never depend on it — only the wall clock does.
-    """
-    return int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-
-
-@pytest.fixture(scope="session")
 def greenorbs_trace():
     """The Figure 5-7 synthetic trace (one generation per session)."""
     return generate_greenorbs_trace(GreenOrbsConfig(), seed=1)
-
-
-@pytest.fixture(scope="session")
-def bench_record():
-    """Merge named entries into ``BENCH_kernel.json`` at the repo root.
-
-    Each bench that measures the CSR kernel or the parallel layer calls
-    ``bench_record(name, entry)``; entries from one session (and from
-    earlier runs) merge by name, so partial bench selections never wipe
-    the file.  The merge itself is
-    :func:`repro.obs.export.merge_json_entry` — the same convention the
-    observability layer's run-reports use.
-    """
-
-    def record(name: str, entry: Dict[str, Any]) -> None:
-        # Every recorded entry carries the repro.bench/v2 environment
-        # fingerprint so `repro-bench diff` can tell comparable numbers
-        # from cross-machine ones.
-        merge_json_entry(BENCH_KERNEL_JSON, name, stamp_entry(entry))
-
-    return record
-
-
-@pytest.fixture(scope="session")
-def shard_bench_record():
-    """Merge named entries into ``BENCH_shard.json`` at the repo root.
-
-    Same merge convention as ``bench_record``, separate file: the shard
-    benches track deployment-scale numbers (wall time, halo traffic)
-    whose history is worth keeping apart from the kernel microbenches.
-    """
-
-    def record(name: str, entry: Dict[str, Any]) -> None:
-        merge_json_entry(BENCH_SHARD_JSON, name, stamp_entry(entry))
-
-    return record

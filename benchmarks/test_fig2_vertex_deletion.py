@@ -8,7 +8,7 @@ throughout (Theorem 5).  Shape check: monotone shrinkage with tau.
 from repro.analysis.experiments import run_fig2_vertex_deletion
 
 
-def test_fig2_vertex_deletion(benchmark, paper_scale, bench_workers):
+def test_fig2_vertex_deletion(benchmark, paper_scale):
     count, degree = (1600, 25.0) if paper_scale else (320, 22.0)
     result = benchmark.pedantic(
         run_fig2_vertex_deletion,
@@ -17,7 +17,7 @@ def test_fig2_vertex_deletion(benchmark, paper_scale, bench_workers):
             degree=degree,
             taus=(3, 4, 5, 6),
             seed=0,
-            workers=bench_workers,
+            workers=1,
         ),
         rounds=1,
         iterations=1,

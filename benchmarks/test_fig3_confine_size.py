@@ -10,9 +10,9 @@ with a substantial drop by the largest tau.
 from repro.analysis.experiments import run_fig3_confine_size
 
 
-def test_fig3_confine_size(benchmark, paper_scale, bench_workers):
+def test_fig3_confine_size(benchmark, paper_scale):
     if paper_scale:
-        kwargs = dict(paper_scale=True, workers=bench_workers)
+        kwargs = dict(paper_scale=True, workers=1)
     else:
         kwargs = dict(
             count=300,
@@ -20,7 +20,7 @@ def test_fig3_confine_size(benchmark, paper_scale, bench_workers):
             taus=(3, 4, 5, 6, 7),
             runs=1,
             seed=0,
-            workers=bench_workers,
+            workers=1,
         )
     result = benchmark.pedantic(
         run_fig3_confine_size, kwargs=kwargs, rounds=1, iterations=1

@@ -13,7 +13,7 @@ GAMMAS = (2.0, 1.6, 1.2, 1.0)
 REQUIREMENTS = (0.0, 0.4, 0.8, 1.2)
 
 
-def test_fig4_hgc_comparison(benchmark, paper_scale, bench_workers):
+def test_fig4_hgc_comparison(benchmark, paper_scale):
     count, degree, runs = (1600, 25.0, 10) if paper_scale else (220, 25.0, 1)
     result = benchmark.pedantic(
         run_fig4_hgc_comparison,
@@ -24,7 +24,7 @@ def test_fig4_hgc_comparison(benchmark, paper_scale, bench_workers):
             requirements=REQUIREMENTS,
             runs=runs,
             seed=3,
-            workers=bench_workers,
+            workers=1,
         ),
         rounds=1,
         iterations=1,

@@ -1,8 +1,7 @@
 """Deployment-scale benches for the sharded scheduler.
 
-Results land in ``BENCH_shard.json`` at the repo root.
-
-Two claims are on trial:
+Each bench prints its entry as one JSON line.  Three claims are on
+trial:
 
 * **Identity** — the sharded scheduler removes exactly the vertices the
   unsharded engine removes, at deployment scale, whether the shards are
@@ -16,17 +15,16 @@ Two claims are on trial:
   run; the eager per-round verdict sweep this replaced recomputed every
   owned candidate per round (~4.8x the serial test count at 10k).
 
-Wall times are *recorded*, not asserted: the per-sub-round barriers and
+Wall times are *printed*, not asserted: the per-sub-round barriers and
 per-worker IPC are real costs, so sharding wins wall-clock only when
 shards run on real parallel hardware.  The entry records ``cpu_count``
-so the numbers are interpretable; the same convention as the
-``sweep_workers4`` bench.
+so the numbers are interpretable.  End-to-end timing lives in
+``pipebench/`` (``sparse10k_serial`` vs ``sparse10k_sharded``).
 
-``REPRO_BENCH_SCALE=smoke`` shrinks the deployment for CI;
-``REPRO_BENCH_SHARDS`` overrides the shard count.  The ``slow``-marked
-bench is the 100k-node fig2-style curve (``criterion=False`` skips the
-whole-graph GF(2) span, which is the scaling bottleneck — the schedule
-itself is local work).
+The fast bench runs 1 500 nodes on 2 shards.  The ``slow``-marked bench
+is the 100k-node fig2-style curve on 4 shards (``criterion=False``
+skips the whole-graph GF(2) span, which is the scaling bottleneck — the
+schedule itself is local work).
 """
 
 import json
@@ -42,10 +40,10 @@ from repro.core.scheduler import dcc_schedule
 from repro.network.topologies import geometric_graph
 from repro.shard import sharded_dcc_schedule
 
-SMOKE = os.environ.get("REPRO_BENCH_SCALE", "full") == "smoke"
 TAU = 4
-NODES = 1_500 if SMOKE else 10_000
-SHARDS = int(os.environ.get("REPRO_BENCH_SHARDS", "2" if SMOKE else "4"))
+NODES = 1_500
+SHARDS = 2
+SHARDS_100K = 4
 TARGET_DEGREE = 9.0
 
 
@@ -66,8 +64,8 @@ def _deployment(nodes):
     return graph, protected
 
 
-def test_shard_schedule_scale(benchmark, shard_bench_record):
-    """10k-node serial vs sharded schedule: identity, traffic, walls."""
+def test_shard_schedule_scale(benchmark):
+    """Serial vs sharded schedule: identity, traffic, walls."""
 
     def measure():
         graph, protected = _deployment(NODES)
@@ -102,7 +100,6 @@ def test_shard_schedule_scale(benchmark, shard_bench_record):
         "tau": TAU,
         "shards": SHARDS,
         "cpu_count": os.cpu_count(),
-        "scale": "smoke" if SMOKE else "full",
         "rounds": serial.rounds,
         "deletions": len(serial.removed),
         "removed_identical": inline.removed == serial.removed
@@ -120,7 +117,6 @@ def test_shard_schedule_scale(benchmark, shard_bench_record):
         "redundant_tests": pooled.counters.deletability_tests
         - serial.counters.deletability_tests,
     }
-    shard_bench_record("shard_schedule", entry)
     print()
     print(f"Sharded schedule at deployment scale: {json.dumps(entry)}")
     assert entry["removed_identical"], "sharded schedule diverged from serial"
@@ -136,7 +132,7 @@ def test_shard_schedule_scale(benchmark, shard_bench_record):
 
 
 @pytest.mark.slow
-def test_fig2_style_curve_at_100k(shard_bench_record):
+def test_fig2_style_curve_at_100k():
     """The 100k-node fig2-style run: completes, coverage preserved."""
     count = 100_000
     start = time.perf_counter()
@@ -146,7 +142,7 @@ def test_fig2_style_curve_at_100k(shard_bench_record):
         taus=(4,),
         seed=0,
         workers=1,
-        shards=SHARDS,
+        shards=SHARDS_100K,
         criterion=False,
     )
     wall = time.perf_counter() - start
@@ -155,7 +151,7 @@ def test_fig2_style_curve_at_100k(shard_bench_record):
         "nodes": count,
         "degree": TARGET_DEGREE,
         "tau": tau,
-        "shards": SHARDS,
+        "shards": SHARDS_100K,
         "cpu_count": os.cpu_count(),
         "criterion": False,
         "wall_s": round(wall, 1),
@@ -163,7 +159,6 @@ def test_fig2_style_curve_at_100k(shard_bench_record):
         "protected_nodes": result.protected_nodes,
         "active": result.active_by_tau[tau],
     }
-    shard_bench_record("fig2_style_100k", entry)
     print()
     print(f"fig2-style curve at 100k nodes: {json.dumps(entry)}")
     assert result.total_nodes >= count * 0.9  # giant component of 100k

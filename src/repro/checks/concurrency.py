@@ -350,8 +350,7 @@ class KnobRegistryRule(Rule):
             default = node.args[1]
             declared = _knobs.knob(name).default
             if (
-                declared is not None
-                and isinstance(default, ast.Constant)
+                isinstance(default, ast.Constant)
                 and isinstance(default.value, str)
                 and default.value != declared
             ):
@@ -381,8 +380,7 @@ class KnobRegistryRule(Rule):
                 ctx,
                 node,
                 f"undeclared knob {name}: declare name/type/default/layer "
-                "in repro.knobs.KNOBS (the docs table and the bench "
-                "fingerprint derive from it)",
+                "in repro.knobs.KNOBS (the docs table derives from it)",
             )
 
 

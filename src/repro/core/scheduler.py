@@ -25,7 +25,7 @@ execution modes produce the same *kind* of fixed point:
 
 All local-topology work (k-ball extraction, deletability verdicts, MIS
 separation balls) runs through a :class:`repro.topology.LocalTopologyEngine`,
-which caches results and invalidates only the dirty region of each deletion.
+which caches verdicts and evicts only those within k hops of each deletion.
 The engine's instrumentation counters ride on :class:`ScheduleResult`.
 """
 
@@ -82,8 +82,8 @@ def mis_by_distance(
     Emulates the distributed random-priority MIS: candidates are visited in
     a random order (the priority draw) and join the set when no earlier
     member lies within ``min_separation - 1`` hops.  With an ``engine``, the
-    separation balls are served from its cache and survive across rounds —
-    only candidates near a previous round's deletions are re-extracted.
+    separation balls come from its CSR kernel BFS (and are counted in its
+    ``TopologyCounters``); without one, from the dict BFS.
     """
     order = list(candidates)
     rng.shuffle(order)

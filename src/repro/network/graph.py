@@ -393,14 +393,5 @@ class SubgraphView:
         """Materialise the view as an independent :class:`NetworkGraph`."""
         return self._base.induced_subgraph(self._keep)
 
-    def signature(self) -> Tuple[Tuple[int, ...], Tuple[Edge, ...]]:
-        """Canonical content key: sorted vertices and sorted edges.
-
-        Two views with equal signatures denote the same labelled subgraph,
-        so any pure function of the subgraph (connectivity, short-cycle
-        span, ...) can be memoised on it.
-        """
-        return tuple(sorted(self._keep)), tuple(sorted(self.edges()))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SubgraphView(|V|={len(self)})"

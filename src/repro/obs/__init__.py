@@ -1,8 +1,8 @@
 """Observability: structured tracing, a metrics registry, run-reports.
 
-PR 1/2 taught the repo to *count* its work (``TopologyCounters``,
-``RuntimeStats``); this subpackage records *when and where* that work
-happens and exports it machine-readably:
+``TopologyCounters`` and ``RuntimeStats`` *count* the repo's work;
+this subpackage records *when and where* that work happens and exports
+it machine-readably:
 
 * :mod:`repro.obs.tracer` — ring-buffered span tracer with a no-op null
   tracer as the universal default, an ambient-observer context
@@ -17,8 +17,6 @@ happens and exports it machine-readably:
   merge lanes over the aligned cross-process span timeline.
 * :mod:`repro.obs.timeline` — SVG per-round timelines and multi-lane
   shard/worker timelines through :mod:`repro.viz.svg`.
-* :mod:`repro.obs.bench` — the ``repro-bench`` CLI: named benches with
-  environment-fingerprinted entries and a tolerance-gated ``diff``.
 * :mod:`repro.obs.envelope` — the runtime half of the ``repro-bounds``
   contract: evaluate the statically certified bound expressions for a
   concrete run and assert every measured meter stays inside, with
@@ -42,7 +40,6 @@ from repro.obs.export import (
     SchemaError,
     build_run_report,
     load_run_report,
-    merge_json_entry,
     phase_aggregates,
     profile_summary,
     read_trace_jsonl,
@@ -115,7 +112,6 @@ __all__ = [
     "max_bfs_depth_from_tracer",
     "measured_from_runtime_stats",
     "measured_from_shard_stats",
-    "merge_json_entry",
     "moore_ball_bound",
     "observe",
     "phase_aggregates",

@@ -350,7 +350,7 @@ def margins_entry(
 ) -> Tuple[str, Dict[str, Any]]:
     """A ``(key, payload)`` pair for the margins artifact.
 
-    Suitable for :func:`repro.obs.export.merge_json_entry`, so repeated
-    smoke runs accumulate into one deterministic artifact.
+    The key names the run, so entries from repeated smoke runs can sit
+    side by side in one deterministic JSON object.
     """
     return label, report.as_dict()

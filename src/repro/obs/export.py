@@ -6,9 +6,7 @@ Three consumers, one span stream:
   headed by a schema line (machine processing, flame tooling).
 * :func:`build_run_report` — a deterministic, schema-versioned JSON
   document combining per-phase time aggregates with the metrics
-  registry.  Reports merge into shared JSON files by name with
-  :func:`merge_json_entry` — the same convention ``BENCH_kernel.json``
-  uses — and :func:`strip_volatile` removes every wall-clock field so
+  registry.  :func:`strip_volatile` removes every wall-clock field so
   reports from runs at different worker counts (or on different
   machines) can be compared for determinism.
 * :func:`profile_summary` — a human-readable tree (per-phase
@@ -155,25 +153,6 @@ def write_run_report(report: Dict[str, Any], path: str) -> None:
 
 def load_run_report(path: str) -> Dict[str, Any]:
     return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def merge_json_entry(path: str | Path, name: str, entry: Dict[str, Any]) -> None:
-    """Merge ``entry`` under ``name`` in a shared JSON file.
-
-    The ``BENCH_kernel.json`` convention: entries merge by name, so
-    partial runs never wipe other entries; unreadable files start fresh.
-    """
-    target = Path(path)
-    data: Dict[str, Any] = {}
-    if target.exists():
-        try:
-            data = json.loads(target.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            data = {}
-    data[name] = entry
-    target.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def validate_run_report(report: Dict[str, Any]) -> None:

@@ -30,7 +30,7 @@ from repro.runtime.messages import (
 from repro.runtime.mis import distributed_mis
 from repro.runtime.simulator import Simulator
 from repro.runtime.stats import RuntimeStats
-from repro.topology import LocalTopologyEngine, SpanMemo, TopologyCounters
+from repro.topology import LocalTopologyEngine, TopologyCounters
 
 
 @dataclass
@@ -63,7 +63,6 @@ class _LocalView:
         self,
         tau: Optional[int] = None,
         counters: Optional[TopologyCounters] = None,
-        span_memo: Optional[SpanMemo] = None,
         tracer=None,
         metrics=None,
     ) -> None:
@@ -74,7 +73,6 @@ class _LocalView:
                 NetworkGraph(),
                 tau,
                 counters=counters,
-                span_memo=span_memo,
                 tracer=tracer,
                 metrics=metrics,
             )
@@ -149,11 +147,9 @@ class DistributedDCC:
         self.rng = rng if rng is not None else random.Random(seed)
         self.max_iterations = max_iterations
         self.views: Dict[int, _LocalView] = {}
-        # One counters object and one span memo shared by every node's
-        # engine: accounting aggregates into the run's RuntimeStats, and
-        # identical punctured neighbourhoods across nodes share verdicts.
+        # One counters object shared by every node's engine: accounting
+        # aggregates into the run's RuntimeStats.
         self.counters = self.sim.stats.topology
-        self.span_memo = SpanMemo()
 
     # ------------------------------------------------------------------
     def run(self) -> DistributedResult:
@@ -208,7 +204,6 @@ class DistributedDCC:
             view = _LocalView(
                 self.tau,
                 counters=self.counters,
-                span_memo=self.span_memo,
                 tracer=self.tracer,
             )
             # A radio hears its one-hop neighbours for free; this seeds

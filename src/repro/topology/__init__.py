@@ -23,16 +23,12 @@ from repro.topology.radii import (
     neighborhood_radius,
     stage_cutoff,
 )
-from repro.topology.signature import SpanMemo, SubgraphSignature, graph_signature
 
 __all__ = [
     "LocalTopologyEngine",
     "OwnedRegionError",
-    "SpanMemo",
-    "SubgraphSignature",
     "TopologyCounters",
     "flood_ttl",
-    "graph_signature",
     "halo_radius",
     "mis_separation",
     "neighborhood_radius",

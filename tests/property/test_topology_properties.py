@@ -13,12 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.graph import NetworkGraph
-from repro.topology import (
-    LocalTopologyEngine,
-    SpanMemo,
-    graph_signature,
-    punctured_deletable,
-)
+from repro.topology import LocalTopologyEngine, punctured_deletable
 
 
 def _geometric_graph(seed: int, nodes: int, radius: float) -> NetworkGraph:
@@ -75,47 +70,3 @@ class TestEngineAgreesWithOracle:
                 assert engine.deletable(v) == punctured_deletable(
                     engine.graph.copy(), v, tau
                 )
-
-    @given(geometric_graphs(), st.integers(min_value=3, max_value=6), st.data())
-    @settings(max_examples=20, deadline=None)
-    def test_seed_parity_mode_matches_cached_mode(self, graph, tau, data):
-        """All cache knobs off must compute the same verdicts as full caching."""
-        cached = LocalTopologyEngine(graph.copy(), tau)
-        plain = LocalTopologyEngine(
-            graph.copy(),
-            tau,
-            cache_balls=False,
-            cache_verdicts=False,
-            memoize_spans=False,
-        )
-        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
-            vertices = sorted(cached.graph.vertices())
-            if len(vertices) <= 2:
-                break
-            for v in vertices:
-                assert cached.deletable(v) == plain.deletable(v)
-            victim = data.draw(st.sampled_from(vertices))
-            cached.delete_vertex(victim)
-            plain.delete_vertex(victim)
-
-    @given(geometric_graphs(), st.integers(min_value=3, max_value=6))
-    @settings(max_examples=20, deadline=None)
-    def test_span_memo_shared_across_engines_is_sound(self, graph, tau):
-        """A memo warmed by one engine must not change another's verdicts."""
-        memo = SpanMemo()
-        first = LocalTopologyEngine(graph.copy(), tau, span_memo=memo)
-        warmed = {v: first.deletable(v) for v in graph.vertices()}
-        second = LocalTopologyEngine(graph.copy(), tau, span_memo=memo)
-        for v, verdict in warmed.items():
-            assert second.deletable(v) == verdict
-
-    @given(geometric_graphs())
-    @settings(max_examples=20, deadline=None)
-    def test_signature_identifies_labelled_graphs(self, graph):
-        same = graph_signature(graph.copy())
-        assert graph_signature(graph) == same
-        if graph.num_edges():
-            smaller = graph.copy()
-            u, v = sorted(smaller.edges())[0]
-            smaller.remove_edge(u, v)
-            assert graph_signature(smaller) != same

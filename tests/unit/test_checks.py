@@ -686,27 +686,10 @@ class TestSanitizerEngineHooks:
             for v in order:  # cache hits
                 engine.deletable(v)
             engine.ball(order[0], 2)
-            engine.blocked(order[0], 2, {order[-1]})
             sanitizer = current_sanitizer()
             assert sanitizer.violations == []
             for kind in ("fresh_verdict", "cached_verdict", "ball"):
                 assert sanitizer.checks.get(kind, 0) > 0
-            assert (
-                sanitizer.checks.get("ball_intersects", 0)
-                + sanitizer.checks.get("ball", 0)
-                > 1
-            )
-        finally:
-            disable_sanitizer()
-
-    def test_blocked_kernel_path_checked(self):
-        enable_sanitizer()
-        try:
-            graph = triangulated_grid(5, 5).graph
-            engine = LocalTopologyEngine(graph, tau=4, cache_balls=False)
-            vs = sorted(engine.graph.vertices())
-            assert engine.blocked(vs[0], 10, {vs[-1]})
-            assert current_sanitizer().checks.get("ball_intersects") == 1
         finally:
             disable_sanitizer()
 

@@ -1,10 +1,9 @@
 """The CSR kernel: compact-adjacency primitives against the dict oracle.
 
 Every primitive the kernel fast-paths (BFS distances, hop balls,
-punctured balls, signatures, span verdicts) has a dict-based reference
+punctured balls, span verdicts) has a dict-based reference
 implementation that stays in the tree as the oracle; these tests pin
-the kernel to it, including across incremental mutations and on the
-non-monotone slot path (vertices added out of id order).
+the kernel to it, including across incremental mutations.
 """
 
 import math
@@ -12,6 +11,7 @@ import random
 
 import pytest
 
+from repro.checks.sanitizer import oracle_deletable
 from repro.cycles.horton import ShortCycleSpan
 from repro.network.graph import NetworkGraph
 from repro.topology import LocalTopologyEngine
@@ -66,50 +66,6 @@ def test_ball_primitives_match_dict_bfs():
             assert frozenset(csr.ids[i] for i in slots) == ball - {v}
 
 
-def test_ball_intersects_agrees_with_ball_ids():
-    g = _random_graph(6)
-    csr = g.csr()
-    rng = random.Random(0)
-    for v in g.vertices():
-        blockers = {u for u in g.vertices() if rng.random() < 0.15}
-        hit, _ = csr.ball_intersects(v, 2, blockers)
-        assert hit == (not blockers.isdisjoint(csr.ball_ids(v, 2)))
-
-
-def test_signatures_match_subgraph_view():
-    g = _random_graph(7)
-    csr = g.csr()
-    rng = random.Random(1)
-    for _ in range(10):
-        members_ids = sorted(
-            v for v in g.vertices() if rng.random() < 0.5
-        )
-        view_sig = g.subgraph_view(frozenset(members_ids)).signature()
-        slots = csr.member_slots(members_ids)
-        assert csr.subgraph_signature(slots) == view_sig
-        mrows, sig = csr.member_rows_signature(slots)
-        assert sig == view_sig
-        for slot in slots:
-            assert mrows[slot] == [j for j in csr.adj[slot] if j in set(slots)]
-
-
-def test_signatures_match_on_non_monotone_slots():
-    g = NetworkGraph([10, 20, 30, 40])
-    g.add_edge(10, 20)
-    g.add_edge(20, 30)
-    csr = g.csr()
-    csr.add_vertex(15)  # id between existing ids -> slot order != id order
-    csr.add_edge(15, 30)
-    csr.add_edge(15, 10)
-    assert not csr.monotone_ids
-    members_ids = [10, 15, 20, 30]
-    view_sig = g.subgraph_view(frozenset(members_ids)).signature()
-    slots = csr.member_slots(members_ids)
-    assert csr.subgraph_signature(slots) == view_sig
-    _, sig = csr.member_rows_signature(slots)
-    assert sig == view_sig
-
-
 @pytest.mark.parametrize("tau", [3, 4, 5, 6, 7, 8])
 def test_span_connected_verdict_matches_oracle(tau):
     g = _random_graph(8, n=18, p=0.3)
@@ -127,18 +83,15 @@ def test_span_connected_verdict_matches_oracle(tau):
 
 def test_engine_kernel_matches_oracle_across_deletions():
     g = _random_graph(9, n=30)
-    kernel_engine = LocalTopologyEngine(g.copy(), 4, use_kernel=True)
-    oracle_engine = LocalTopologyEngine(g.copy(), 4, use_kernel=False)
+    engine = LocalTopologyEngine(g.copy(), 4)
     rng = random.Random(3)
     for _ in range(6):
-        for v in sorted(kernel_engine.graph.vertices()):
-            assert kernel_engine.deletable(v) == oracle_engine.deletable(v)
-        alive = sorted(kernel_engine.graph.vertices())
+        for v in sorted(engine.graph.vertices()):
+            assert engine.deletable(v) == oracle_deletable(engine.graph, v, 4)
+        alive = sorted(engine.graph.vertices())
         if len(alive) <= 4:
             break
-        victim = rng.choice(alive)
-        kernel_engine.delete_vertex(victim)
-        oracle_engine.delete_vertex(victim)
+        engine.delete_vertex(rng.choice(alive))
 
 
 def _unit_disk_graph(seed, n=40, radius=0.3):
@@ -152,11 +105,15 @@ def _unit_disk_graph(seed, n=40, radius=0.3):
     return g
 
 
+def _member_rows(csr, slots):
+    members = set(slots)
+    return {u: [w for w in csr.adj[u] if w in members] for u in slots}
+
+
 def _collapse(g, member_ids):
     csr = g.csr()
     slots = csr.member_slots(member_ids)
-    mrows, _ = csr.member_rows_signature(slots)
-    core, rows = csr.strong_collapse(slots, mrows)
+    core, rows = csr.strong_collapse(slots, _member_rows(csr, slots))
     return csr, slots, core, rows
 
 
@@ -169,7 +126,7 @@ def test_strong_collapse_core_is_induced_and_undominated():
             slots = csr.punctured_ball_slots(v, 2)
             if not slots:
                 continue
-            mrows, _ = csr.member_rows_signature(slots)
+            mrows = _member_rows(csr, slots)
             before = {u: list(row) for u, row in mrows.items()}
             core, rows = csr.strong_collapse(slots, mrows)
             assert mrows == before  # the caller's rows are left alone

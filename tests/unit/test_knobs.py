@@ -1,10 +1,9 @@
 """Unit tests for the declared knob registry (repro.knobs).
 
 The registry is the single source of truth for every ``REPRO_*``
-environment variable: the accessors parse through it, the bench
-fingerprint derives its knob set from it, the README/EXPERIMENTS table
-is generated from it, and the drift tests here keep all three in sync
-with the source tree.
+environment variable: the accessors parse through it, the
+README/EXPERIMENTS table is generated from it, and the drift tests here
+keep both in sync with the source tree.
 """
 
 from __future__ import annotations
@@ -39,12 +38,9 @@ class TestRegistry:
 
     def test_knob_names_filters(self):
         assert knobs.knob_names() == tuple(k.name for k in knobs.KNOBS)
-        fingerprinted = knobs.knob_names(fingerprint=True)
-        assert "REPRO_SANITIZE" in fingerprinted
-        assert "REPRO_CHAOS" in fingerprinted
-        assert "REPRO_BENCH_SCALE" not in fingerprinted
-        assert set(knobs.knob_names(layer="parallel")) <= set(
-            knobs.knob_names()
+        assert knobs.knob_names(layer="parallel") == (
+            "REPRO_CHAOS",
+            "REPRO_CHAOS_SEED",
         )
 
 
@@ -67,25 +63,11 @@ class TestAccessors:
         monkeypatch.setenv("REPRO_SANITIZE_STRIDE", "not-a-number")
         assert knobs.get_int("REPRO_SANITIZE_STRIDE") == 1
 
-    def test_int_without_declared_default_raises_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_SHARDS", raising=False)
-        with pytest.raises(ValueError):
-            knobs.get_int("REPRO_BENCH_SHARDS")
-        monkeypatch.setenv("REPRO_BENCH_SHARDS", "3")
-        assert knobs.get_int("REPRO_BENCH_SHARDS") == 3
-
     def test_str_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-        assert knobs.get_str("REPRO_BENCH_SCALE") == "full"
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "smoke")
-        assert knobs.get_str("REPRO_BENCH_SCALE") == "smoke"
-
-
-class TestConsumersAgree:
-    def test_bench_fingerprint_derives_from_registry(self):
-        from repro.obs.bench import KNOB_NAMES
-
-        assert KNOB_NAMES == knobs.knob_names(fingerprint=True)
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        assert knobs.get_str("REPRO_SANITIZE") == ""
+        monkeypatch.setenv("REPRO_SANITIZE", "warn")
+        assert knobs.get_str("REPRO_SANITIZE") == "warn"
 
 
 class TestDrift:

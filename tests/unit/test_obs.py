@@ -33,7 +33,6 @@ from repro.obs import (
     current_tracer,
     lane_timeline_from_tracer,
     load_run_report,
-    merge_json_entry,
     observe,
     phase_aggregates,
     profile_summary,
@@ -483,20 +482,6 @@ class TestExport:
         assert stripped["metrics"]["count"] == {"type": "counter", "value": 1}
         # The original report is untouched.
         assert report["meta"]["workers"] == 4
-
-    def test_merge_json_entry(self, tmp_path):
-        path = tmp_path / "merged.json"
-        merge_json_entry(path, "a", {"x": 1})
-        merge_json_entry(path, "b", {"y": 2})
-        merge_json_entry(path, "a", {"x": 3})
-        data = json.loads(path.read_text())
-        assert data == {"a": {"x": 3}, "b": {"y": 2}}
-
-    def test_merge_json_entry_recovers_from_garbage(self, tmp_path):
-        path = tmp_path / "merged.json"
-        path.write_text("not json")
-        merge_json_entry(path, "a", {"x": 1})
-        assert json.loads(path.read_text()) == {"a": {"x": 1}}
 
     def test_profile_summary(self):
         tracer = Tracer()

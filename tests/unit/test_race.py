@@ -236,7 +236,7 @@ class TestKnobRegistry:
             """
             import os
 
-            SCALE = os.environ.get("REPRO_BENCH_SCALE", "smoke")
+            SEED = os.environ.get("REPRO_CHAOS_SEED", "7")
             """,
         )
         assert "REPRO308" in rules_of(findings)
@@ -248,7 +248,7 @@ class TestKnobRegistry:
             """
             import os
 
-            SCALE = os.environ.get("REPRO_BENCH_SCALE", "full")
+            SEED = os.environ.get("REPRO_CHAOS_SEED", "0")
             """,
         )
         assert "REPRO308" not in rules_of(findings)

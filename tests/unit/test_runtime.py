@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 from repro.core.vpt import deletable_vertices
+from repro.network.deployment import Rectangle, build_network
 from repro.network.graph import NetworkGraph
 from repro.network.topologies import wheel_graph
 from repro.runtime.messages import Message, MessageKind
@@ -199,3 +200,21 @@ class TestDistributedDCC:
         )
         protocol._announce_deletions([2])
         assert protocol.sim.stats.messages_dropped == {"topology": 1}
+
+
+def test_engine_speedup_distributed():
+    """Per-node verdict caches answer the protocol's query stream."""
+    net = build_network(250, Rectangle(0, 0, 7.3, 7.3), 1.0, 1.0, seed=21)
+    result = distributed_dcc_schedule(
+        net.graph, set(net.boundary_nodes), 4, rng=random.Random(0)
+    )
+    counters = result.stats.topology
+    print(
+        f"queries={counters.deletability_queries} "
+        f"tests={counters.deletability_tests} "
+        f"spans={counters.span_computations}"
+    )
+    # The seed protocol re-tested every queried node from scratch (one
+    # span computation per deletability query, no caching); the engine
+    # answers the same query stream with >= 2x fewer span computations.
+    assert counters.deletability_queries >= 2 * counters.span_computations

@@ -6,9 +6,7 @@ from repro.network.graph import NetworkGraph, SubgraphView
 from repro.network.topologies import triangulated_grid
 from repro.topology import (
     LocalTopologyEngine,
-    SpanMemo,
     TopologyCounters,
-    graph_signature,
     neighborhood_radius,
     punctured_deletable,
 )
@@ -54,14 +52,6 @@ class TestSubgraphView:
         assert len(view) == 3
         assert view.has_edge(0, 1) and not view.has_edge(2, 3)
 
-    def test_signature_is_canonical(self):
-        graph = path_graph(4)
-        view = graph.subgraph_view({1, 2, 3})
-        vs, es = view.signature()
-        assert vs == (1, 2, 3)
-        assert es == ((1, 2), (2, 3))
-        assert graph_signature(view) == view.signature()
-
 
 class TestEngineCaching:
     def test_repeat_query_hits_cache(self):
@@ -103,15 +93,20 @@ class TestEngineCaching:
         mesh.remove_vertex(u)  # behind the engine's back
         assert engine.deletable(v) == punctured_deletable(mesh.copy(), v, 4)
 
-    def test_ball_caching_counts(self):
+    @pytest.mark.parametrize("mutation", ["delete_edge", "add_edge"])
+    def test_edge_mutations_count_dropped_verdicts(self, mutation):
         mesh = triangulated_grid(4, 4).graph
-        engine = LocalTopologyEngine(mesh, 4, cache_balls=True)
-        v = sorted(mesh.vertices())[0]
-        a = engine.ball(v, 2)
-        b = engine.ball(v, 2)
-        assert a == b
-        assert engine.counters.ball_cache_hits == 1
-        assert v in a
+        engine = LocalTopologyEngine(mesh, 4)
+        vs = sorted(mesh.vertices())
+        for v in vs[:5]:
+            engine.deletable(v)
+        if mutation == "delete_edge":
+            engine.delete_edge(*sorted(mesh.edges())[0])
+        else:
+            engine.add_edge(vs[0], vs[-1])
+        assert engine.counters.invalidations == 5
+        engine.deletable(vs[0])
+        assert engine.counters.deletability_tests == 6
 
     def test_fork_shares_counters_but_not_graph(self):
         mesh = triangulated_grid(4, 4).graph
@@ -128,31 +123,6 @@ class TestEngineCaching:
         other = engine.fork()
         other.deletable(v)
         assert engine.counters.deletability_tests == before
-
-
-class TestSpanMemo:
-    def test_identical_neighborhoods_share_verdicts(self):
-        memo = SpanMemo()
-        counters = TopologyCounters()
-        mesh = triangulated_grid(5, 5).graph
-        a = LocalTopologyEngine(
-            mesh.copy(), 4, span_memo=memo, counters=counters
-        )
-        b = LocalTopologyEngine(
-            mesh.copy(), 4, span_memo=memo, counters=counters
-        )
-        v = sorted(mesh.vertices())[12]
-        assert a.deletable(v) == b.deletable(v)
-        assert counters.span_memo_hits >= 1
-
-    def test_memo_is_tau_scoped(self):
-        memo = SpanMemo()
-        graph = triangulated_grid(4, 4).graph
-        e3 = LocalTopologyEngine(graph.copy(), 3, span_memo=memo)
-        e6 = LocalTopologyEngine(graph.copy(), 6, span_memo=memo)
-        v = sorted(graph.vertices())[5]
-        assert e3.deletable(v) == punctured_deletable(graph.copy(), v, 3)
-        assert e6.deletable(v) == punctured_deletable(graph.copy(), v, 6)
 
 
 class TestCounters:
