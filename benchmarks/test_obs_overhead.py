@@ -6,10 +6,11 @@ rule keeps hot-path sites behind guards).  This bench turns the promise
 into a number: :func:`bench_tracer_overhead` bounds the total guard cost
 from above (guard probes x measured per-probe cost, against the
 disabled wall) and the bound must stay **under 2%** of the schedule's
-wall time.  The enabled-vs-disabled A/B rides along in the printed
-entry as an informational capture-cost figure — capture cost is real
-and unbounded by the contract, which is exactly why tracing defaults to
-off.
+wall time.  An enabled run rides along for the schedule-identity and
+span-count asserts; it is not timed.  Capture cost is real and unbounded
+by the contract, which is exactly why tracing defaults to off, and
+pipebench's ``obs.trace_overhead_pct`` measures it from alternating
+traced and untraced solves.
 
 The deployment is the shard-scale bench's: 1 500 nodes on 2 shards.
 """
@@ -56,8 +57,7 @@ def bench_tracer_overhead() -> Dict[str, Any]:
     count an enabled run records (each span site probes once; pure
     guard sites probe without recording), and the probe cost comes from
     a ``timeit`` microbench.  ``guard_cost_pct`` is that bound as a
-    percentage of the disabled wall.  ``enabled_overhead_pct`` measures
-    *capture* cost, which the null-tracer contract does not bound.
+    percentage of the disabled wall.
     """
     graph, protected = _deployment(NODES)
 
@@ -68,12 +68,10 @@ def bench_tracer_overhead() -> Dict[str, Any]:
     disabled_wall = time.perf_counter() - start
 
     tracer = Tracer()
-    start = time.perf_counter()
     with observe(tracer, None):
         enabled = sharded_dcc_schedule(
             graph, protected, TAU, random.Random(0), shards=SHARDS, workers=1
         )
-    enabled_wall = time.perf_counter() - start
     spans = len(tracer.spans()) + tracer.dropped
 
     probes = 200_000
@@ -92,12 +90,7 @@ def bench_tracer_overhead() -> Dict[str, Any]:
         "guard_checks": guard_checks,
         "per_guard_ns": round(per_guard_s * 1e9, 2),
         "disabled_wall_s": round(disabled_wall, 4),
-        "enabled_wall_s": round(enabled_wall, 4),
         "guard_cost_pct": round(guard_cost_pct, 4),
-        "enabled_overhead_pct": round(
-            100.0 * (enabled_wall - disabled_wall) / max(disabled_wall, 1e-9),
-            2,
-        ),
     }
 
 

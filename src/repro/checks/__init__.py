@@ -38,6 +38,12 @@ knob registry (:mod:`repro.knobs`).  Its dynamic counterpart is the
 ``REPRO_CHAOS`` order sanitizer in :mod:`repro.parallel.runner`, which
 adversarially permutes completion/consumption order while CI asserts
 schedules stay byte-identical.
+
+``repro-check`` (:mod:`repro.checks.runner`) runs the three fronts in
+sequence with one exit code.  The paper's radii (the ``k``-ball, the
+``m``-hop MIS separation, the halo band, the flood TTLs) have no static
+front of their own: tests of :mod:`repro.topology.radii` and of the
+running floods, schedules and shard plans guard them.
 """
 
 from repro.checks.concurrency import CONCURRENCY_RULES, concurrency_rules

@@ -1,6 +1,6 @@
 """Shared CLI plumbing for the check fronts, plus ``repro-check``.
 
-Four fronts share one reporting contract — positional paths, ``--json``,
+Three fronts share one reporting contract — positional paths, ``--json``,
 a committed baseline with ``--no-baseline``/``--update-baseline``,
 ``--select``/``--list-rules``, ``--root`` — and before this module each
 CLI carried its own copy of that boilerplate.  The helpers here own it
@@ -14,8 +14,8 @@ once:
   findings come from :func:`repro.checks.engine.lint_paths`
   (``repro-lint``, ``repro-race``).
 * :func:`split_baseline`, :func:`write_baseline`,
-  :func:`print_summary` — the pieces fronts with bespoke pipelines
-  (``repro-verify``, ``repro-bounds``) compose themselves.
+  :func:`print_summary` — the pieces a front with a bespoke pipeline
+  (``repro-verify``) composes itself.
 * :func:`main` — the ``repro-check`` umbrella: every front in sequence,
   one exit code.
 """
@@ -198,7 +198,6 @@ def run_engine_front(
 def _front_table() -> List[Tuple[str, Callable[[Optional[List[str]]], int]]]:
     # Imported lazily so `repro-check --help` stays instant and a broken
     # front doesn't take the others down at import time.
-    from repro.checks.bounds_cli import main as bounds_main
     from repro.checks.cli import main as lint_main
     from repro.checks.race_cli import main as race_main
     from repro.checks.verify_cli import main as verify_main
@@ -207,7 +206,6 @@ def _front_table() -> List[Tuple[str, Callable[[Optional[List[str]]], int]]]:
         ("repro-lint", lint_main),
         ("repro-race", race_main),
         ("repro-verify", verify_main),
-        ("repro-bounds", bounds_main),
     ]
 
 
@@ -216,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-check",
         description=(
             "Run every static check front (repro-lint, repro-race, "
-            "repro-verify, repro-bounds) with committed baselines and "
-            "one combined exit code."
+            "repro-verify) with committed baselines and one combined "
+            "exit code."
         ),
     )
     parser.add_argument(
@@ -238,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "comma-separated subset of fronts to run "
-            "(lint, race, verify, bounds; default: all)"
+            "(lint, race, verify; default: all)"
         ),
     )
     parser.add_argument(
@@ -258,7 +256,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for token in args.fronts.split(",")
             if token.strip()
         }
-        known = {"lint", "race", "verify", "bounds"}
+        known = {"lint", "race", "verify"}
         unknown = wanted - known
         if unknown:
             print(

@@ -17,10 +17,6 @@ it machine-readably:
   merge lanes over the aligned cross-process span timeline.
 * :mod:`repro.obs.timeline` — SVG per-round timelines and multi-lane
   shard/worker timelines through :mod:`repro.viz.svg`.
-* :mod:`repro.obs.envelope` — the runtime half of the ``repro-bounds``
-  contract: evaluate the statically certified bound expressions for a
-  concrete run and assert every measured meter stays inside, with
-  margins (``repro-bounds-manifest/v1``).
 
 See DESIGN.md sections 6 and 11 for the null-tracer contract, the
 clock-alignment rules for merged worker observations and the
@@ -48,20 +44,6 @@ from repro.obs.export import (
     write_run_report,
     write_trace_jsonl,
 )
-from repro.obs.envelope import (
-    MANIFEST_SCHEMA,
-    EnvelopeReport,
-    EnvelopeRow,
-    check_envelope,
-    envelope_params,
-    eval_bound,
-    margins_entry,
-    max_bfs_depth_from_tracer,
-    measured_from_runtime_stats,
-    measured_from_shard_stats,
-    moore_ball_bound,
-    shape_params_from_graph,
-)
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.timeline import (
     lane_timeline_from_tracer,
@@ -83,11 +65,8 @@ from repro.obs.tracer import (
 __all__ = [
     "ATTRIBUTION_SCHEMA",
     "Counter",
-    "EnvelopeReport",
-    "EnvelopeRow",
     "Gauge",
     "Histogram",
-    "MANIFEST_SCHEMA",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
@@ -101,25 +80,16 @@ __all__ = [
     "attribution_from_tracer",
     "attribution_summary",
     "build_run_report",
-    "check_envelope",
     "current_metrics",
     "current_tracer",
-    "envelope_params",
-    "eval_bound",
     "lane_timeline_from_tracer",
     "load_run_report",
-    "margins_entry",
-    "max_bfs_depth_from_tracer",
-    "measured_from_runtime_stats",
-    "measured_from_shard_stats",
-    "moore_ball_bound",
     "observe",
     "phase_aggregates",
     "profile_summary",
     "read_trace_jsonl",
     "render_lane_timeline",
     "render_timeline",
-    "shape_params_from_graph",
     "strip_volatile",
     "timeline_from_tracer",
     "traced",

@@ -134,7 +134,6 @@ def _farthest_seeds(
         # Coordinator-side farthest-point seeding is a whole-graph
         # planning sweep, not a verdict ball; the unbounded BFS is
         # intentional and runs once per plan.
-        # repro: allow[radius-unproven]
         dist = _multi_source_distances(graph, seeds, cutoff=None)
         best: Optional[int] = None
         best_dist = -1

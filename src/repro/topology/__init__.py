@@ -17,21 +17,17 @@ from repro.topology.engine import (
     punctured_deletable,
 )
 from repro.topology.radii import (
-    flood_ttl,
     halo_radius,
     mis_separation,
     neighborhood_radius,
-    stage_cutoff,
 )
 
 __all__ = [
     "LocalTopologyEngine",
     "OwnedRegionError",
     "TopologyCounters",
-    "flood_ttl",
     "halo_radius",
     "mis_separation",
     "neighborhood_radius",
     "punctured_deletable",
-    "stage_cutoff",
 ]

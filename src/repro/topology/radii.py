@@ -1,21 +1,18 @@
 """Named radius derivations — the single home for the paper's bounds.
 
 Every locality argument in the paper reduces to one constant: the
-neighbourhood radius ``k = ceil(tau / 2)`` of Definition 5.  Everything
-else — the deletion radius, the MIS separation, flood TTL budgets, the
-shard halo band, the Horton stage-3 cutoff — is a one-step derivation
-from ``k``.  The seed code spelled several of these as inline arithmetic
-(``(tau + 1) // 2``, ``k + 1``, ``m - 1``); this module names each
-derivation once so the static bounds front (``repro-bounds``,
-``src/repro/checks/bounds.py``) can recognise call sites symbolically
-instead of pattern-matching magic literals.
+neighbourhood radius ``k = ceil(tau / 2)`` of Definition 5.  The
+deletion radius, the MIS separation and the shard halo band are each a
+one-step derivation from ``k``.  Naming each derivation once keeps call
+sites reading as the theorem they cite instead of as inline arithmetic
+(``(tau + 1) // 2``, ``k + 1``).  The runtime floods spell their TTLs
+as ``radius - 1`` at the send site; ``tests/unit/test_runtime.py``
+checks that each flood reaches exactly its ball.
 
 Layering: this module must stay a *leaf* (stdlib ``math`` only) so any
 layer — ``core``, ``shard``, ``runtime``, ``checks`` — can import it
 without cycles.  In particular it must never import ``repro.cycles`` or
 ``repro.topology.engine``.
-
-Symbol glossary used by ``repro-bounds`` and DESIGN.md section 14:
 
 ========  =====================================  ======================
 symbol    meaning                                derivation
@@ -35,8 +32,6 @@ __all__ = [
     "deletion_radius",
     "mis_separation",
     "halo_radius",
-    "flood_ttl",
-    "stage_cutoff",
 ]
 
 
@@ -74,38 +69,8 @@ def halo_radius(tau: int) -> int:
     A shard must answer deletability for every owned vertex, which reads
     the punctured ``k``-ball; a band of exactly
     ``k = neighborhood_radius(tau)`` foreign hops is therefore both
-    sufficient and minimal (a thinner band truncates some owned ball, a
-    thicker one ships rows no verdict reads).
+    sufficient and minimal.  A thinner band truncates some owned ball
+    and changes verdicts; a thicker one ships rows no verdict reads,
+    which shows up in the pinned ``halo_rows`` of a sharded schedule.
     """
     return neighborhood_radius(tau)
-
-
-def flood_ttl(radius: int) -> int:
-    """Initial TTL for a flood that must cover a ``radius``-hop ball.
-
-    The origin's broadcast already travels one hop, so covering a
-    ``radius``-hop ball needs ``radius - 1`` further relays: TTL starts
-    at ``radius - 1`` and each relay decrements.  The runtime spells the
-    two instances as ``self.k - 1`` (DELETE) and ``m - 1`` (PRIORITY) so
-    ``repro-verify``'s FloodSpec extraction can read the radius symbol
-    straight off the initializer; this derivation is the named form the
-    bounds front proves those initializers against.
-    """
-    if radius < 1:
-        raise ValueError("flood radius must be at least 1")
-    return radius - 1
-
-
-def stage_cutoff(tau: int) -> int:
-    """Horton stage-3 BFS depth ``floor(tau / 2)``.
-
-    Candidate cycles through a vertex ``v`` with length ``<= tau`` stay
-    within ``floor(tau / 2)`` hops of ``v``, which is ``<= k`` — the
-    kernel's stage-3 traversal never escapes the certified ball.  (The
-    kernel keeps the literal ``tau // 2`` inline because ``repro.cycles``
-    must not import ``repro.topology``; ``repro-bounds`` checks that
-    literal against this derivation instead.)
-    """
-    if tau < 3:
-        raise ValueError("confine size must be at least 3")
-    return tau // 2

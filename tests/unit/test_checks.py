@@ -877,23 +877,22 @@ class TestReproCheckUmbrella:
         assert "== repro-lint ==" in out
         assert "== repro-race ==" in out
         assert "== repro-verify ==" not in out
-        assert "== repro-bounds ==" not in out
 
     def test_exit_code_is_worst_front(self, tmp_path, capsys):
         from repro.checks.runner import main as check_main
 
-        # A tree that is lint-clean but bounds-dirty: the umbrella must
+        # A tree that is race-clean but lint-dirty: the umbrella must
         # surface the failing front's code.
-        fixture = tmp_path / "repro" / "topology" / "fix.py"
+        fixture = tmp_path / "repro" / "core" / "fix.py"
         fixture.parent.mkdir(parents=True)
-        fixture.write_text(
-            "def f(g, v):\n    return g.bfs_distances(v, cutoff=9)\n"
-        )
+        fixture.write_text("def f(xs=[]):\n    return xs\n")
         code = check_main(
             [str(tmp_path), "--root", str(tmp_path),
-             "--fronts", "lint,bounds"]
+             "--fronts", "race,lint"]
         )
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        assert "repro-race: 0 finding(s)" in out
+        assert "repro-lint: 1 finding(s)" in out
         assert code == 1
 
     def test_shared_select_rejects_unknown_rules(self, capsys):

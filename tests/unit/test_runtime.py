@@ -1,7 +1,10 @@
 """Unit tests for the message-passing simulator, MIS, and DCC protocol."""
 
+import math
 import random
 from itertools import combinations
+
+import pytest
 
 from repro.core.vpt import deletable_vertices
 from repro.network.deployment import Rectangle, build_network
@@ -200,6 +203,66 @@ class TestDistributedDCC:
         )
         protocol._announce_deletions([2])
         assert protocol.sim.stats.messages_dropped == {"topology": 1}
+
+
+def _flood_sends(graph, origin, radius):
+    """Broadcasts of a flood that must cover ``radius`` hops.
+
+    The origin sends once with ``radius - 1`` relays left; every node
+    relays the first copy it hears while relays remain, and never again
+    for the same origin.  A copy heard in round ``r`` has ``radius - r``
+    relays left.  A node ``d >= 1`` hops out first hears the flood in
+    round ``d``; the origin hears its own flood echoed back in round 2.
+    """
+    first_heard = {
+        v: d for v, d in graph.bfs_distances(origin).items() if d >= 1
+    }
+    if first_heard:
+        first_heard[origin] = 2
+    return 1 + sum(1 for r in first_heard.values() if r < radius)
+
+
+class TestFloodRadii:
+    """DELETE and PRIORITY floods reach exactly the paper's balls.
+
+    The radii come from Definition 5 (``k = ceil(tau / 2)``) and the MIS
+    separation ``m = k + 1``, spelled out here rather than read from the
+    runtime, so a drifted TTL shows up as a missed view update, a wrong
+    send count or a message still queued when the flood returns.
+    """
+
+    @pytest.mark.parametrize("tau", [3, 4, 5, 6])
+    def test_delete_flood_covers_k_ball(self, trigrid6, tau):
+        grid = trigrid6.graph
+        k = math.ceil(tau / 2)
+        for origin in grid.vertices():
+            protocol = DistributedDCC(grid, [], tau, rng=random.Random(0))
+            protocol._discover_topology()
+            sim = protocol.sim
+            protocol._announce_deletions([origin])
+            ball = grid.k_hop_neighborhood(origin, k)
+            for node in sorted(ball):
+                view = protocol.views[node]
+                assert origin not in view.adjacency, (tau, origin, node)
+                assert all(origin not in nbrs for nbrs in view.adjacency.values())
+                assert origin not in view.as_graph(), (tau, origin, node)
+            assert sim.stats.messages_by_kind["delete"] == _flood_sends(
+                grid, origin, k
+            ), (tau, origin)
+            assert not any(sim.outboxes.values()), (tau, origin)
+
+    @pytest.mark.parametrize("tau", [3, 4, 5, 6])
+    def test_priority_flood_covers_m_ball(self, trigrid6, tau):
+        grid = trigrid6.graph
+        m = math.ceil(tau / 2) + 1
+        for origin in grid.vertices():
+            sim = Simulator(grid)
+            winners = distributed_mis(sim, [origin], m, random.Random(0))
+            assert winners == [origin]
+            assert sim.stats.messages_by_kind == {
+                "priority": _flood_sends(grid, origin, m)
+            }, (tau, origin)
+            assert not any(sim.outboxes.values()), (tau, origin)
 
 
 def test_engine_speedup_distributed():
