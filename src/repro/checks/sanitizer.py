@@ -13,6 +13,9 @@ the env var so parallel worker processes sanitize too.  When active:
 * every **verdict-cache hit** is compared against a fresh recompute
   (stride-sampled via ``REPRO_SANITIZE_STRIDE``, default: every hit);
 * every **kernel k-ball** is compared against the dict BFS;
+* every **kernel coverage-criterion answer** (Propositions 2/3 on the
+  boundary-pinned strong-collapse core) is compared against
+  ``ShortCycleSpan(use_csr=False)`` on the whole graph;
 * every **parallel metrics merge** of three or more worker payloads is
   re-associated — ``merge(a, merge(b, c))`` against
   ``merge(merge(a, b), c)`` — and the resulting registries compared.
@@ -236,6 +239,21 @@ class Sanitizer:
                 radius=radius,
                 missing=sorted(expected - got)[:5],
                 extra=sorted(got - expected)[:5],
+            )
+
+    def check_criterion(
+        self, graph: Any, edges: Sequence[Any], tau: int, answer: bool
+    ) -> None:
+        """A kernel criterion answer against the whole-graph dict oracle."""
+        self._count("criterion")
+        expected = ShortCycleSpan(graph, tau, use_csr=False).contains_edges(edges)
+        if expected != answer:
+            self._violate(
+                "kernel-criterion-divergence",
+                tau=tau,
+                edges=len(edges),
+                kernel=answer,
+                oracle=expected,
             )
 
     def check_merge(self, payloads: Sequence[Sequence[Any]]) -> None:

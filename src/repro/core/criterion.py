@@ -12,8 +12,14 @@ sum of its members equals ``C0`` (Definition 2); ``C0`` is
   cycles (Proposition 3).
 
 Equivalently, the boundary sum must lie in the span of all cycles of length
-at most ``tau``, which :class:`repro.cycles.ShortCycleSpan` computes from
-length-capped Horton candidates.
+at most ``tau``.  On a :class:`NetworkGraph` the CSR kernel answers it
+(:meth:`~repro.cycles.kernel.CSRGraph.short_cycles_contain`): the graph is
+strong-collapsed with the boundary vertices pinned, which is exact
+(DESIGN.md section 5), and the kernel's staged rank routine — triangles,
+4-cycles, truncated-BFS closures — runs on the core until the boundary's
+chord vector reduces to zero or the stages are exhausted.  Subgraph views
+keep the dict-based :class:`repro.cycles.ShortCycleSpan`, the reference
+oracle; under ``REPRO_SANITIZE`` every kernel answer is recomputed on it.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.checks.sanitizer import current_sanitizer
 from repro.cycles.cycle_space import Cycle, EdgeIndex
 from repro.cycles.gf2 import gf2_solve
 from repro.cycles.horton import ShortCycleSpan, horton_candidate_cycles
@@ -52,22 +59,29 @@ def is_tau_partitionable(
     graph: NetworkGraph,
     boundary_cycles: Sequence[VertexCycle],
     tau: int,
-    span: Optional[ShortCycleSpan] = None,
 ) -> bool:
     """Is the boundary (sum) tau-partitionable in ``graph``?
 
     This is the computational form of Propositions 2/3: the boundary sum
     must be a GF(2) combination of cycles of length at most ``tau`` that
-    live entirely inside ``graph``.  Pass a prebuilt ``span`` to amortise
-    the Horton computation across several queries on the same graph.
+    live entirely inside ``graph``.
     """
     if not boundary_cycles:
         raise ValueError("at least one boundary cycle is required")
-    if span is None:
-        span = ShortCycleSpan(graph, tau)
-    elif span.graph is not graph or span.tau != tau:
-        raise ValueError("span was built for a different graph or tau")
-    return span.contains_edges(boundary_edge_sum(boundary_cycles))
+    edges = boundary_edge_sum(boundary_cycles)
+    if not hasattr(graph, "csr"):
+        return ShortCycleSpan(graph, tau).contains_edges(edges)
+    if tau < 3:
+        raise ValueError("tau must be at least 3 (the shortest cycle)")
+    # A sum of closed walks is even, so edge membership is all that is
+    # left to check before the kernel takes over.
+    answer = all(graph.has_edge(u, v) for u, v in edges) and (
+        graph.csr().short_cycles_contain(edges, tau)
+    )
+    sanitizer = current_sanitizer()
+    if sanitizer is not None:
+        sanitizer.check_criterion(graph, edges, tau, answer)
+    return answer
 
 
 @dataclass(frozen=True)
@@ -91,10 +105,9 @@ def verify_confine_coverage(
 ) -> CoverageVerdict:
     """Check the cycle-partition criterion and report diagnostics."""
     span = ShortCycleSpan(graph, tau)
-    ok = is_tau_partitionable(graph, boundary_cycles, tau, span=span)
     return CoverageVerdict(
         tau=tau,
-        partitionable=ok,
+        partitionable=is_tau_partitionable(graph, boundary_cycles, tau),
         cycle_space_rank=span.cycle_space_dimension,
         short_cycle_rank=span.rank,
     )

@@ -154,7 +154,11 @@ class ShortCycleSpan:
 
     The span is computed from Horton candidates capped at length ``tau``;
     this is the whole short-cycle span because every cycle of length ``L``
-    is a GF(2) sum of Horton candidates of length at most ``L``.
+    is a GF(2) sum of Horton candidates of length at most ``L``.  A
+    :class:`NetworkGraph` is spanned by the CSR kernel's staged rank
+    routine (:meth:`~repro.cycles.kernel.CSRGraph.short_cycle_span`);
+    ``use_csr=False`` and subgraph views stream the closures below, the
+    reference oracle.
     """
 
     def __init__(
@@ -164,19 +168,26 @@ class ShortCycleSpan:
             raise ValueError("tau must be at least 3 (the shortest cycle)")
         self.graph = graph
         self.tau = tau
-        self._chords = _ChordSpace(graph)
         self._dimension = cycle_space_dimension(graph)
-        self._basis = GF2Basis()
-        if self._dimension:
-            # CSR fast path for real graphs (views keep the dict oracle):
-            # identical chord numbering, so the spanned subspace — and
-            # every downstream ``contains`` query — matches the oracle.
-            if use_csr and hasattr(graph, "csr"):
-                graph.csr().stream_short_closures(
-                    tau, self._chords.chord_mask, self._basis, self._dimension
-                )
-            else:
+        if use_csr and hasattr(graph, "csr"):
+            # Real graphs take the kernel's staged rank routine (views keep
+            # the dict oracle).  Its chord numbering is the kernel's own,
+            # but the subspace spanned is the same, so ``rank`` and every
+            # ``contains`` query agree with the oracle.
+            kernel = graph.csr()
+            self._slot = kernel.index
+            self._basis = kernel.short_cycle_span(tau)
+            self._project = self._project_slots
+        else:
+            self._chords = _ChordSpace(graph)
+            self._basis = GF2Basis()
+            self._project = self._chords.project_edges
+            if self._dimension:
                 self._stream_closures()
+
+    def _project_slots(self, edges: Sequence[Edge]) -> int:
+        slot = self._slot
+        return self._basis.project([(slot[u], slot[v]) for u, v in edges])
 
     def _stream_closures(self) -> None:
         """Feed tree-path closures to the basis, stopping when rank fills.
@@ -256,7 +267,7 @@ class ShortCycleSpan:
                 return False
         if not _edge_set_has_even_degrees(edges):
             return False
-        return self._basis.contains(self._chords.project_edges(edges))
+        return self._basis.reduce(self._project(edges)) == 0
 
     def contains_vertex_cycle(self, cycle: Sequence[int]) -> bool:
         edges = [

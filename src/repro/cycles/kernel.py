@@ -1,10 +1,15 @@
 """Flat, array-based span kernel: CSR adjacency + integer BFS + GF(2) span.
 
 The deletability primitive of Definition 5 bottoms out in three loops:
-k-ball extraction (BFS), chord numbering (spanning forest), and
-tau-capped closure streaming into a GF(2) elimination; before the last
+k-ball extraction (BFS), chord numbering (spanning forest), and staged
+tau-capped cycle streaming into a GF(2) elimination; before the last
 two, each ball is shrunk to its strong-collapse core, which has the same
-verdict.  The dict-of-sets
+verdict.  The last two are one staged rank routine (triangles, 4-cycles,
+truncated-BFS closures), which also answers every whole-graph question:
+the coverage criterion (:meth:`CSRGraph.short_cycles_contain`) runs it on
+the graph's strong-collapse core with the boundary vertices pinned, and
+``ShortCycleSpan`` (:meth:`CSRGraph.short_cycle_span`) on the whole graph.
+The dict-of-sets
 :class:`~repro.network.graph.NetworkGraph` pays hashing and allocation
 on every step of all three.  :class:`CSRGraph` is a compact int-indexed
 mirror of a ``NetworkGraph`` — vertex ids are mapped onto dense slots,
@@ -32,11 +37,18 @@ drives the kernel against them under random mutation sequences.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from itertools import islice
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
-
-from repro.cycles.gf2 import GF2Basis
+from typing import (
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 
 class CSRGraph:
@@ -277,9 +289,10 @@ class CSRGraph:
         True iff the induced subgraph is connected *and* its cycles of
         length at most ``tau`` span its whole GF(2) cycle space.  Runs
         entirely over slot arrays: one restricted BFS builds the
-        spanning tree and proves connectivity, a second pass numbers the
-        chords, then staged cycle enumeration feeds the elimination with
-        early exit at full rank.  Both tests run on the
+        spanning forest (connected iff it is one tree), a second pass
+        numbers the chords, then the staged rank routine
+        (:meth:`_rank_stages`) feeds the elimination with early exit at
+        full rank.  Both tests run on the
         strong-collapse core (:meth:`strong_collapse`), which has the
         same verdict as the full subgraph.  The subspace spanned is a
         canonical function of the subgraph, so the verdict agrees with
@@ -311,32 +324,15 @@ class CSRGraph:
         members, mrows = self.strong_collapse(members, mrows)
         if handle is not None:
             handle.set(core=len(members))
-        count = len(members)
-
-        # Spanning tree + connectivity from the lowest slot; ``parent``
-        # doubles as the visited mark (-1 = member not yet reached).
-        parent = self._parent
-        for i in members:
-            parent[i] = -1
-        root = members[0]
-        parent[root] = root
-        reached = 1
-        frontier = [root]
-        while frontier:
-            nxt: List[int] = []
-            for u in frontier:
-                for w in mrows[u]:
-                    if parent[w] < 0:
-                        parent[w] = u
-                        reached += 1
-                        nxt.append(w)
-            frontier = nxt
-        if reached != count:
+        if self._spanning_forest(members, mrows) != 1:
             return False
-        return self._stream_member_closures(members, mrows, parent, tau)
+        return self._rank_stages(self._number_chords(members, mrows), members, tau)
 
     def strong_collapse(
-        self, members: Sequence[int], mrows: Dict[int, List[int]]
+        self,
+        members: Sequence[int],
+        mrows: Dict[int, List[int]],
+        pinned: Collection[int] = (),
     ) -> Tuple[Sequence[int], Dict[int, List[int]]]:
         """The dominated-vertex-free core of the subgraph on ``members``.
 
@@ -346,8 +342,11 @@ class CSRGraph:
         for every tau >= 3: paths through ``u`` reroute through ``v``,
         and the triangles ``u-a-v`` carry the cycles through ``u`` both
         ways (DESIGN.md section 5).  Dominated members are removed until
-        none is left — Barmak & Minian's strong collapse.  Closed
-        neighbourhoods are int bitsets over positions in ``members``.
+        none is left — Barmak & Minian's strong collapse.  Members in
+        ``pinned`` are never removed (they may still dominate): the
+        criterion pins the boundary so the boundary sum survives in the
+        core.  Closed neighbourhoods are int bitsets over positions in
+        ``members``.
 
         Returns the core as sorted slots with its member-restricted rows.
         ``members`` and ``mrows`` come back as they are when nothing is
@@ -374,8 +373,11 @@ class CSRGraph:
             stamp[u] = tok
         # Low-degree members are the likeliest to be dominated: pop them
         # first.  A removal re-queues its neighbours, the only members
-        # whose domination it can create.
+        # whose domination it can create.  Pinned members are never
+        # popped, so their stamp stays ``tok`` and they are never queued.
         work = sorted(members, key=lambda u: len(mrows[u]), reverse=True)
+        if pinned:
+            work = [u for u in work if u not in pinned]
         removed = False
         while work:
             u = work.pop()
@@ -400,109 +402,103 @@ class CSRGraph:
         core = [u for u in members if closed[u]]
         return core, {u: [w for w in mrows[u] if closed[w]] for u in core}
 
-    def stream_short_closures(
-        self,
-        tau: int,
-        chord_mask_ids: Dict[Tuple[int, int], int],
-        basis: GF2Basis,
-        dimension: int,
-    ) -> None:
-        """Feed tau-capped closures of the *whole* graph into ``basis``.
-
-        Array-backed equivalent of
-        :meth:`repro.cycles.horton.ShortCycleSpan._stream_closures`:
-        ``chord_mask_ids`` is the id-keyed chord numbering of an already
-        fixed spanning forest, so the subspace reached is identical and
-        downstream ``contains`` queries agree with the oracle.  Stops as
-        soon as the rank hits ``dimension``.
-        """
+    # ------------------------------------------------------------------
+    # Whole-graph short-cycle span (the coverage criterion)
+    # ------------------------------------------------------------------
+    def _whole_graph(self) -> Tuple[List[int], Dict[int, List[int]]]:
+        """Every live slot, sorted, with its (live) adjacency row."""
         adj = self.adj
-        ids = self.ids
-        alive = self.alive
+        members = [u for u, live in enumerate(self.alive) if live]
+        return members, {u: adj[u] for u in members}
+
+    def short_cycles_contain(self, edges: Sequence[Tuple[int, int]], tau: int) -> bool:
+        """Is the edge set a GF(2) sum of cycles of length at most ``tau``?
+
+        The coverage criterion of Propositions 2 and 3.  ``edges`` are
+        vertex-id pairs of this graph forming an even subgraph (every
+        boundary sum is one).  The whole graph is first strong-collapsed
+        with the edges' endpoints pinned, which leaves the answer
+        unchanged (DESIGN.md section 5); the staged rank routine then
+        runs on the core with the edge set's chord vector as its target
+        and stops as soon as that vector reduces to zero.
+        """
+        if tau < 3:
+            raise ValueError("tau must be at least 3 (the shortest cycle)")
+        if not edges:
+            return True
         index = self.index
-        shift = max(len(ids), 1).bit_length()
-        chord_mask: Dict[int, int] = {}
-        for (a, b), mask in chord_mask_ids.items():
-            ia, ib = index[a], index[b]
-            if ia > ib:
-                ia, ib = ib, ia
-            chord_mask[(ia << shift) | ib] = mask
-        get_chord = chord_mask.get
-        seen = {0}
-        cutoff = tau // 2
-        budget = tau - 1
-        dist = self._dist
-        stamp = self._stamp
-        acc = self._acc
-        for root in range(len(ids)):
-            if not alive[root]:
+        slot_edges = [(index[a], index[b]) for a, b in edges]
+        pinned = {s for edge in slot_edges for s in edge}
+        members, mrows = self._whole_graph()
+        members, mrows = self.strong_collapse(members, mrows, pinned)
+        self._spanning_forest(members, mrows)
+        span = self._number_chords(members, mrows)
+        return self._rank_stages(span, members, tau, span.project(slot_edges))
+
+    def short_cycle_span(self, tau: int) -> "StagedSpan":
+        """The span of every cycle of length at most ``tau`` in the graph.
+
+        The staged rank routine over a spanning forest of all live slots,
+        run until its stages are exhausted or the rank is full.  There is
+        no collapse, so the rank is the graph's own.  The span keeps
+        copies of the rows it numbered, so later mutations of the mirror
+        do not change its chord numbering.
+        """
+        if tau < 3:
+            raise ValueError("tau must be at least 3 (the shortest cycle)")
+        members, mrows = self._whole_graph()
+        mrows = {u: list(row) for u, row in mrows.items()}
+        self._spanning_forest(members, mrows)
+        span = self._number_chords(members, mrows)
+        self._rank_stages(span, members, tau)
+        return span
+
+    # ------------------------------------------------------------------
+    # The staged rank routine
+    # ------------------------------------------------------------------
+    def _spanning_forest(
+        self, members: Sequence[int], mrows: Dict[int, List[int]]
+    ) -> int:
+        """BFS spanning forest of the member subgraph, into ``_parent``.
+
+        Each tree grows from the lowest member not yet reached, and a
+        root is its own parent.  Returns the number of trees, so the
+        member subgraph is connected iff it returns 1.
+        """
+        parent = self._parent
+        for i in members:
+            parent[i] = -1
+        trees = 0
+        for root in members:
+            if parent[root] >= 0:
                 continue
-            self._token += 1
-            tok = self._token
-            stamp[root] = tok
-            dist[root] = 0
-            acc[root] = 0
-            reached = [root]
+            trees += 1
+            parent[root] = root
             frontier = [root]
-            d = 0
-            while frontier and d < cutoff:
+            while frontier:
                 nxt: List[int] = []
-                d += 1
                 for u in frontier:
-                    acc_u = acc[u]
-                    for w in adj[u]:
-                        if stamp[w] != tok:
-                            stamp[w] = tok
-                            dist[w] = d
-                            key = (u << shift) | w if u < w else (w << shift) | u
-                            acc[w] = acc_u ^ get_chord(key, 0)
-                            reached.append(w)
+                    for w in mrows[u]:
+                        if parent[w] < 0:
+                            parent[w] = u
                             nxt.append(w)
                 frontier = nxt
-            for x in reached:
-                dx = dist[x]
-                acc_x = acc[x]
-                for y in adj[x]:
-                    if y > x and stamp[y] == tok and dx + dist[y] <= budget:
-                        closure = acc_x ^ acc[y] ^ get_chord((x << shift) | y, 0)
-                        if closure not in seen:
-                            seen.add(closure)
-                            if basis.add(closure) and basis.rank == dimension:
-                                return
+        return trees
 
-    def _stream_member_closures(
-        self,
-        members: Sequence[int],
-        mrows: Dict[int, List[int]],
-        parent: List[int],
-        tau: int,
-    ) -> bool:
-        """Rank test: do the member cycles of length <= tau fill the space?
+    def _number_chords(
+        self, members: Sequence[int], mrows: Dict[int, List[int]]
+    ) -> "StagedSpan":
+        """Chord numbering over the forest in ``_parent``, stored positionally.
 
-        Staged enumeration, cheapest candidates first.  Girth-3 and
-        girth-4 cycles are read straight off the sorted member rows
-        (triangle = edge + common neighbour; 4-cycle = two vertices with
-        >= 2 common neighbours), with the algebraic thinning that for a
-        diagonal pair with common neighbours ``c0..ck`` only the ``k``
-        4-cycles through ``c0`` are streamed — every other 4-cycle on
-        that diagonal is their XOR.  Since every simple cycle of length
-        <= 4 is a triangle or a 4-cycle, the two stages are *complete*
-        for tau in {3, 4}: no BFS at all on the hot path.  Only tau >= 5
-        falls through to per-root truncated-BFS closure streaming for
-        the longer cycles.
-
-        Elimination is inlined (a flat pivot array indexed by leading
-        bit) with early exit at full rank — dense neighbourhoods
-        usually reach full rank midway through the triangle stage.
+        ``amask[u][i]`` is the chord mask of edge ``(u, mrows[u][i])`` (0
+        for tree edges), so the stages read masks by row index — no
+        hashed lookups in the inner loops.  Each edge is visited once
+        from its smaller endpoint; its position in the larger endpoint's
+        row is tracked by a per-vertex cursor (smaller neighbours of
+        ``w`` arrive in ascending order as ``u`` sweeps the sorted member
+        list, which is exactly row order).
         """
-        # Chord numbering, stored positionally: ``amask[u][i]`` is the
-        # chord mask of edge ``(u, mrows[u][i])`` (0 for tree edges), so
-        # the enumeration stages read masks by row index — no hashed
-        # lookups in the inner loops.  Each edge is visited once from
-        # its smaller endpoint; its position in the larger endpoint's
-        # row is tracked by a per-vertex cursor (smaller neighbours of
-        # ``w`` arrive in ascending order as ``u`` sweeps the sorted
-        # member list, which is exactly row order).
+        parent = self._parent
         amask: Dict[int, List[int]] = {u: [0] * len(mrows[u]) for u in members}
         ptr = self._dist  # scratch; stage 3 reinitialises before reuse
         for u in members:
@@ -521,14 +517,58 @@ class CSRGraph:
                     bit += 1
                     arow[idx] = m
                     amask[w][p] = m
-        nu = bit
-        if nu == 0:
-            return True
+        return StagedSpan(mrows, amask, bit)
 
-        pivots = [0] * nu
+    def _rank_stages(
+        self,
+        span: "StagedSpan",
+        members: Sequence[int],
+        tau: int,
+        target: Optional[int] = None,
+    ) -> bool:
+        """Stream the member cycles of length <= tau into ``span``.
+
+        Staged enumeration, cheapest candidates first: triangles,
+        4-cycles, then (tau >= 5) truncated-BFS closures.  Every simple
+        cycle of length <= 4 is a triangle or a 4-cycle, so the first two
+        stages are *complete* for tau in {3, 4}: no BFS at all on the
+        hot path.  Elimination is inlined into each stage (a flat pivot
+        array indexed by leading bit) with early exit at full rank —
+        dense neighbourhoods usually reach it midway through the
+        triangle stage.
+
+        With ``target`` None the question is Definition 5's: do the short
+        cycles fill the whole cycle space?  With a chord vector it is
+        the criterion's: is the vector in their span?  It is reduced
+        against the pivots after each stage, and the routine answers
+        True as soon as it reduces to zero.
+        """
+        nu = span.nu
+        if target == 0 or nu == 0:
+            return True
         rank = 0
-        seen = {0}
-        seen_add = seen.add
+        for stage, complete_at in (
+            (self._triangle_stage, 3),
+            (self._square_stage, 4),
+            (self._closure_stage, tau),
+        ):
+            rank = stage(span, members, tau, rank)
+            if rank == nu:
+                return True
+            if target is not None:
+                target = span.reduce(target)
+                if not target:
+                    return True
+            if tau <= complete_at:
+                break
+        return False
+
+    def _triangle_stage(self, span, members, tau, rank) -> int:
+        """Stage 1: every triangle once; returns the rank reached."""
+        mrows = span.rows
+        amask = span.amask
+        pivots = span.pivots
+        nu = span.nu
         stamp = self._stamp
         emask = self._acc  # scratch; stage 3 reinitialises before reuse
         # Per-vertex ``(neighbour > u, mask)`` suffix tails, zipped once:
@@ -540,12 +580,11 @@ class CSRGraph:
             row = mrows[u]
             i0 = bisect_right(row, u)
             tails[u] = list(zip(row[i0:], amask[u][i0:]))
-        # Stage 1: triangles.  Edge (u, w) plus a common neighbour
-        # v > w emits each triangle exactly once.  Rows are sorted, so
-        # the tails skip the prefixes the slot-order conditions would
-        # reject one by one; u's neighbours are token-stamped with their
-        # edge masks so the common-neighbour test and the (u, v) mask
-        # are one array probe.
+        # Edge (u, w) plus a common neighbour v > w emits each triangle
+        # exactly once.  Rows are sorted, so the tails skip the prefixes
+        # the slot-order conditions would reject one by one; u's
+        # neighbours are token-stamped with their edge masks so the
+        # common-neighbour test and the (u, v) mask are one array probe.
         for u in members:
             self._token += 1
             tok = self._token
@@ -565,20 +604,33 @@ class CSRGraph:
                                 break
                             vec ^= row
                         if rank == nu:
-                            return True
-        if tau == 3:
-            return rank == nu  # triangles are complete for tau == 3
+                            return rank
+        return rank
 
-        # Stage 2: 4-cycles.  For every diagonal (u, w), u < w, with
-        # common neighbours c0..ck, stream u-c0-w-ci (i >= 1); the
-        # remaining u-ci-w-cj are XORs of those, so the span is intact.
-        # Wedges u-c-w are streamed as they are enumerated: the first
-        # wedge on each diagonal is held back as ``c0``'s path mask, and
-        # every later wedge closes a 4-cycle against it.
+    def _square_stage(self, span, members, tau, rank) -> int:
+        """Stage 2: 4-cycles, each from its lowest vertex; returns the rank.
+
+        A 4-cycle's lowest vertex ``u`` and the vertex ``w`` opposite it
+        form a diagonal whose other two vertices both lie above ``u``.
+        For every such diagonal with common neighbours c0 < .. < ck
+        above ``u``, stream u-c0-w-ci (i >= 1); the remaining u-ci-w-cj
+        are XORs of those, so the span is intact.  A streamed cycle
+        names its own diagonal and ``ci``, so no vector is streamed
+        twice and no dedupe set is kept.  Wedges u-c-w are streamed as
+        they are enumerated: the first wedge on each diagonal is held
+        back as ``c0``'s path mask, and every later wedge closes a
+        4-cycle against it.
+        """
+        mrows = span.rows
+        amask = span.amask
+        pivots = span.pivots
+        nu = span.nu
         for u in members:
             first: Dict[int, int] = {}
             get_first = first.get
-            for c, mc in zip(mrows[u], amask[u]):
+            row = mrows[u]
+            i0 = bisect_right(row, u)
+            for c, mc in zip(islice(row, i0, None), islice(amask[u], i0, None)):
                 rc = mrows[c]
                 mcr = amask[c]
                 j0 = bisect_right(rc, u)
@@ -589,24 +641,32 @@ class CSRGraph:
                         first[w] = m
                         continue
                     vec = prev ^ m
-                    if vec in seen:
-                        continue
-                    seen_add(vec)
                     while vec:
                         lead = vec.bit_length() - 1
-                        row = pivots[lead]
-                        if not row:
+                        prow = pivots[lead]
+                        if not prow:
                             pivots[lead] = vec
                             rank += 1
                             break
-                        vec ^= row
+                        vec ^= prow
                     if rank == nu:
-                        return True
-        if tau == 4:
-            return rank == nu  # triangles + 4-cycles are complete for tau == 4
+                        return rank
+        return rank
 
-        # Stage 3 (tau >= 5): general tau-capped closure streaming —
-        # per-root truncated BFS with XOR-accumulated chord masks.
+    def _closure_stage(self, span, members, tau, rank) -> int:
+        """Stage 3 (tau >= 5): per-root truncated-BFS closure streaming.
+
+        For every root, the closure ``path(r,x) + (x,y) + path(r,y)`` of
+        an edge inside the depth-``tau // 2`` BFS tree projects to a
+        cycle of length at most tau; chord masks accumulate along tree
+        edges.  Returns the rank reached.
+        """
+        mrows = span.rows
+        amask = span.amask
+        pivots = span.pivots
+        nu = span.nu
+        seen = {0}  # skip exact duplicates before the reduce
+        seen_add = seen.add
         cutoff = tau // 2
         budget = tau - 1
         dist = self._dist
@@ -652,5 +712,51 @@ class CSRGraph:
                                 break
                             vec ^= row
                         if rank == nu:
-                            return True
-        return rank == nu
+                            return rank
+        return rank
+
+
+class StagedSpan:
+    """A short-cycle span in chord space, as the rank stages leave it.
+
+    The chords of a spanning forest are numbered positionally:
+    ``amask[u][i]`` is the single-bit mask of edge ``(u, rows[u][i])``,
+    0 for a tree edge, and ``nu`` counts the chords (the cycle-space
+    dimension).  ``pivots[b]`` is the reduced row whose leading bit is
+    ``b``, or 0 when no row leads there.
+    """
+
+    __slots__ = ("rows", "amask", "nu", "pivots")
+
+    def __init__(
+        self, rows: Dict[int, List[int]], amask: Dict[int, List[int]], nu: int
+    ) -> None:
+        self.rows = rows
+        self.amask = amask
+        self.nu = nu
+        self.pivots = [0] * nu
+
+    @property
+    def rank(self) -> int:
+        return self.nu - self.pivots.count(0)
+
+    def project(self, slot_edges: Iterable[Tuple[int, int]]) -> int:
+        """Chord vector of an edge set given as slot pairs of the rows."""
+        rows = self.rows
+        amask = self.amask
+        vec = 0
+        for a, b in slot_edges:
+            if a > b:
+                a, b = b, a
+            vec ^= amask[a][bisect_left(rows[a], b)]
+        return vec
+
+    def reduce(self, vec: int) -> int:
+        """Residue of ``vec`` against the pivots; 0 iff it is in the span."""
+        pivots = self.pivots
+        while vec:
+            row = pivots[vec.bit_length() - 1]
+            if not row:
+                break
+            vec ^= row
+        return vec

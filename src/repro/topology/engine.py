@@ -30,7 +30,7 @@ stay correct even then.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.checks.sanitizer import current_sanitizer
 from repro.cycles.horton import ShortCycleSpan
@@ -97,8 +97,8 @@ class LocalTopologyEngine:
         if self.tracer.enabled:
             self._kernel.tracer = self.tracer
         self._verdicts: Dict[int, bool] = {}
-        self._full_span: Optional[ShortCycleSpan] = None
-        self._full_span_version = -1
+        self._criterion_key: Optional[Tuple] = None
+        self._criterion = False
         self._version = graph.version
 
     @property
@@ -266,23 +266,21 @@ class LocalTopologyEngine:
     def boundary_partitionable(self, boundary_cycles) -> bool:
         """Propositions 2/3 on the engine's *current* graph.
 
-        The full-graph :class:`ShortCycleSpan` is cached per graph
-        version, so repeated criterion checks between mutations are free.
+        The answer of :func:`~repro.core.criterion.is_tau_partitionable`
+        is cached per graph version and boundary, so repeated criterion
+        checks between mutations are free.
         """
         from repro.core.criterion import is_tau_partitionable
 
-        return is_tau_partitionable(
-            self.graph, boundary_cycles, self.tau, span=self.full_span()
-        )
-
-    def full_span(self) -> ShortCycleSpan:
-        """The short-cycle span of the whole graph (version-cached)."""
         self._sync()
-        if self._full_span is None or self._full_span_version != self.graph.version:
+        key = (self.graph.version, tuple(map(tuple, boundary_cycles)))
+        if key != self._criterion_key:
             self.counters.span_computations += 1
-            self._full_span = ShortCycleSpan(self.graph, self.tau)
-            self._full_span_version = self.graph.version
-        return self._full_span
+            self._criterion = is_tau_partitionable(
+                self.graph, boundary_cycles, self.tau
+            )
+            self._criterion_key = key
+        return self._criterion
 
     # ------------------------------------------------------------------
     # Lifecycle

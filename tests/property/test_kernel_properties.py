@@ -1,12 +1,15 @@
 """Property-based tests: CSR kernel == dict oracle, parallel == serial.
 
-Two invariants carry the kernel:
+Three invariants carry the kernel:
 
 * the kernel's compact-adjacency primitives (BFS distances, deletability
   verdicts) agree with the dict-based reference implementations on any
   graph and after any interleaving of mutations — including the
   strong-collapsed span verdict, on unit-disk balls where the collapse
-  does fire — and
+  does fire;
+* the coverage criterion on the boundary-pinned strong-collapse core, and
+  the staged whole-graph span behind ``ShortCycleSpan``, agree with the
+  dict-based ``ShortCycleSpan(use_csr=False)``; and
 * spreading a schedule over region shards and worker processes never
   changes output — schedules at a fixed seed are byte-identical to the
   serial run at any worker count.
@@ -15,12 +18,17 @@ Two invariants carry the kernel:
 import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.boundary.geometric import outer_boundary_cycle
 from repro.checks.sanitizer import oracle_deletable
+from repro.core.criterion import boundary_edge_sum, is_tau_partitionable
 from repro.core.scheduler import dcc_schedule
+from repro.cycles.horton import ShortCycleSpan
+from repro.network.deployment import network_for_average_degree
 from repro.network.graph import NetworkGraph
+from repro.network.topologies import annulus_network
 from repro.topology import LocalTopologyEngine
 
 
@@ -126,6 +134,59 @@ def test_collapsed_verdict_matches_dict_oracle():
     # G(n,p) balls rarely have dominated vertices; the unit-disk half
     # keeps the property from passing without the collapse ever firing.
     assert sum(collapsed) > 0.6 * len(collapsed)
+
+
+@st.composite
+def boundary_cases(draw):
+    """A graph with boundary cycles: a deployment's outer boundary, or the
+    annulus's outer + inner sum (Proposition 3) with interior vertices
+    deleted."""
+    if draw(st.integers(0, 4)) == 0:
+        annulus = annulus_network()
+        graph = annulus.graph
+        cycles = [annulus.outer_boundary, annulus.inner_boundary]
+        on_boundary = set(annulus.outer_boundary) | set(annulus.inner_boundary)
+        interior = sorted(set(graph.vertices()) - on_boundary)
+        for v in draw(st.lists(st.sampled_from(interior), max_size=5, unique=True)):
+            graph.remove_vertex(v)
+        return graph, cycles
+    network = network_for_average_degree(
+        draw(st.integers(40, 160)),
+        float(draw(st.integers(6, 16))),
+        seed=draw(st.integers(0, 10_000)),
+    )
+    try:
+        cycle = outer_boundary_cycle(network)
+    except RuntimeError:
+        return None  # a band too sparse to stitch a boundary
+    return network.graph, [cycle]
+
+
+def test_criterion_matches_dict_oracle():
+    answers = []
+
+    @given(boundary_cases(), st.integers(min_value=3, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def check(case, tau):
+        assume(case is not None)
+        graph, cycles = case
+        oracle = ShortCycleSpan(graph, tau, use_csr=False)
+        want = oracle.contains_edges(boundary_edge_sum(cycles))
+        assert is_tau_partitionable(graph, cycles, tau) == want
+        answers.append(want)
+
+    check()
+    # Mostly-True cases would let a kernel that over-accepts pass.
+    assert answers and answers.count(False) >= len(answers) / 3
+
+
+@given(unit_disk_or_gnp_graphs(), st.integers(min_value=3, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_staged_span_rank_matches_dict_oracle(graph, tau):
+    staged = ShortCycleSpan(graph, tau)
+    oracle = ShortCycleSpan(graph, tau, use_csr=False)
+    assert staged.rank == oracle.rank
+    assert staged.cycle_space_dimension == oracle.cycle_space_dimension
 
 
 class TestParallelMatchesSerial:

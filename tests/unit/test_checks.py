@@ -28,6 +28,7 @@ from repro.checks.sanitizer import (
     oracle_ball,
     oracle_deletable,
 )
+from repro.core.criterion import boundary_edge_sum
 from repro.network.graph import NetworkGraph
 from repro.network.topologies import triangulated_grid
 from repro.obs.metrics import MetricsRegistry
@@ -705,6 +706,27 @@ class TestSanitizerEngineHooks:
                 engine.deletable(v)
         finally:
             disable_sanitizer()
+
+    def test_criterion_shadow_checked(self):
+        enable_sanitizer()
+        try:
+            grid = triangulated_grid(5, 5)
+            engine = LocalTopologyEngine(grid.graph, tau=3)
+            assert engine.boundary_partitionable([grid.outer_boundary])
+            sanitizer = current_sanitizer()
+            assert sanitizer.checks["criterion"] == 1
+            assert sanitizer.violations == []
+        finally:
+            disable_sanitizer()
+
+    def test_criterion_divergence_detected(self):
+        grid = triangulated_grid(5, 5)
+        edges = boundary_edge_sum([grid.outer_boundary])
+        sanitizer = Sanitizer(mode="warn")
+        sanitizer.check_criterion(grid.graph, edges, 3, False)
+        assert [v.kind for v in sanitizer.violations] == [
+            "kernel-criterion-divergence"
+        ]
 
     def test_enable_exports_env_for_workers(self, monkeypatch):
         import os

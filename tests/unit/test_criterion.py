@@ -11,6 +11,7 @@ from repro.core.criterion import (
     verify_confine_coverage,
 )
 from repro.cycles.horton import ShortCycleSpan
+from repro.network.topologies import triangulated_grid
 
 
 class TestCycleEdges:
@@ -65,23 +66,37 @@ class TestPartitionability:
         with pytest.raises(ValueError):
             is_tau_partitionable(grid5.graph, [], 4)
 
-    def test_prebuilt_span_reuse(self, grid5):
-        span = ShortCycleSpan(grid5.graph, 4)
-        assert is_tau_partitionable(
-            grid5.graph, [grid5.outer_boundary], 4, span=span
-        )
-
-    def test_mismatched_span_rejected(self, grid5):
-        span = ShortCycleSpan(grid5.graph, 5)
-        with pytest.raises(ValueError):
-            is_tau_partitionable(grid5.graph, [grid5.outer_boundary], 4, span=span)
-
     def test_boundary_edge_missing_from_subgraph(self, grid5):
         # delete a boundary edge: the boundary cycle no longer exists there
         thinner = grid5.graph.copy()
         a, b = grid5.outer_boundary[0], grid5.outer_boundary[1]
         thinner.remove_edge(a, b)
         assert not is_tau_partitionable(thinner, [grid5.outer_boundary], 4)
+
+    def test_dominated_boundary_corner_is_pinned(self):
+        # The corner of a triangulated grid is dominated by its diagonal
+        # neighbour; the criterion's collapse must keep it, because the
+        # boundary runs through it.  Deleting the centre leaves a 6-hole.
+        grid = triangulated_grid(5, 5)
+        graph = grid.graph
+        graph.remove_vertex(12)
+        csr = graph.csr()
+        members = csr.member_slots(graph.vertices())
+        core, _ = csr.strong_collapse(members, {u: csr.adj[u] for u in members})
+        assert csr.index[0] not in core
+        edges = boundary_edge_sum([grid.outer_boundary])
+        answers = []
+        for tau in range(3, 7):
+            oracle = ShortCycleSpan(graph, tau, use_csr=False)
+            answers.append(is_tau_partitionable(graph, [grid.outer_boundary], tau))
+            assert answers[-1] == oracle.contains_edges(edges)
+        assert answers == [False, False, False, True]
+
+    def test_empty_boundary_sum_is_partitionable(self, grid5):
+        # Two copies of one cycle cancel: the empty sum is trivially
+        # tau-partitionable, even at a tau the cycle alone fails.
+        boundary = grid5.outer_boundary
+        assert is_tau_partitionable(grid5.graph, [boundary, boundary], 3)
 
 
 class TestVerdict:

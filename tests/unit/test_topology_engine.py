@@ -108,6 +108,20 @@ class TestEngineCaching:
         engine.deletable(vs[0])
         assert engine.counters.deletability_tests == 6
 
+    def test_criterion_cached_per_version_and_boundary(self):
+        grid = triangulated_grid(5, 5)
+        engine = LocalTopologyEngine(grid.graph, 3)
+        boundary = [grid.outer_boundary]
+        assert engine.boundary_partitionable(boundary)
+        assert engine.boundary_partitionable(boundary)
+        assert engine.counters.span_computations == 1
+        # A 6-hole in the middle: a new version, a fresh (False) answer.
+        engine.delete_vertex(12)
+        assert not engine.boundary_partitionable(boundary)
+        assert engine.counters.span_computations == 2
+        assert engine.boundary_partitionable(boundary + boundary)
+        assert engine.counters.span_computations == 3
+
     def test_fork_shares_counters_but_not_graph(self):
         mesh = triangulated_grid(4, 4).graph
         engine = LocalTopologyEngine(mesh, 4)
