@@ -10,11 +10,11 @@ the *code*, not of any one test.  This package enforces them twice over:
   nondeterminism classes known to break the reproduction: unseeded RNGs,
   unordered ``set`` iteration feeding ordering-sensitive sinks, wall
   clock in deterministic paths, layering violations (``obs`` inside the
-  kernel), mutable default arguments, bare excepts, float accumulation
-  inside mergeable metrics, and public entry points without a ``seed``
-  plumb-through.  Findings can be suppressed inline with
-  ``# repro: allow[RULE]`` or parked in a committed baseline; the
-  ``repro-lint`` CLI (:mod:`repro.checks.cli`) reports the rest.
+  kernel), mutable default arguments, bare excepts, and public entry
+  points without a ``seed`` plumb-through.  Findings can be suppressed
+  inline with ``# repro: allow[RULE]`` or parked in a committed
+  baseline; the ``repro-lint`` CLI (:mod:`repro.checks.cli`) reports
+  the rest.
 * **Dynamically** — :mod:`repro.checks.sanitizer` shadow-checks live
   runs (``REPRO_SANITIZE=1`` or ``repro-coverage --sanitize``): every
   fresh CSR-kernel verdict is recomputed on the dict oracle, engine
@@ -24,17 +24,17 @@ the *code*, not of any one test.  This package enforces them twice over:
 
 A second front, ``repro-verify`` (:mod:`repro.checks.verify_cli`),
 verifies the *distributed protocol* rather than determinism: contract
-extraction over ``runtime/`` (:mod:`repro.checks.protocol`, REPRO20x),
-locality flow analysis (:mod:`repro.checks.locality`, REPRO21x), and
-bounded model checking of the extracted contract over all delivery
-interleavings on small graphs (:mod:`repro.checks.model`, REPRO22x).
+extraction over ``runtime/`` (:mod:`repro.checks.protocol`, REPRO20x)
+and locality flow analysis (:mod:`repro.checks.locality`, REPRO21x).
+The floods' behaviour under every inbox order is tested on the running
+simulator, not on a model of it.
 
 A third front, ``repro-race`` (:mod:`repro.checks.race_cli`), verifies
 the *process-parallel layer's ownership and lifecycle contracts*
 (:mod:`repro.checks.concurrency`, REPRO30x): the pool-boundary
-channel audit (only compact picklable data crosses), the
-fork-inheritance discipline for module-level state, and the declared
-knob registry (:mod:`repro.knobs`).  Its dynamic counterpart is the
+argument audit (only compact data crosses), the fork-inheritance
+discipline for module-level state, and the declared knob registry
+(:mod:`repro.knobs`).  Its dynamic counterpart is the
 ``REPRO_CHAOS`` order sanitizer in :mod:`repro.parallel.runner`, which
 adversarially permutes completion/consumption order while CI asserts
 schedules stay byte-identical.
@@ -58,12 +58,7 @@ from repro.checks.engine import (
     render_text,
 )
 from repro.checks.locality import default_locality_rules
-from repro.checks.model import ModelReport, check_model, graph_catalog
-from repro.checks.protocol import (
-    ProtocolContract,
-    check_constants,
-    extract_contract,
-)
+from repro.checks.protocol import ProtocolContract, extract_contract
 from repro.checks.rules import DEFAULT_RULES, all_rules
 from repro.checks.sanitizer import (
     Sanitizer,
@@ -80,23 +75,19 @@ __all__ = [
     "DEFAULT_RULES",
     "Finding",
     "LintEngine",
-    "ModelReport",
     "ProtocolContract",
     "Rule",
     "Sanitizer",
     "SanitizerError",
     "all_rules",
     "apply_suppressions",
-    "check_constants",
     "check_merge_associativity",
-    "check_model",
     "concurrency_rules",
     "current_sanitizer",
     "default_locality_rules",
     "disable_sanitizer",
     "enable_sanitizer",
     "extract_contract",
-    "graph_catalog",
     "lint_paths",
     "render_json",
     "render_text",

@@ -4,11 +4,12 @@ The REPRO3xx rule family (the ``repro-race`` CLI) statically proves the
 concurrency contracts DESIGN.md sections 9-10 *state* — the disciplines
 the distributed-correctness argument hinges on:
 
-* **Cross-process channel audit** (REPRO305-306).  The only data
-  crossing a pool boundary is pickled compact tuples, halo rows and
-  counter/span deltas.  Closures and task arguments capturing
-  ``NetworkGraph``/engine/tracer objects at
-  ``parallel_starmap``/``ShardWorkerPool``/``submit`` sites are flagged.
+* **Cross-process channel audit** (REPRO306).  The only data crossing
+  a pool boundary is pickled compact tuples, halo rows and counter/span
+  deltas.  Task arguments naming ``NetworkGraph``/engine/tracer objects
+  at ``parallel_starmap``/``ShardWorkerPool``/``submit`` sites are
+  flagged.  A closure or lambda handed across fails to pickle, which
+  ``test_parallel_starmap_matches_inline`` catches.
 * **Fork-inheritance safety** (REPRO307).  Module-level mutable state
   (ambient tracer, chaos stream) must be re-initialized in a worker
   bootstrap or derived from the env-exported knobs, the way
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import knobs as _knobs
 from repro.checks.engine import Finding, ModuleContext, Rule
@@ -136,53 +137,6 @@ def _task_elements(node: ast.AST) -> List[ast.AST]:
         for element in node.elts:
             out.extend(_tuple_elements(element))
     return out
-
-
-class PoolBoundaryCallableRule(Rule):
-    """Pool tasks are module-level functions, never closures/lambdas."""
-
-    rule_id = "REPRO305"
-    name = "pool-boundary-callable"
-    summary = "closure or lambda handed across a pool boundary"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        imports = _import_map(ctx.tree)
-        nested = self._nested_names(ctx.tree)
-        for call, func, __ in _boundary_sites(ctx.tree, imports):
-            if func is None:
-                continue
-            if isinstance(func, ast.Lambda):
-                yield self.finding(
-                    ctx,
-                    call,
-                    "lambda crosses a pool boundary: task callables must be "
-                    "module-level (picklable) functions",
-                )
-            elif isinstance(func, ast.Name) and func.id in nested:
-                yield self.finding(
-                    ctx,
-                    call,
-                    f"nested function '{func.id}' crosses a pool boundary: "
-                    "a closure captures coordinator state; hoist it to "
-                    "module level",
-                )
-
-    def _nested_names(self, tree: ast.Module) -> Set[str]:
-        names: Set[str] = set()
-
-        def walk(node: ast.AST, inside_fn: bool) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if inside_fn:
-                        names.add(child.name)
-                    walk(child, True)
-                elif isinstance(child, ast.ClassDef):
-                    walk(child, inside_fn)
-                else:
-                    walk(child, inside_fn)
-
-        walk(tree, False)
-        return names
 
 
 class PoolBoundaryArgsRule(Rule):
@@ -386,7 +340,6 @@ class KnobRegistryRule(Rule):
 
 #: Rule metadata, mirrored in --list-rules and the docs.
 CONCURRENCY_RULES: Tuple[Tuple[str, str, str], ...] = (
-    ("REPRO305", "pool-boundary-callable", PoolBoundaryCallableRule.summary),
     ("REPRO306", "pool-boundary-args", PoolBoundaryArgsRule.summary),
     ("REPRO307", "fork-inherited-state", ForkInheritedStateRule.summary),
     ("REPRO308", "knob-registry", KnobRegistryRule.summary),
@@ -396,7 +349,6 @@ CONCURRENCY_RULES: Tuple[Tuple[str, str, str], ...] = (
 def concurrency_rules() -> Sequence[Rule]:
     """Fresh instances of every REPRO3xx rule, id order."""
     return (
-        PoolBoundaryCallableRule(),
         PoolBoundaryArgsRule(),
         ForkInheritedStateRule(),
         KnobRegistryRule(),

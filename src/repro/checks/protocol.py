@@ -1,38 +1,25 @@
 """Protocol contract extraction for the distributed DCC runtime (REPRO20x).
 
-The paper's distributed protocol is held together by *message
-invariants* — every :class:`~repro.runtime.messages.MessageKind` that is
-sent must be handled, payload field accesses must match the frozen
-dataclass that carries them, every relay must decrement ``ttl`` behind a
-``ttl > 0`` guard, and the radii the floods are budgeted with
-(``k = deletion_radius(tau)``, ``m = k + 1``) must agree across modules.
-None of that is visible to a per-file linter, so this pass parses the
+The paper's distributed protocol runs on three message kinds, and every
+phase reads its inbox in a kind-filtered loop.  This pass parses the
 whole ``runtime/`` package at once, derives the send/handle matrix, and
-checks it:
+checks the two properties no per-file linter and no behavioural test
+can see:
 
 ========  =====================  ==========================================
 id        name                   catches
 ========  =====================  ==========================================
-REPRO201  sent-unhandled         a kind sent somewhere but handled nowhere
 REPRO202  handled-unsent         a handler (or enum member) for a kind
                                  that is never sent
-REPRO203  payload-field          ``payload.x`` where the kind's dataclass
-                                 has no field ``x``; payload constructors
-                                 with unknown/missing fields
-REPRO204  ttl-relay              a relay that does not provably send
-                                 ``ttl - 1`` behind a ``ttl > 0`` guard
 REPRO205  silent-drop            an inbox loop that skips kinds without
                                  routing them through ``record_drop``
-REPRO206  constant-consistency   k/m derivation drift across ``core/vpt``,
-                                 ``core/scheduler``, ``runtime/protocol``,
-                                 ``runtime/mis`` and ``topology/engine``
 ========  =====================  ==========================================
 
-The same pass produces a :class:`ProtocolContract` — the machine-readable
-send/handle matrix plus per-kind flood parameters — which is what the
-bounded model checker (:mod:`repro.checks.model`) executes.  Findings
-honour the ``# repro: allow[rule]`` suppressions and baseline of
-:mod:`repro.checks.engine`.
+The flood behaviour itself (TTLs, relay guards, radius-ball coverage,
+order independence) is tested on the running runtime instead: see
+``tests/unit/test_runtime.py`` (``TestFloodRadii`` and the inbox-shuffle
+test).  Findings honour the ``# repro: allow[rule]`` suppressions and
+baseline of :mod:`repro.checks.engine`.
 """
 
 from __future__ import annotations
@@ -40,18 +27,14 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checks.engine import Finding, apply_suppressions
 
 #: (rule id, rule name, summary) for every check this module performs.
 PROTOCOL_RULES: Tuple[Tuple[str, str, str], ...] = (
-    ("REPRO201", "sent-unhandled", "message kind sent but handled nowhere"),
     ("REPRO202", "handled-unsent", "handler or enum member for a kind never sent"),
-    ("REPRO203", "payload-field", "payload access/constructor disagrees with the dataclass"),
-    ("REPRO204", "ttl-relay", "relay without a proven ttl decrement behind a ttl > 0 guard"),
     ("REPRO205", "silent-drop", "inbox loop skips kinds without record_drop accounting"),
-    ("REPRO206", "constant-consistency", "k/m radius derivation drifts across modules"),
 )
 
 _ENUM_NAME = "MessageKind"
@@ -62,54 +45,13 @@ _DROP_METHOD = "record_drop"
 # Contract data model
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class PayloadSchema:
-    """One ``*Payload`` dataclass: its fields, in declaration order."""
-
-    name: str
-    fields: Tuple[str, ...]
-    path: str
-    line: int
-
-
-@dataclass(frozen=True)
-class SendSite:
-    """One ``sim.send(Message(MessageKind.X, ...))`` call."""
+class Site:
+    """One send (``sim.send(Message(MessageKind.X, ...))``) or one kind
+    guard inside an inbox loop."""
 
     path: str
     line: int
     kind: str
-    payload_type: Optional[str]
-    ttl: Optional[str]  # unparsed ttl expression, if the payload has one
-    function: str
-    is_relay: bool  # sits inside a handler scope for the same kind
-
-
-@dataclass(frozen=True)
-class HandleSite:
-    """One kind guard inside an inbox loop."""
-
-    path: str
-    line: int
-    kind: str
-    function: str
-    negated: bool  # ``is not``-and-skip style guard
-
-
-@dataclass(frozen=True)
-class FloodSpec:
-    """How one TTL-bounded flood behaves, as proven from the source.
-
-    ``radius_symbol`` names the hop budget the initial ttl was derived
-    from (``'k'`` for ``self.k - 1``, ``'m'`` for ``m - 1``); the model
-    checker substitutes the concrete value per tau.
-    """
-
-    kind: str
-    initial_ttl: Optional[str]
-    radius_symbol: Optional[str]
-    decrements: bool
-    guarded: bool
-    dedup_by_origin: bool
 
 
 @dataclass
@@ -117,13 +59,8 @@ class ProtocolContract:
     """The extracted send/handle matrix of the runtime package."""
 
     kinds: Tuple[str, ...] = ()
-    payloads: Dict[str, PayloadSchema] = field(default_factory=dict)
-    payload_by_kind: Dict[str, str] = field(default_factory=dict)
-    sends: List[SendSite] = field(default_factory=list)
-    handles: List[HandleSite] = field(default_factory=list)
-    floods: Dict[str, FloodSpec] = field(default_factory=dict)
-    #: kinds whose payload carries adjacency rows (gossip, not a flood)
-    gossip_kinds: Tuple[str, ...] = ()
+    sends: List[Site] = field(default_factory=list)
+    handles: List[Site] = field(default_factory=list)
 
     def matrix(self) -> Dict[str, Dict[str, int]]:
         """``{kind: {"sent": n, "handled": n}}`` — the send/handle matrix."""
@@ -136,19 +73,12 @@ class ProtocolContract:
             out.setdefault(site.kind, {"sent": 0, "handled": 0})["handled"] += 1
         return out
 
-    def send_site(self, kind: str) -> Optional[SendSite]:
-        """The first (initial, if any) send site of ``kind``."""
-        initial = [s for s in self.sends if s.kind == kind and not s.is_relay]
-        sites = initial or [s for s in self.sends if s.kind == kind]
-        return sites[0] if sites else None
-
 
 # ----------------------------------------------------------------------
 # Per-file parsing helpers
 # ----------------------------------------------------------------------
 @dataclass
 class _SourceFile:
-    path: Path
     rel: str
     tree: ast.Module
     lines: List[str]
@@ -166,19 +96,8 @@ def _parse_files(paths: Sequence[Path], root: Path) -> List[_SourceFile]:
             rel = path.relative_to(root).as_posix()
         except ValueError:
             rel = path.as_posix()
-        files.append(_SourceFile(path, rel, tree, source.splitlines()))
+        files.append(_SourceFile(rel, tree, source.splitlines()))
     return files
-
-
-def _finding(rule: str, name: str, rel: str, node: ast.AST, message: str) -> Finding:
-    return Finding(
-        path=rel,
-        rule=rule,
-        name=name,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        message=message,
-    )
 
 
 def _kind_ref(node: ast.AST) -> Optional[str]:
@@ -192,132 +111,32 @@ def _kind_ref(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _is_dataclass_def(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(
-            target, "id", None
-        )
-        if name == "dataclass":
-            return True
-    return False
-
-
-def _message_call(node: ast.AST) -> Optional[ast.Call]:
-    """The ``Message(...)`` constructor call, if ``node`` is one."""
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "Message"
-    ):
-        return node
-    return None
-
-
-def _send_arg(node: ast.Call) -> Optional[ast.Call]:
-    """For a ``<sim>.send(...)`` call, its ``Message(...)`` argument."""
-    if not (isinstance(node.func, ast.Attribute) and node.func.attr == "send"):
-        return None
-    if len(node.args) != 1:
-        return None
-    return _message_call(node.args[0])
-
-
-def _ttl_kwarg(ctor: ast.Call) -> Optional[ast.expr]:
-    for kw in ctor.keywords:
-        if kw.arg == "ttl":
-            return kw.value
-    return None
-
-
-def _qualname(stack: Sequence[ast.AST]) -> str:
-    parts = [
-        n.name
-        for n in stack
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    ]
-    return ".".join(parts) or "<module>"
-
-
-def _contains(haystack: ast.AST, needle: ast.AST) -> bool:
-    return any(node is needle for node in ast.walk(haystack))
-
-
-def _test_mentions(
-    test: ast.expr, attr: str, check: Callable[[ast.Compare], bool]
-) -> bool:
-    """Does ``test`` contain a Compare on ``<x>.attr`` satisfying ``check``?"""
-    for node in ast.walk(test):
-        if not isinstance(node, ast.Compare):
-            continue
-        left = node.left
-        if isinstance(left, ast.Attribute) and left.attr == attr:
-            if check(node):
-                return True
-    return False
-
-
-def _is_ttl_positive_guard(test: ast.expr) -> bool:
-    def check(cmp: ast.Compare) -> bool:
-        return (
-            len(cmp.ops) == 1
-            and isinstance(cmp.ops[0], ast.Gt)
-            and isinstance(cmp.comparators[0], ast.Constant)
-            and cmp.comparators[0].value == 0
-        )
-
-    return _test_mentions(test, "ttl", check)
-
-
-def _is_origin_dedup_guard(test: ast.expr) -> bool:
-    def check(cmp: ast.Compare) -> bool:
-        return len(cmp.ops) == 1 and isinstance(cmp.ops[0], ast.NotIn)
-
-    return _test_mentions(test, "origin", check)
-
-
-def _is_decremented_ttl(expr: ast.expr) -> bool:
-    """``<something>.ttl - 1`` (the only shape that proves a decrement)."""
-    return (
-        isinstance(expr, ast.BinOp)
-        and isinstance(expr.op, ast.Sub)
-        and isinstance(expr.right, ast.Constant)
-        and expr.right.value == 1
-        and isinstance(expr.left, ast.Attribute)
-        and expr.left.attr == "ttl"
-    )
-
-
-def _radius_symbol(expr: ast.expr) -> Optional[str]:
-    """``self.k - 1`` -> ``'k'``; ``m - 1`` -> ``'m'``; else ``None``."""
+def _sent_kind(node: ast.AST) -> Optional[str]:
+    """For a ``<sim>.send(Message(MessageKind.X, ...))`` call, ``"X"``."""
     if not (
-        isinstance(expr, ast.BinOp)
-        and isinstance(expr.op, ast.Sub)
-        and isinstance(expr.right, ast.Constant)
-        and expr.right.value == 1
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "send"
+        and len(node.args) == 1
     ):
         return None
-    base = expr.left
-    if isinstance(base, ast.Attribute):
-        return base.attr if base.attr in ("k", "m") else None
-    if isinstance(base, ast.Name):
-        return base.id if base.id in ("k", "m") else None
-    return None
+    message = node.args[0]
+    if not (
+        isinstance(message, ast.Call)
+        and isinstance(message.func, ast.Name)
+        and message.func.id == "Message"
+    ):
+        return None
+    kind: Optional[str] = _kind_ref(message.args[0]) if message.args else None
+    for kw in message.keywords:
+        if kw.arg == "kind":
+            kind = _kind_ref(kw.value)
+    return kind
 
 
 # ----------------------------------------------------------------------
 # Handler-scope analysis
 # ----------------------------------------------------------------------
-@dataclass
-class _HandlerScope:
-    """Statements that run for exactly one message kind."""
-
-    kind: str
-    guard: ast.If
-    body: List[ast.stmt]
-    negated: bool
-
-
 def _inbox_loops(fn: ast.AST) -> List[Tuple[ast.For, str]]:
     """``for <msg> in <sim>.inbox(...)`` loops inside one function."""
     loops: List[Tuple[ast.For, str]] = []
@@ -377,8 +196,9 @@ def _calls_record_drop(nodes: Sequence[ast.stmt]) -> bool:
 
 def _loop_scopes(
     loop: ast.For, msg_var: str
-) -> Tuple[List[_HandlerScope], List[ast.If]]:
-    """Handler scopes of one inbox loop, plus its unaccounted guards.
+) -> Tuple[List[Tuple[str, ast.If]], List[ast.If]]:
+    """``(kind, guard)`` handlers of one inbox loop, plus its unaccounted
+    guards.
 
     Two supported shapes::
 
@@ -391,11 +211,11 @@ def _loop_scopes(
     The second return value lists guards whose skip path drops kinds
     without accounting (the REPRO205 anchors).
     """
-    scopes: List[_HandlerScope] = []
+    scopes: List[Tuple[str, ast.If]] = []
     silent: List[ast.If] = []
 
     def visit(body: List[ast.stmt]) -> None:
-        for i, stmt in enumerate(body):
+        for stmt in body:
             if not isinstance(stmt, ast.If):
                 continue
             guarded = _guard_kind(stmt.test, msg_var)
@@ -405,15 +225,11 @@ def _loop_scopes(
                 continue
             kind, negated = guarded
             if negated and _skips(stmt.body):
-                scopes.append(
-                    _HandlerScope(kind, stmt, body[i + 1 :], negated=True)
-                )
+                scopes.append((kind, stmt))
                 if not _calls_record_drop(stmt.body):
                     silent.append(stmt)
             elif not negated:
-                scopes.append(
-                    _HandlerScope(kind, stmt, stmt.body, negated=False)
-                )
+                scopes.append((kind, stmt))
                 if stmt.orelse:
                     visit(stmt.orelse)
                     if not _calls_record_drop(stmt.orelse):
@@ -425,507 +241,89 @@ def _loop_scopes(
     return scopes, silent
 
 
-def _payload_aliases(loop: ast.For, msg_var: str) -> Set[str]:
-    """Names assigned ``<msg>.payload`` anywhere in the loop body."""
-    aliases: Set[str] = set()
-    for node in ast.walk(loop):
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "payload"
-            and isinstance(node.value.value, ast.Name)
-            and node.value.value.id == msg_var
-        ):
-            aliases.add(node.targets[0].id)
-    return aliases
-
-
-def _payload_reads(
-    scope_body: Sequence[ast.stmt], msg_var: str, aliases: Set[str]
-) -> List[Tuple[ast.Attribute, str]]:
-    """``(node, field)`` for every payload attribute read in a scope."""
-    reads: List[Tuple[ast.Attribute, str]] = []
-    for stmt in scope_body:
-        for node in ast.walk(stmt):
-            if not isinstance(node, ast.Attribute):
-                continue
-            base = node.value
-            if isinstance(base, ast.Name) and base.id in aliases:
-                reads.append((node, node.attr))
-            elif (
-                isinstance(base, ast.Attribute)
-                and base.attr == "payload"
-                and isinstance(base.value, ast.Name)
-                and base.value.id == msg_var
-            ):
-                reads.append((node, node.attr))
-    return reads
-
-
 # ----------------------------------------------------------------------
 # The extractor
 # ----------------------------------------------------------------------
-class ContractExtractor:
-    """Derive the :class:`ProtocolContract` from parsed runtime sources."""
-
-    def __init__(self, files: List[_SourceFile]) -> None:
-        self.files = files
-        self.findings: List[Finding] = []
-        self.contract = ProtocolContract()
-
-    # -- step 1: kinds and payload schemas -----------------------------
-    def _collect_definitions(self) -> None:
-        kinds: List[str] = []
-        payloads: Dict[str, PayloadSchema] = {}
-        for src in self.files:
-            for node in ast.walk(src.tree):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                if node.name == _ENUM_NAME:
-                    for stmt in node.body:
-                        if (
-                            isinstance(stmt, ast.Assign)
-                            and len(stmt.targets) == 1
-                            and isinstance(stmt.targets[0], ast.Name)
-                        ):
-                            kinds.append(stmt.targets[0].id)
-                elif node.name.endswith("Payload") and _is_dataclass_def(node):
-                    fields = tuple(
-                        stmt.target.id
-                        for stmt in node.body
-                        if isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)
-                    )
-                    payloads[node.name] = PayloadSchema(
-                        node.name, fields, src.rel, node.lineno
-                    )
-        self.contract.kinds = tuple(kinds)
-        self.contract.payloads = payloads
-
-    # -- step 2: send sites and kind->payload binding -------------------
-    def _collect_sends(self) -> None:
-        for src in self.files:
-            stack: List[ast.AST] = []
-
-            def visit(node: ast.AST) -> None:
-                stack.append(node)
-                for child in ast.iter_child_nodes(node):
-                    visit(child)
-                stack.pop()
-                if not isinstance(node, ast.Call):
-                    return
-                message = _send_arg(node)
-                if message is None:
-                    return
-                self._register_send(src, message, _qualname(stack))
-
-            visit(src.tree)
-
-    def _register_send(
-        self, src: _SourceFile, message: ast.Call, function: str
-    ) -> None:
-        kind: Optional[str] = None
-        if message.args:
-            kind = _kind_ref(message.args[0])
-        for kw in message.keywords:
-            if kw.arg == "kind":
-                kind = _kind_ref(kw.value)
-        if kind is None:
-            return
-        payload_type: Optional[str] = None
-        ttl: Optional[str] = None
-        for kw in message.keywords:
-            if kw.arg != "payload":
-                continue
-            if isinstance(kw.value, ast.Call) and isinstance(
-                kw.value.func, ast.Name
-            ):
-                payload_type = kw.value.func.id
-                ttl_expr = _ttl_kwarg(kw.value)
-                if ttl_expr is not None:
-                    ttl = ast.unparse(ttl_expr)
-        if payload_type is not None:
-            bound = self.contract.payload_by_kind.get(kind)
-            if bound is None:
-                self.contract.payload_by_kind[kind] = payload_type
-            elif bound != payload_type:
-                self.findings.append(
-                    _finding(
-                        "REPRO203",
-                        "payload-field",
-                        src.rel,
-                        message,
-                        f"MessageKind.{kind} is sent with payload "
-                        f"{payload_type} here but {bound} elsewhere",
-                    )
+def _extract(files: List[_SourceFile]) -> Tuple[ProtocolContract, List[Finding]]:
+    contract = ProtocolContract()
+    findings: List[Finding] = []
+    enum_rel = "<unknown>"
+    for src in files:
+        for node in ast.walk(src.tree):
+            if isinstance(node, ast.ClassDef) and node.name == _ENUM_NAME:
+                enum_rel = src.rel
+                contract.kinds += tuple(
+                    stmt.targets[0].id
+                    for stmt in node.body
+                    if isinstance(stmt, ast.Assign)
+                    and len(stmt.targets) == 1
+                    and isinstance(stmt.targets[0], ast.Name)
                 )
-        self.contract.sends.append(
-            SendSite(
-                path=src.rel,
-                line=message.lineno,
-                kind=kind,
-                payload_type=payload_type,
-                ttl=ttl,
-                function=function,
-                is_relay=False,  # refined by _collect_handlers
-            )
-        )
-
-    # -- step 3: handler scopes, relays, drops, payload reads ------------
-    def _collect_handlers(self) -> None:
-        relay_lines: Set[Tuple[str, int]] = set()
-        for src in self.files:
-            functions = [
-                node
-                for node in ast.walk(src.tree)
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            ]
-            for fn in functions:
-                for loop, msg_var in _inbox_loops(fn):
+            elif isinstance(node, ast.Call):
+                kind = _sent_kind(node)
+                if kind is not None:
+                    contract.sends.append(Site(src.rel, node.lineno, kind))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for loop, msg_var in _inbox_loops(node):
                     scopes, silent = _loop_scopes(loop, msg_var)
-                    aliases = _payload_aliases(loop, msg_var)
                     for guard in silent:
-                        self.findings.append(
-                            _finding(
-                                "REPRO205",
-                                "silent-drop",
-                                src.rel,
-                                guard,
-                                "inbox loop skips message kinds without "
-                                "accounting; route the skip path through "
-                                "RuntimeStats.record_drop(kind)",
-                            )
-                        )
-                    for scope in scopes:
-                        self.contract.handles.append(
-                            HandleSite(
+                        findings.append(
+                            Finding(
                                 path=src.rel,
-                                line=scope.guard.lineno,
-                                kind=scope.kind,
-                                function=fn.name,
-                                negated=scope.negated,
+                                rule="REPRO205",
+                                name="silent-drop",
+                                line=guard.lineno,
+                                col=guard.col_offset,
+                                message="inbox loop skips message kinds "
+                                "without accounting; route the skip path "
+                                "through RuntimeStats.record_drop(kind)",
                             )
                         )
-                        self._check_scope(src, scope, msg_var, aliases)
-                        for line in self._relay_lines(scope):
-                            relay_lines.add((src.rel, line))
-        self.contract.sends = [
-            SendSite(
-                path=s.path,
-                line=s.line,
-                kind=s.kind,
-                payload_type=s.payload_type,
-                ttl=s.ttl,
-                function=s.function,
-                is_relay=(s.path, s.line) in relay_lines,
-            )
-            for s in self.contract.sends
-        ]
-
-    def _relay_lines(self, scope: _HandlerScope) -> List[int]:
-        lines: List[int] = []
-        for stmt in scope.body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call):
-                    message = _send_arg(node)
-                    if message is not None:
-                        sent_kind = None
-                        if message.args:
-                            sent_kind = _kind_ref(message.args[0])
-                        if sent_kind == scope.kind:
-                            lines.append(message.lineno)
-        return lines
-
-    def _check_scope(
-        self,
-        src: _SourceFile,
-        scope: _HandlerScope,
-        msg_var: str,
-        aliases: Set[str],
-    ) -> None:
-        schema = self._schema_for(scope.kind)
-        if schema is not None:
-            for node, fieldname in _payload_reads(scope.body, msg_var, aliases):
-                if fieldname not in schema.fields:
-                    self.findings.append(
-                        _finding(
-                            "REPRO203",
-                            "payload-field",
-                            src.rel,
-                            node,
-                            f"payload of MessageKind.{scope.kind} "
-                            f"({schema.name}) has no field "
-                            f"'{fieldname}' (fields: "
-                            f"{', '.join(schema.fields)})",
-                        )
+                    contract.handles.extend(
+                        Site(src.rel, guard.lineno, kind)
+                        for kind, guard in scopes
                     )
-        # Relays: every same-kind send inside the scope must decrement a
-        # guarded ttl.
-        for stmt in scope.body:
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                message = _send_arg(node)
-                if message is None:
-                    continue
-                sent_kind = _kind_ref(message.args[0]) if message.args else None
-                if sent_kind != scope.kind:
-                    continue
-                self._check_relay(src, scope, message, stmt)
 
-    def _check_relay(
-        self,
-        src: _SourceFile,
-        scope: _HandlerScope,
-        message: ast.Call,
-        root_stmt: ast.stmt,
-    ) -> None:
-        ctor: Optional[ast.Call] = None
-        for kw in message.keywords:
-            if kw.arg == "payload" and isinstance(kw.value, ast.Call):
-                ctor = kw.value
-        ttl_expr = _ttl_kwarg(ctor) if ctor is not None else None
-        if ttl_expr is None or not _is_decremented_ttl(ttl_expr):
-            self.findings.append(
-                _finding(
-                    "REPRO204",
-                    "ttl-relay",
-                    src.rel,
-                    message,
-                    f"relay of MessageKind.{scope.kind} does not provably "
-                    "decrement ttl (expected `<payload>.ttl - 1`)",
+    # REPRO202: a handler, or an enum member, for a kind nobody sends.
+    sent = {s.kind for s in contract.sends}
+    handled = {h.kind for h in contract.handles}
+    for site in contract.handles:
+        if site.kind not in sent:
+            findings.append(
+                Finding(
+                    path=site.path,
+                    rule="REPRO202",
+                    name="handled-unsent",
+                    line=site.line,
+                    col=0,
+                    message=f"MessageKind.{site.kind} is handled here but "
+                    "never sent",
                 )
             )
-        guarded = False
-        for stmt in scope.body:
-            for node in ast.walk(stmt):
-                if (
-                    isinstance(node, ast.If)
-                    and _contains(node, message)
-                    and _is_ttl_positive_guard(node.test)
-                ):
-                    guarded = True
-        if not guarded:
-            self.findings.append(
-                _finding(
-                    "REPRO204",
-                    "ttl-relay",
-                    src.rel,
-                    message,
-                    f"relay of MessageKind.{scope.kind} is not guarded by "
-                    "a `ttl > 0` test; an exhausted flood must stop",
+    for kind in contract.kinds:
+        if kind not in sent and kind not in handled:
+            findings.append(
+                Finding(
+                    path=enum_rel,
+                    rule="REPRO202",
+                    name="handled-unsent",
+                    line=1,
+                    col=0,
+                    message=f"MessageKind.{kind} is defined but never sent "
+                    "nor handled",
                 )
             )
 
-    def _schema_for(self, kind: str) -> Optional[PayloadSchema]:
-        name = self.contract.payload_by_kind.get(kind)
-        if name is None:
-            return None
-        return self.contract.payloads.get(name)
-
-    # -- step 4: payload constructor validation -------------------------
-    def _check_constructors(self) -> None:
-        for src in self.files:
-            for node in ast.walk(src.tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in self.contract.payloads
-                ):
-                    continue
-                schema = self.contract.payloads[node.func.id]
-                if any(kw.arg is None for kw in node.keywords):
-                    continue  # **kwargs: nothing provable for this call
-                given: List[str] = list(schema.fields[: len(node.args)])
-                if len(node.args) > len(schema.fields):
-                    self.findings.append(
-                        _finding(
-                            "REPRO203",
-                            "payload-field",
-                            src.rel,
-                            node,
-                            f"{schema.name}(...) takes "
-                            f"{len(schema.fields)} field(s), "
-                            f"{len(node.args)} positional given",
-                        )
-                    )
-                for kw in node.keywords:
-                    if kw.arg not in schema.fields:
-                        self.findings.append(
-                            _finding(
-                                "REPRO203",
-                                "payload-field",
-                                src.rel,
-                                node,
-                                f"{schema.name}(...) has no field "
-                                f"'{kw.arg}' (fields: "
-                                f"{', '.join(schema.fields)})",
-                            )
-                        )
-                    else:
-                        given.append(kw.arg)
-                missing = [f for f in schema.fields if f not in given]
-                if missing:
-                    self.findings.append(
-                        _finding(
-                            "REPRO203",
-                            "payload-field",
-                            src.rel,
-                            node,
-                            f"{schema.name}(...) misses required field(s) "
-                            f"{', '.join(missing)}",
-                        )
-                    )
-
-    # -- step 5: matrix checks ------------------------------------------
-    def _check_matrix(self) -> None:
-        sent = {s.kind for s in self.contract.sends}
-        handled = {h.kind for h in self.contract.handles}
-        for site in self.contract.sends:
-            if site.kind not in handled:
-                self.findings.append(
-                    _finding(
-                        "REPRO201",
-                        "sent-unhandled",
-                        site.path,
-                        _Loc(site.line),
-                        f"MessageKind.{site.kind} is sent here but no inbox "
-                        "loop handles it",
-                    )
-                )
-        for site in self.contract.handles:
-            if site.kind not in sent:
-                self.findings.append(
-                    _finding(
-                        "REPRO202",
-                        "handled-unsent",
-                        site.path,
-                        _Loc(site.line),
-                        f"MessageKind.{site.kind} is handled here but never "
-                        "sent",
-                    )
-                )
-        for kind in self.contract.kinds:
-            if kind not in sent and kind not in handled:
-                schema_src = next(
-                    (
-                        src
-                        for src in self.files
-                        for node in ast.walk(src.tree)
-                        if isinstance(node, ast.ClassDef)
-                        and node.name == _ENUM_NAME
-                    ),
-                    None,
-                )
-                rel = schema_src.rel if schema_src is not None else "<unknown>"
-                self.findings.append(
-                    _finding(
-                        "REPRO202",
-                        "handled-unsent",
-                        rel,
-                        _Loc(1),
-                        f"MessageKind.{kind} is defined but never sent nor "
-                        "handled",
-                    )
-                )
-
-    # -- step 6: flood specs --------------------------------------------
-    def _build_floods(self) -> None:
-        gossip: List[str] = []
-        for kind in self.contract.kinds:
-            schema = self._schema_for(kind)
-            if schema is None:
-                continue
-            if "adjacency" in schema.fields:
-                gossip.append(kind)
-                continue
-            if "ttl" not in schema.fields:
-                continue
-            initial = [
-                s
-                for s in self.contract.sends
-                if s.kind == kind and not s.is_relay and s.ttl is not None
-            ]
-            relays = [s for s in self.contract.sends if s.kind == kind and s.is_relay]
-            initial_ttl = initial[0].ttl if initial else None
-            symbol: Optional[str] = None
-            if initial:
-                # Re-parse the recorded expression; it came from unparse.
-                try:
-                    symbol = _radius_symbol(
-                        ast.parse(initial[0].ttl, mode="eval").body
-                    )
-                except SyntaxError:
-                    symbol = None
-            decrements = bool(relays) and not any(
-                f.rule == "REPRO204"
-                and "decrement" in f.message
-                and f"MessageKind.{kind}" in f.message
-                for f in self.findings
-            )
-            guarded = bool(relays) and not any(
-                f.rule == "REPRO204"
-                and "guarded" in f.message
-                and f"MessageKind.{kind}" in f.message
-                for f in self.findings
-            )
-            dedup = self._has_origin_dedup(kind)
-            self.contract.floods[kind] = FloodSpec(
-                kind=kind,
-                initial_ttl=initial_ttl,
-                radius_symbol=symbol,
-                decrements=decrements,
-                guarded=guarded,
-                dedup_by_origin=dedup,
-            )
-        self.contract.gossip_kinds = tuple(gossip)
-
-    def _has_origin_dedup(self, kind: str) -> bool:
-        for src in self.files:
-            for fn in ast.walk(src.tree):
-                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                for loop, msg_var in _inbox_loops(fn):
-                    scopes, __ = _loop_scopes(loop, msg_var)
-                    for scope in scopes:
-                        if scope.kind != kind:
-                            continue
-                        for stmt in scope.body:
-                            for node in ast.walk(stmt):
-                                if isinstance(
-                                    node, ast.If
-                                ) and _is_origin_dedup_guard(node.test):
-                                    return True
-        return False
-
-    # -- entry point -----------------------------------------------------
-    def extract(self) -> Tuple[ProtocolContract, List[Finding]]:
-        self._collect_definitions()
-        self._collect_sends()
-        self._collect_handlers()
-        self._check_constructors()
-        self._check_matrix()
-        self._build_floods()
-        # Inline suppressions, per file the finding points into.
-        lines_by_rel = {src.rel: src.lines for src in self.files}
-        kept: List[Finding] = []
-        for finding in self.findings:
-            lines = lines_by_rel.get(finding.path)
-            if lines is None:
-                kept.append(finding)
-            else:
-                kept.extend(apply_suppressions([finding], lines))
-        return self.contract, sorted(kept, key=lambda f: f.sort_key)
-
-
-class _Loc:
-    """A bare source location standing in for an AST node."""
-
-    def __init__(self, lineno: int, col_offset: int = 0) -> None:
-        self.lineno = lineno
-        self.col_offset = col_offset
+    # Inline suppressions, per file the finding points into.
+    lines_by_rel = {src.rel: src.lines for src in files}
+    kept: List[Finding] = []
+    for finding in findings:
+        lines = lines_by_rel.get(finding.path)
+        if lines is None:
+            kept.append(finding)
+        else:
+            kept.extend(apply_suppressions([finding], lines))
+    return contract, sorted(kept, key=lambda f: f.sort_key)
 
 
 def extract_contract(
@@ -940,158 +338,4 @@ def extract_contract(
             expanded.extend(sorted(path.rglob("*.py")))
         elif path.suffix == ".py":
             expanded.append(path)
-    files = _parse_files(expanded, root)
-    return ContractExtractor(files).extract()
-
-
-# ----------------------------------------------------------------------
-# REPRO206: cross-module constant consistency
-# ----------------------------------------------------------------------
-#: (relative path, description, matcher name, expected source shape)
-_CONSTANT_CONTRACTS: Tuple[Tuple[str, str, str, str], ...] = (
-    (
-        "src/repro/topology/radii.py",
-        "neighborhood_radius must compute ceil(tau / 2)",
-        "return_in:neighborhood_radius",
-        "math.ceil(tau / 2)",
-    ),
-    (
-        "src/repro/topology/radii.py",
-        "mis_separation must derive from the deletion radius",
-        "return_in:mis_separation",
-        "deletion_radius(tau) + 1",
-    ),
-    (
-        "src/repro/topology/radii.py",
-        "halo_radius must equal the neighbourhood radius",
-        "return_in:halo_radius",
-        "neighborhood_radius(tau)",
-    ),
-    (
-        "src/repro/core/vpt.py",
-        "deletion_radius must delegate to neighborhood_radius",
-        "return_in:deletion_radius",
-        "neighborhood_radius(tau)",
-    ),
-    (
-        "src/repro/core/scheduler.py",
-        "the MIS separation must be the named mis_separation(tau) derivation",
-        "assign:separation",
-        "mis_separation(tau)",
-    ),
-    (
-        "src/repro/runtime/protocol.py",
-        "the protocol's k must come from deletion_radius(tau)",
-        "assign_attr:k",
-        "deletion_radius(tau)",
-    ),
-    (
-        "src/repro/runtime/protocol.py",
-        "the protocol's m must be k + 1",
-        "assign_attr:m",
-        "self.k + 1",
-    ),
-    (
-        "src/repro/runtime/mis.py",
-        "the PRIORITY flood budget must be the caller's m",
-        "ttl_kwarg:PriorityPayload",
-        "m - 1",
-    ),
-)
-
-
-def check_constants(root: Path) -> List[Finding]:
-    """REPRO206: the k/m radius derivations must agree across modules.
-
-    Each contract pins one load-bearing expression to its canonical
-    shape (textual, after ``ast.unparse`` normalisation).  A module that
-    is absent is skipped — fixture trees check only what they contain.
-    """
-    findings: List[Finding] = []
-    for rel, why, matcher, expected in _CONSTANT_CONTRACTS:
-        path = root / rel
-        if not path.exists():
-            continue
-        source = path.read_text()
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            continue
-        found = _match_constant(tree, matcher)
-        if found is None:
-            findings.append(
-                Finding(
-                    path=rel,
-                    rule="REPRO206",
-                    name="constant-consistency",
-                    line=1,
-                    col=0,
-                    message=f"{why}: expected site not found",
-                )
-            )
-        else:
-            node, actual = found
-            if actual != expected:
-                findings.append(
-                    Finding(
-                        path=rel,
-                        rule="REPRO206",
-                        name="constant-consistency",
-                        line=node.lineno,
-                        col=node.col_offset,
-                        message=f"{why}: found `{actual}`, expected "
-                        f"`{expected}`",
-                    )
-                )
-    kept: List[Finding] = []
-    for finding in findings:
-        lines = (root / finding.path).read_text().splitlines()
-        kept.extend(apply_suppressions([finding], lines))
-    return sorted(kept, key=lambda f: f.sort_key)
-
-
-def _match_constant(
-    tree: ast.Module, matcher: str
-) -> Optional[Tuple[ast.AST, str]]:
-    scheme, __, target = matcher.partition(":")
-    if scheme == "return_in":
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name == target:
-                for stmt in ast.walk(node):
-                    if isinstance(stmt, ast.Return) and stmt.value is not None:
-                        return stmt, ast.unparse(stmt.value)
-        return None
-    if scheme == "assign":
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == target
-            ):
-                return node, ast.unparse(node.value)
-        return None
-    if scheme == "assign_attr":
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Attribute)
-                and node.targets[0].attr == target
-                and isinstance(node.targets[0].value, ast.Name)
-                and node.targets[0].value.id == "self"
-            ):
-                return node, ast.unparse(node.value)
-        return None
-    if scheme == "ttl_kwarg":
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == target
-            ):
-                ttl = _ttl_kwarg(node)
-                if ttl is not None:
-                    return node, ast.unparse(ttl)
-        return None
-    raise ValueError(f"unknown constant matcher: {matcher}")
+    return _extract(_parse_files(expanded, root))

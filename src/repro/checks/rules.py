@@ -733,56 +733,6 @@ class BareExceptRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# REPRO107: float accumulation inside mergeable metrics
-# ----------------------------------------------------------------------
-_MERGE_METHOD_NAMES = {"merge", "merge_payload", "__iadd__", "__add__"}
-
-
-class FloatMergeRule(Rule):
-    """Division / averaging inside a ``merge`` method.
-
-    A merge that averages (``(a + b) / 2``) is not associative:
-    ``merge(a, merge(b, c)) != merge(merge(a, b), c)``.  Mergeable
-    metrics must accumulate totals and counts and derive means at export
-    time only.
-    """
-
-    rule_id = "REPRO107"
-    name = "float-merge"
-    summary = "non-associative float arithmetic inside a merge method"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for cls in ast.walk(ctx.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for item in cls.body:
-                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if item.name not in _MERGE_METHOD_NAMES:
-                    continue
-                for node in ast.walk(item):
-                    if isinstance(node, ast.BinOp) and isinstance(
-                        node.op, (ast.Div, ast.FloorDiv)
-                    ):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"division inside {cls.name}.{item.name}(); "
-                            "merged means break associativity — merge "
-                            "totals and counts, derive means at export",
-                        )
-                    elif isinstance(node, ast.AugAssign) and isinstance(
-                        node.op, (ast.Div, ast.FloorDiv)
-                    ):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"in-place division inside {cls.name}.{item.name}(); "
-                            "merged means break associativity",
-                        )
-
-
-# ----------------------------------------------------------------------
 # REPRO108: seed plumb-through on public entry points
 # ----------------------------------------------------------------------
 class SeedPlumbingRule(Rule):
@@ -1038,7 +988,6 @@ DEFAULT_RULES: Tuple[Rule, ...] = (
     LayeringRule(),
     MutableDefaultRule(),
     BareExceptRule(),
-    FloatMergeRule(),
     SeedPlumbingRule(),
     ShardLocalityRule(),
     TraceGuardRule(),

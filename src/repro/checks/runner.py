@@ -239,11 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(lint, race, verify; default: all)"
         ),
     )
-    parser.add_argument(
-        "--skip-model",
-        action="store_true",
-        help="pass --skip-model to repro-verify (static passes only)",
-    )
     return parser
 
 
@@ -273,8 +268,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         front_argv: List[str] = list(args.paths)
         if args.root:
             front_argv += ["--root", args.root]
-        if prog == "repro-verify" and args.skip_model:
-            front_argv.append("--skip-model")
         print(f"== {prog} ==")
         code = front_main(front_argv)
         worst = max(worst, code)

@@ -1,30 +1,29 @@
 """``repro-verify``: protocol verification front for the runtime.
 
-Three passes, one verdict:
+Two static passes, one verdict:
 
 1. **Contract extraction** (:mod:`repro.checks.protocol`, REPRO20x) —
-   derives the send/handle matrix from ``runtime/`` and checks payload
-   schemas, ttl relays, drop accounting, and cross-module constants.
+   derives the send/handle matrix from ``runtime/`` and checks that
+   every handled kind is sent and that every inbox loop accounts for
+   the kinds it skips.
 2. **Locality flow** (:mod:`repro.checks.locality`, REPRO21x) — proves
    per-node decision paths read only their own view and inbox; global
    reads survive only behind reasoned ``# repro: allow[...]`` comments.
-3. **Bounded model checking** (:mod:`repro.checks.model`, REPRO22x) —
-   executes the extracted contract over every delivery interleaving on
-   small graphs, asserting TTL termination, radius-ball flood coverage,
-   and gossip view convergence.
+
+The floods themselves are tested on the running runtime
+(``tests/unit/test_runtime.py``): their radii, and that shuffling every
+inbox changes no view, send count or MIS winner.
 
 Examples::
 
-    repro-verify                       # all three passes on src/
+    repro-verify                       # both passes on src/
     repro-verify --json                # stable machine-readable report
-    repro-verify --skip-model          # static passes only (fast)
-    repro-verify --max-n 4 --tau 3     # smaller model-checking envelope
     repro-verify --list-rules
 
 Exit status: 0 when no *new* findings (baselined ones are summarised but
-do not fail), 1 otherwise.  The JSON report (``repro-verify/v1``)
-contains the findings, the extracted send/handle matrix, and the model
-checker's coverage statistics, each rendered deterministically.
+do not fail), 1 otherwise.  The JSON report (``repro-verify/v2``)
+contains the findings and the extracted send/handle matrix, each
+rendered deterministically.
 """
 
 from __future__ import annotations
@@ -33,17 +32,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.checks.engine import Baseline, Finding, LintEngine, render_text
 from repro.checks.locality import LOCALITY_RULES, default_locality_rules
-from repro.checks.model import MODEL_RULES, ModelReport, check_model
-from repro.checks.protocol import (
-    PROTOCOL_RULES,
-    ProtocolContract,
-    check_constants,
-    extract_contract,
-)
+from repro.checks.protocol import PROTOCOL_RULES, ProtocolContract, extract_contract
 from repro.checks.runner import (
     add_front_args,
     parse_front,
@@ -60,88 +53,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-verify",
         description=(
-            "Protocol contract extraction, locality flow analysis, and "
-            "bounded model checking for the distributed DCC runtime."
+            "Protocol contract extraction and locality flow analysis for "
+            "the distributed DCC runtime."
         ),
     )
-    add_front_args(parser, DEFAULT_BASELINE, select=False, verb="verify")
-    parser.add_argument(
-        "--skip-model",
-        action="store_true",
-        help="skip the bounded model checker (static passes only)",
-    )
-    parser.add_argument(
-        "--max-n",
-        type=int,
-        default=6,
-        metavar="N",
-        help="largest graph size the model checker enumerates (default: 6)",
-    )
-    parser.add_argument(
-        "--tau",
-        type=int,
-        action="append",
-        default=None,
-        metavar="TAU",
-        help="confine size(s) to model-check (default: 3 and 5; repeatable)",
-    )
-    return parser
+    return add_front_args(parser, DEFAULT_BASELINE, select=False, verb="verify")
 
 
 def _all_rule_rows() -> List[tuple]:
-    return list(PROTOCOL_RULES) + list(LOCALITY_RULES) + list(MODEL_RULES)
+    return list(PROTOCOL_RULES) + list(LOCALITY_RULES)
 
 
-def run_verify(
-    paths: List[Path],
-    root: Path,
-    taus: tuple,
-    max_n: int,
-    skip_model: bool,
-) -> tuple:
-    """The three passes; returns ``(findings, contract, model_report)``."""
+def run_verify(paths: List[Path], root: Path) -> Tuple[List[Finding], ProtocolContract]:
+    """Both passes; returns ``(findings, contract)``."""
     contract, findings = extract_contract(paths, root=root)
-    findings = list(findings)
-    findings.extend(check_constants(root))
-
     engine = LintEngine(list(default_locality_rules()), root=root)
-    findings.extend(engine.lint(paths))
-
-    model_report: Optional[ModelReport] = None
-    if not skip_model:
-        model_report = check_model(contract, taus=taus, max_n=max_n)
-        findings.extend(model_report.findings)
-
-    return sorted(findings, key=lambda f: f.sort_key), contract, model_report
+    findings = list(findings) + engine.lint(paths)
+    return sorted(findings, key=lambda f: f.sort_key), contract
 
 
-def render_report(
-    findings: List[Finding],
-    contract: ProtocolContract,
-    model_report: Optional[ModelReport],
-) -> str:
-    """The ``repro-verify/v1`` JSON document (sorted keys, stable)."""
+def render_report(findings: List[Finding], contract: ProtocolContract) -> str:
+    """The ``repro-verify/v2`` JSON document (sorted keys, stable)."""
     payload: Dict[str, object] = {
-        "format": "repro-verify/v1",
+        "format": "repro-verify/v2",
         "count": len(findings),
         "findings": [f.as_dict() for f in findings],
         "contract": {
             "kinds": list(contract.kinds),
             "matrix": contract.matrix(),
-            "payload_by_kind": dict(sorted(contract.payload_by_kind.items())),
-            "gossip_kinds": list(contract.gossip_kinds),
-            "floods": {
-                kind: {
-                    "initial_ttl": spec.initial_ttl,
-                    "radius_symbol": spec.radius_symbol,
-                    "decrements": spec.decrements,
-                    "guarded": spec.guarded,
-                    "dedup_by_origin": spec.dedup_by_origin,
-                }
-                for kind, spec in sorted(contract.floods.items())
-            },
         },
-        "model": model_report.as_dict() if model_report is not None else None,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -152,15 +92,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print_rule_rows(_all_rule_rows())
         return 0
     front = parse_front(args)
-    taus = tuple(args.tau) if args.tau else (3, 5)
-
-    findings, contract, model_report = run_verify(
-        front.paths,
-        front.root,
-        taus=taus,
-        max_n=args.max_n,
-        skip_model=args.skip_model,
-    )
+    findings, contract = run_verify(front.paths, front.root)
 
     if args.update_baseline:
         return write_baseline(findings, front.baseline_path)
@@ -169,7 +101,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     fresh, parked = split_baseline(findings, baseline)
 
     if args.json:
-        print(render_report(fresh, contract, model_report))
+        print(render_report(fresh, contract))
     else:
         if fresh:
             print(render_text(fresh))
@@ -179,13 +111,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             for kind, cell in sorted(matrix.items())
         )
         print(f"repro-verify: contract {kinds or '<empty>'}")
-        if model_report is not None:
-            print(
-                "repro-verify: model checked "
-                f"{model_report.graphs_checked} graphs, "
-                f"{model_report.flood_cases} flood cases, "
-                f"{model_report.interleavings_explored} interleavings"
-            )
         print_summary("repro-verify", fresh, parked)
     return 1 if fresh else 0
 

@@ -82,6 +82,12 @@ def barrier_exists(
     return bool(seen & right)
 
 
+#: Flow-network node labels: ``(_IN, v)``/``(_OUT, v)`` split sensor
+#: ``v``; the super source and sink sit outside every sensor's pair.
+_IN, _OUT = 0, 1
+_SOURCE, _SINK = (-1, 0), (-1, 1)
+
+
 def barrier_strength(
     graph: NetworkGraph,
     left_anchor: Iterable[int],
@@ -105,19 +111,21 @@ def barrier_strength(
     # Standard vertex-disjoint-paths reduction: split every vertex into an
     # in/out pair with unit capacity (anchors included, so chains never
     # share any sensor), infinite-capacity arcs along edges and from the
-    # super source/sink to the anchors.
+    # super source/sink to the anchors.  Flow nodes are int pairs, never
+    # strings: string hashes vary per process, and networkx's max-flow
+    # would then pick different (equally maximum) chains per run.
     flow = nx.DiGraph()
-    source, sink = "S", "T"
+    source, sink = _SOURCE, _SINK
     infinite = len(graph) + 1
     for v in graph.vertices():
-        flow.add_edge(("in", v), ("out", v), capacity=1)
+        flow.add_edge((_IN, v), (_OUT, v), capacity=1)
     for v in left:
-        flow.add_edge(source, ("in", v), capacity=infinite)
+        flow.add_edge(source, (_IN, v), capacity=infinite)
     for v in right:
-        flow.add_edge(("out", v), sink, capacity=infinite)
+        flow.add_edge((_OUT, v), sink, capacity=infinite)
     for u, v in graph.edges():
-        flow.add_edge(("out", u), ("in", v), capacity=infinite)
-        flow.add_edge(("out", v), ("in", u), capacity=infinite)
+        flow.add_edge((_OUT, u), (_IN, v), capacity=infinite)
+        flow.add_edge((_OUT, v), (_IN, u), capacity=infinite)
 
     strength_value, flow_dict = nx.maximum_flow(flow, source, sink)
     chains = _decompose_flow_chains(flow_dict, source, sink, int(strength_value))
@@ -148,7 +156,7 @@ def _decompose_flow_chains(
             if nxt is None:
                 return chains  # flow exhausted (defensive)
             targets[nxt] -= 1
-            if isinstance(nxt, tuple) and nxt[0] == "in":
+            if nxt[0] == _IN:
                 chain.append(nxt[1])
             node = nxt
         chains.append(chain)

@@ -1,5 +1,10 @@
 """Unit tests for barrier coverage as a confine-coverage instance."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.barrier import (
@@ -98,3 +103,42 @@ class TestScheduling:
         graph, left, right = belt()
         with pytest.raises(ValueError):
             schedule_barrier(graph, left, right, gamma=1.0, k=0)
+
+
+# The border belt of examples/border_barrier.py: its maximum flow has
+# several equally maximum chain sets, so the chosen one is sensitive to
+# anything process-dependent inside networkx (string hashing, say).
+_BELT_SCHEDULES = """
+from repro.core.barrier import schedule_barrier
+from repro.network.deployment import Rectangle, build_network
+
+net = build_network(
+    140, Rectangle(0.0, 0.0, 6.0, 1.6), rc=1.0, rs=0.6, seed=13,
+    boundary_band=0.25,
+)
+left = {v for v, (x, __) in net.positions.items() if x <= 0.5}
+right = {v for v, (x, __) in net.positions.items() if x >= 5.5}
+for k in (1, 2, 3):
+    print(sorted(schedule_barrier(net.graph, left, right, net.gamma, k=k)))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_schedules_identical_across_hash_seeds(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            run = subprocess.run(
+                [sys.executable, "-c", _BELT_SCHEDULES],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0].count("\n") == 3
+        assert outputs[0] == outputs[1]

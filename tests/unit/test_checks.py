@@ -330,7 +330,7 @@ class TestLayering:
 
 
 # ----------------------------------------------------------------------
-# REPRO105-108
+# REPRO105, REPRO106, REPRO108
 # ----------------------------------------------------------------------
 class TestSmallRules:
     def test_mutable_default(self, tmp_path):
@@ -352,17 +352,6 @@ class TestSmallRules:
             """,
         )
         assert rules_of(findings) == ["REPRO106"]
-
-    def test_float_merge_division_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class Stat:
-                def merge(self, other):
-                    self.mean = (self.mean + other.mean) / 2
-            """,
-        )
-        assert rules_of(findings) == ["REPRO107"]
 
     def test_division_outside_merge_passes(self, tmp_path):
         findings = lint_source(

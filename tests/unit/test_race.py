@@ -36,58 +36,6 @@ def rules_of(findings):
 
 
 # ----------------------------------------------------------------------
-# REPRO305: pool-boundary-callable
-# ----------------------------------------------------------------------
-class TestPoolBoundaryCallable:
-    def test_flags_lambda_submit(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            def fan(pool, items):
-                return [pool.submit(lambda x: x + 1, item) for item in items]
-            """,
-        )
-        assert "REPRO305" in rules_of(findings)
-
-    def test_flags_nested_function(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            def fan(pool, items):
-                def task(x):
-                    return x + 1
-                return [pool.submit(task, item) for item in items]
-            """,
-        )
-        assert "REPRO305" in rules_of(findings)
-
-    def test_module_level_function_passes(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            def task(x):
-                return x + 1
-
-            def fan(pool, items):
-                return [pool.submit(task, item) for item in items]
-            """,
-        )
-        assert "REPRO305" not in rules_of(findings)
-
-    def test_flags_lambda_initializer(self, tmp_path):
-        findings = race_source(
-            tmp_path,
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def pool():
-                return ProcessPoolExecutor(2, initializer=lambda: None)
-            """,
-        )
-        assert "REPRO305" in rules_of(findings)
-
-
-# ----------------------------------------------------------------------
 # REPRO306: pool-boundary-args
 # ----------------------------------------------------------------------
 class TestPoolBoundaryArgs:
@@ -333,7 +281,7 @@ class TestRaceCli:
     def test_select_and_list_rules(self, tmp_path, capsys):
         assert race_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "REPRO305" in out and "knob-registry" in out
+        assert "REPRO306" in out and "knob-registry" in out
         assert race_main([str(tmp_path), "--select", "bogus-rule"]) == 2
 
 

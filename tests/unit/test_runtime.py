@@ -4,6 +4,7 @@ import math
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from repro.core.vpt import deletable_vertices
@@ -263,6 +264,70 @@ class TestFloodRadii:
                 "priority": _flood_sends(grid, origin, m)
             }, (tau, origin)
             assert not any(sim.outboxes.values()), (tau, origin)
+
+
+def _small_connected_graphs():
+    """Every connected graph on 2-6 vertices, up to isomorphism (142)."""
+    return [
+        NetworkGraph(g.nodes, g.edges)
+        for g in nx.graph_atlas_g()
+        if 2 <= g.number_of_nodes() <= 6 and nx.is_connected(g)
+    ]
+
+
+def _protocol_outcome(graph, tau, origin):
+    """What the protocol computes around one deletion of ``origin``.
+
+    Discovery, then ``origin``'s DELETE flood, then an MIS election
+    among the survivors, as one iteration of ``DistributedDCC.run``
+    does.  Returns the views after each flood, the per-kind send counts
+    and the MIS winners.
+    """
+    protocol = DistributedDCC(graph, [], tau, rng=random.Random(origin))
+    protocol._discover_topology()
+    discovered = {v: dict(view.adjacency) for v, view in protocol.views.items()}
+    protocol._announce_deletions([origin])
+    announced = {v: dict(view.adjacency) for v, view in protocol.views.items()}
+    sim = protocol.sim
+    sim.deactivate(origin)
+    winners = distributed_mis(sim, sorted(sim.active), protocol.m, protocol.rng)
+    return discovered, announced, dict(sim.stats.messages_by_kind), winners
+
+
+class TestInboxOrder:
+    """Inbox order within a round changes nothing the protocol computes.
+
+    Rounds are synchronous and nodes share no state within a round, so
+    the order each node reads its inbox is the runtime's only
+    nondeterminism.  Each run below reads every inbox of the real
+    :class:`Simulator` in a seeded random order and must reproduce the
+    run that reads them sorted by sender, on every connected graph with
+    at most six vertices.
+    """
+
+    @pytest.mark.parametrize("tau", [3, 5])
+    def test_shuffled_inboxes_match_sorted_order(self, monkeypatch, tau):
+        graphs = _small_connected_graphs()
+        assert len(graphs) == 142
+        unpatched = Simulator.inbox
+
+        def sorted_inbox(sim, node):
+            return sorted(unpatched(sim, node), key=lambda message: message.src)
+
+        shuffle = random.Random(tau)
+
+        def shuffled_inbox(sim, node):
+            messages = list(unpatched(sim, node))
+            shuffle.shuffle(messages)
+            return messages
+
+        for graph in graphs:
+            for origin in graph.vertices():
+                monkeypatch.setattr(Simulator, "inbox", sorted_inbox)
+                expected = _protocol_outcome(graph, tau, origin)
+                monkeypatch.setattr(Simulator, "inbox", shuffled_inbox)
+                got = _protocol_outcome(graph, tau, origin)
+                assert got == expected, (sorted(graph.edges()), origin)
 
 
 def test_engine_speedup_distributed():
