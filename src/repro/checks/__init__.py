@@ -12,9 +12,8 @@ the *code*, not of any one test.  This package enforces them twice over:
   clock in deterministic paths, layering violations (``obs`` inside the
   kernel), mutable default arguments, bare excepts, and public entry
   points without a ``seed`` plumb-through.  Findings can be suppressed
-  inline with ``# repro: allow[RULE]`` or parked in a committed
-  baseline; the ``repro-lint`` CLI (:mod:`repro.checks.cli`) reports
-  the rest.
+  inline with ``# repro: allow[RULE]``; ``repro-check`` reports the
+  rest.
 * **Dynamically** — :mod:`repro.checks.sanitizer` shadow-checks live
   runs (``REPRO_SANITIZE=1`` or ``repro-coverage --sanitize``): every
   fresh CSR-kernel verdict is recomputed on the dict oracle, engine
@@ -22,33 +21,29 @@ the *code*, not of any one test.  This package enforces them twice over:
   merges are re-associated and compared.  Violations surface through the
   obs tracer and raise by default.
 
-A second front, ``repro-verify`` (:mod:`repro.checks.verify_cli`),
-verifies the *distributed protocol* rather than determinism: contract
-extraction over ``runtime/`` (:mod:`repro.checks.protocol`, REPRO20x)
-and locality flow analysis (:mod:`repro.checks.locality`, REPRO21x).
-The floods' behaviour under every inbox order is tested on the running
-simulator, not on a model of it.
+Three more rule families run beside the determinism rules.  The
+locality rules (:mod:`repro.checks.locality`, REPRO21x) prove the
+runtime's per-node decision paths read only their own view and inbox.
+The protocol pass (:mod:`repro.checks.protocol`, REPRO202/205) extracts
+the send/handle contract from ``runtime/``.  The pool-hygiene rules
+(:mod:`repro.checks.concurrency`, REPRO30x) keep only compact data
+crossing pool boundaries, keep module-level state fork-safe and keep
+every ``REPRO_*`` read in the declared knob registry
+(:mod:`repro.knobs`).  Their dynamic counterpart is the ``REPRO_CHAOS``
+order sanitizer in :mod:`repro.parallel.runner`, which adversarially
+permutes completion/consumption order while CI asserts schedules stay
+byte-identical.
 
-A third front, ``repro-race`` (:mod:`repro.checks.race_cli`), verifies
-the *process-parallel layer's ownership and lifecycle contracts*
-(:mod:`repro.checks.concurrency`, REPRO30x): the pool-boundary
-argument audit (only compact data crosses), the fork-inheritance
-discipline for module-level state, and the declared knob registry
-(:mod:`repro.knobs`).  Its dynamic counterpart is the
-``REPRO_CHAOS`` order sanitizer in :mod:`repro.parallel.runner`, which
-adversarially permutes completion/consumption order while CI asserts
-schedules stay byte-identical.
-
-``repro-check`` (:mod:`repro.checks.runner`) runs the three fronts in
-sequence with one exit code.  The paper's radii (the ``k``-ball, the
-``m``-hop MIS separation, the halo band, the flood TTLs) have no static
-front of their own: tests of :mod:`repro.topology.radii` and of the
-running floods, schedules and shard plans guard them.
+``repro-check`` (:mod:`repro.checks.runner`) runs every rule in one
+pass with one exit code.  The floods' behaviour under every inbox order
+and the paper's radii (the ``k``-ball, the ``m``-hop MIS separation, the
+halo band, the flood TTLs) have no static rule: tests of
+:mod:`repro.topology.radii` and of the running floods, schedules and
+shard plans guard them.
 """
 
 from repro.checks.concurrency import CONCURRENCY_RULES, concurrency_rules
 from repro.checks.engine import (
-    Baseline,
     Finding,
     LintEngine,
     Rule,
@@ -70,7 +65,6 @@ from repro.checks.sanitizer import (
 )
 
 __all__ = [
-    "Baseline",
     "CONCURRENCY_RULES",
     "DEFAULT_RULES",
     "Finding",

@@ -1,7 +1,7 @@
-"""``python -m repro.checks`` == ``repro-lint``."""
+"""``python -m repro.checks`` == ``repro-check``."""
 
 import sys
 
-from repro.checks.cli import main
+from repro.checks.runner import main
 
 sys.exit(main())

@@ -1,8 +1,8 @@
 """Ownership & lifecycle verification for the process-parallel layer.
 
-The REPRO3xx rule family (the ``repro-race`` CLI) statically proves the
-concurrency contracts DESIGN.md sections 9-10 *state* — the disciplines
-the distributed-correctness argument hinges on:
+The REPRO3xx rule family statically proves the concurrency contracts
+DESIGN.md sections 9-10 *state* — the disciplines the
+distributed-correctness argument hinges on:
 
 * **Cross-process channel audit** (REPRO306).  The only data crossing
   a pool boundary is pickled compact tuples, halo rows and counter/span
@@ -19,9 +19,10 @@ the distributed-correctness argument hinges on:
   ``REPRO_*`` name must be declared in :mod:`repro.knobs`, and literal
   defaults must match the registry's.
 
-Rules run through the shared :class:`~repro.checks.engine.LintEngine`,
-so inline ``# repro: allow[...]`` suppressions, the committed baseline
-and the stable text/JSON reports behave exactly like ``repro-lint``.
+Rules run through the shared :class:`~repro.checks.engine.LintEngine`
+in the same ``repro-check`` pass as every other rule, so inline
+``# repro: allow[...]`` suppressions and the stable text/JSON reports
+behave exactly as they do for the determinism rules.
 
 The runtime witness for the happens-before claims these rules make is
 the ``REPRO_CHAOS`` sanitizer (:mod:`repro.parallel.runner`): it

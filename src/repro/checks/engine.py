@@ -3,14 +3,13 @@
 A :class:`Rule` inspects one parsed module and yields :class:`Finding`
 objects.  The engine owns everything around that: discovering files,
 parsing them once per file, applying inline ``# repro: allow[RULE]``
-suppressions, filtering against a committed :class:`Baseline`, and
-rendering the survivors as text or JSON.
+suppressions, and rendering the survivors as text or JSON.
 
 Determinism of the *tooling itself* is part of the contract: findings
 are always sorted by ``(path, rule, line, column)``, paths are
 repo-relative POSIX strings, and the JSON rendering round-trips through
-``sort_keys`` — so CI diffs and the baseline file are byte-stable across
-filesystems and walk orders.
+``sort_keys`` — so CI diffs are byte-stable across filesystems and walk
+orders.
 
 Suppression syntax, on the flagged line or the line directly above::
 
@@ -26,7 +25,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: ``# repro: allow[rule-a, RULE002]`` — case-preserving, comma tolerant.
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]+)\]")
@@ -46,15 +45,6 @@ class Finding:
     @property
     def sort_key(self) -> Tuple[str, str, int, int]:
         return (self.path, self.rule, self.line, self.col)
-
-    def fingerprint(self) -> str:
-        """Baseline identity: location-insensitive within a file.
-
-        Keyed on ``(path, rule, message)`` so a baseline entry survives
-        unrelated edits that shift line numbers, while any change to
-        *what* is flagged invalidates it.
-        """
-        return f"{self.path}::{self.rule}::{self.message}"
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -144,41 +134,6 @@ def apply_suppressions(
     return [f for f in findings if not _is_suppressed(f, allows)]
 
 
-class Baseline:
-    """A committed set of accepted findings, keyed by fingerprint.
-
-    The workflow mirrors ruff's ``--add-noqa`` / mypy's baseline tools:
-    run ``repro-lint --update-baseline`` once to park current findings,
-    commit the file, and from then on only *new* findings fail the lint.
-    Entries are stored sorted so the file is diff-stable.
-    """
-
-    def __init__(self, entries: Optional[Iterable[str]] = None) -> None:
-        self.entries: Set[str] = set(entries or ())
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        if not path.exists():
-            return cls()
-        data = json.loads(path.read_text())
-        if not isinstance(data, dict) or "entries" not in data:
-            raise ValueError(f"malformed baseline file: {path}")
-        return cls(data["entries"])
-
-    def save(self, path: Path) -> None:
-        payload = {
-            "format": "repro-lint-baseline/v1",
-            "entries": sorted(self.entries),
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    def __contains__(self, finding: Finding) -> bool:
-        return finding.fingerprint() in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 class LintEngine:
     """Walk files, run every registered rule, apply suppressions."""
 
@@ -243,19 +198,10 @@ class LintEngine:
 
 
 def lint_paths(
-    paths: Sequence[Path],
-    rules: Sequence[Rule],
-    baseline: Optional[Baseline] = None,
-    root: Optional[Path] = None,
-) -> Tuple[List[Finding], List[Finding]]:
-    """Lint ``paths``; returns ``(new_findings, baselined_findings)``."""
-    engine = LintEngine(rules, root=root)
-    findings = engine.lint(paths)
-    if baseline is None:
-        return findings, []
-    fresh = [f for f in findings if f not in baseline]
-    parked = [f for f in findings if f in baseline]
-    return fresh, parked
+    paths: Sequence[Path], rules: Sequence[Rule], root: Optional[Path] = None
+) -> List[Finding]:
+    """Lint ``paths`` with ``rules``; findings sorted by :attr:`Finding.sort_key`."""
+    return LintEngine(rules, root=root).lint(paths)
 
 
 # ----------------------------------------------------------------------
@@ -270,12 +216,10 @@ def render_text(findings: Sequence[Finding]) -> str:
     return "\n".join(rows)
 
 
-def render_json(
-    findings: Sequence[Finding], format: str = "repro-lint/v1"
-) -> str:
+def render_json(findings: Sequence[Finding]) -> str:
     """Stable JSON: findings sorted by (path, rule, line), sorted keys."""
     payload = {
-        "format": format,
+        "format": "repro-lint/v1",
         "count": len(findings),
         "findings": [
             f.as_dict() for f in sorted(findings, key=lambda f: f.sort_key)

@@ -18,8 +18,8 @@ REPRO205  silent-drop            an inbox loop that skips kinds without
 The flood behaviour itself (TTLs, relay guards, radius-ball coverage,
 order independence) is tested on the running runtime instead: see
 ``tests/unit/test_runtime.py`` (``TestFloodRadii`` and the inbox-shuffle
-test).  Findings honour the ``# repro: allow[rule]`` suppressions and
-baseline of :mod:`repro.checks.engine`.
+test).  Findings honour the ``# repro: allow[rule]`` suppressions of
+:mod:`repro.checks.engine`.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _parse_files(paths: Sequence[Path], root: Path) -> List[_SourceFile]:
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError:
-            continue  # repro-lint owns the syntax-error finding
+            continue  # the engine pass owns the syntax-error finding
         try:
             rel = path.relative_to(root).as_posix()
         except ValueError:

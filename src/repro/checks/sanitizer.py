@@ -158,8 +158,10 @@ class Sanitizer:
     def __init__(self, mode: str = "raise", stride: int = 1) -> None:
         if mode not in ("raise", "warn"):
             raise ValueError(f"unknown sanitizer mode {mode!r}")
+        if stride < 1:
+            raise ValueError(f"REPRO_SANITIZE_STRIDE must be >= 1, got {stride!r}")
         self.mode = mode
-        self.stride = max(1, int(stride))
+        self.stride = stride
         self.checks: Dict[str, int] = {}
         self.violations: List[Violation] = []
         self._hit_tick = 0
@@ -320,8 +322,8 @@ def _env_stride() -> int:
 
 def _init_from_env() -> None:
     global _ACTIVE
-    value = os.environ.get("REPRO_SANITIZE", "").strip().lower()
-    if value and value not in ("0", "false", "off", "no"):
+    value = knobs.get_str("REPRO_SANITIZE").strip().lower()
+    if value not in knobs.FALSE_WORDS:
         mode = "warn" if value == "warn" else "raise"
         _ACTIVE = Sanitizer(mode=mode, stride=_env_stride())
 

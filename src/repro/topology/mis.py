@@ -28,9 +28,7 @@ is provably the serial lazy scan's (no eager redundant verdicts), and
 the winners are the lazy scan's exactly.
 
 Snapshot semantics: a step decides against the statuses frozen at its
-entry, exactly the shard barrier's contract.  Without numpy the
-propagation runs in pure Python over the same live adjacency lists —
-same answers, test-scale speed.
+entry, exactly the shard barrier's contract.
 """
 
 from __future__ import annotations
@@ -38,10 +36,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised by the import-time environment
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 #: MIS statuses; plain ints so status rows pickle small.  The shard
 #: protocol ships them across processes, so they are defined here, at
@@ -97,8 +92,7 @@ class WaveMIS:
             if owned is None
             else sum(1 for v in self._prio if v in owned)
         )
-        if np is not None:
-            self._init_arrays(kernel)
+        self._init_arrays(kernel)
 
     def _init_arrays(self, kernel) -> None:
         """Freeze the live adjacency and the candidate masks as arrays.
@@ -152,34 +146,6 @@ class WaveMIS:
             labels[nonempty] = reduced
         return labels
 
-    def _propagate_python(self):
-        """Pure-Python twin of :meth:`_propagate` (numpy missing).
-
-        Walks the kernel's live adjacency lists directly, carrying
-        undecided-min and winner-min labels in dicts keyed by slot.
-        """
-        adj = self._kernel.adj
-        status = self._status
-        prio = self._prio
-        und: Dict[int, int] = {}
-        win: Dict[int, int] = {}
-        for v, slot in self._slot_of.items():
-            state = status[v]
-            if state == UNDECIDED:
-                und[slot] = prio[v]
-            elif state == WINNER:
-                win[slot] = prio[v]
-        for labels in (und, win):
-            for _ in range(self._radius):
-                frontier = dict(labels)
-                for slot, value in labels.items():
-                    for other in adj[slot]:
-                        if frontier.get(other, _INF) > value:
-                            frontier[other] = value
-                labels.clear()
-                labels.update(frontier)
-        return und, win
-
     # ------------------------------------------------------------------
     # Wave steps
     # ------------------------------------------------------------------
@@ -200,8 +166,6 @@ class WaveMIS:
             # Nothing left that this view may decide or test: foreign
             # stragglers (halo candidates) resolve through their owners.
             return [], []
-        if np is None:
-            return self._step_python()
         prio_arr = self._prio_arr
         undecided = self._undecided
         und_min = np.where(undecided, prio_arr, _INF)
@@ -223,26 +187,6 @@ class WaveMIS:
         testable.sort(key=prio.__getitem__)
         self._decide_losers(blocked)
         undecided[blocked_mask] = False
-        return testable, blocked
-
-    def _step_python(self) -> Tuple[List[int], List[int]]:
-        und, win = self._propagate_python()
-        prio = self._prio
-        status = self._status
-        owned = self._owned
-        blocked: List[int] = []
-        testable: List[int] = []
-        for v, slot in self._slot_of.items():
-            if status[v] != UNDECIDED:
-                continue
-            mine = prio[v]
-            if win.get(slot, _INF) < mine:
-                blocked.append(v)
-            elif und.get(slot, _INF) == mine and (owned is None or v in owned):
-                testable.append(v)
-        blocked.sort(key=prio.__getitem__)
-        testable.sort(key=prio.__getitem__)
-        self._decide_losers(blocked)
         return testable, blocked
 
     def _decide_losers(self, blocked: List[int]) -> None:
@@ -275,11 +219,10 @@ class WaveMIS:
             self._open_owned -= 1
         if status == WINNER:
             self._winners.append(v)
-        if np is not None:
-            slot = self._slot_of[v]
-            self._undecided[slot] = False
-            if status == WINNER:
-                self._winner_mask[slot] = True
+        slot = self._slot_of[v]
+        self._undecided[slot] = False
+        if status == WINNER:
+            self._winner_mask[slot] = True
 
     # ------------------------------------------------------------------
     # Results

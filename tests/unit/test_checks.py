@@ -8,9 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks.cli import main as lint_main
 from repro.checks.engine import (
-    Baseline,
     Finding,
     LintEngine,
     lint_paths,
@@ -18,6 +16,7 @@ from repro.checks.engine import (
     render_text,
 )
 from repro.checks.rules import all_rules
+from repro.checks.runner import main as check_main
 from repro.checks.sanitizer import (
     Sanitizer,
     SanitizerError,
@@ -43,8 +42,7 @@ def lint_source(tmp_path: Path, source: str, rel: str = "mod.py"):
     target = tmp_path / rel
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source))
-    findings, _ = lint_paths([target], all_rules(), root=tmp_path)
-    return findings
+    return lint_paths([target], all_rules(), root=tmp_path)
 
 
 def rules_of(findings):
@@ -461,53 +459,17 @@ class TestShardLocality:
         import repro.shard.runtime as runtime_module
 
         source = Path(runtime_module.__file__)
-        findings, _ = lint_paths(
-            [source], all_rules(), root=source.parents[3]
-        )
+        findings = lint_paths([source], all_rules(), root=source.parents[3])
         assert not [f for f in findings if f.rule == "REPRO113"]
 
 
 # ----------------------------------------------------------------------
-# Engine mechanics: baseline, reporters, syntax errors
+# Engine mechanics: reporters, syntax errors
 # ----------------------------------------------------------------------
 class TestEngine:
     def test_syntax_error_becomes_finding(self, tmp_path):
         findings = lint_source(tmp_path, "def broken(:\n")
         assert [f.rule for f in findings] == ["REPRO999"]
-
-    def test_baseline_parks_known_findings(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("out = list({1, 2})\n")
-        findings, _ = lint_paths([target], all_rules(), root=tmp_path)
-        baseline = Baseline(f.fingerprint() for f in findings)
-        fresh, parked = lint_paths(
-            [target], all_rules(), baseline=baseline, root=tmp_path
-        )
-        assert fresh == [] and len(parked) == 1
-
-    def test_new_finding_escapes_baseline(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("out = list({1, 2})\n")
-        findings, _ = lint_paths([target], all_rules(), root=tmp_path)
-        baseline = Baseline(f.fingerprint() for f in findings)
-        target.write_text("out = list({1, 2})\nmore = list({3, 4})\n")
-        fresh, parked = lint_paths(
-            [target], all_rules(), baseline=baseline, root=tmp_path
-        )
-        assert len(fresh) == 1 and len(parked) == 1
-
-    def test_baseline_roundtrip(self, tmp_path):
-        baseline = Baseline(["a::R::m", "b::R::m"])
-        path = tmp_path / "base.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert loaded.entries == baseline.entries
-        data = json.loads(path.read_text())
-        assert data["format"] == "repro-lint-baseline/v1"
-        assert data["entries"] == sorted(data["entries"])
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert len(Baseline.load(tmp_path / "absent.json")) == 0
 
     def test_json_rendering_is_stable(self):
         scrambled = [
@@ -543,38 +505,22 @@ class TestEngine:
 class TestCli:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("x = sorted({1, 2})\n")
-        assert lint_main([str(tmp_path), "--root", str(tmp_path)]) == 0
+        assert check_main([str(tmp_path), "--root", str(tmp_path)]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_findings_exit_one(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text("x = list({1, 2})\n")
-        assert lint_main([str(tmp_path), "--root", str(tmp_path)]) == 1
+        assert check_main([str(tmp_path), "--root", str(tmp_path)]) == 1
         assert "REPRO102" in capsys.readouterr().out
-
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("x = list({1, 2})\n")
-        assert (
-            lint_main([str(tmp_path), "--root", str(tmp_path), "--update-baseline"])
-            == 0
-        )
-        assert (tmp_path / "repro-lint.baseline.json").exists()
-        assert lint_main([str(tmp_path), "--root", str(tmp_path)]) == 0
-        assert "1 baselined" in capsys.readouterr().out.splitlines()[-1]
-
-    def test_select_unknown_rule_exits_two(self, tmp_path):
-        assert (
-            lint_main([str(tmp_path), "--root", str(tmp_path), "--select", "nope"])
-            == 2
-        )
 
     def test_json_output_parses(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text("x = list({1, 2})\n")
-        lint_main([str(tmp_path), "--root", str(tmp_path), "--json"])
+        check_main([str(tmp_path), "--root", str(tmp_path), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 1
 
     def test_list_rules(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
+        assert check_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("REPRO101", "REPRO108"):
             assert rule_id in out
@@ -662,6 +608,28 @@ class TestSanitizerChecks:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             Sanitizer(mode="loud")
+
+    def test_nonpositive_stride_rejected(self):
+        for stride in (0, -2):
+            with pytest.raises(ValueError, match=f"REPRO_SANITIZE_STRIDE.*{stride}"):
+                Sanitizer(stride=stride)
+
+    def test_malformed_env_stride_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE_STRIDE", "abc")
+        with pytest.raises(ValueError, match="REPRO_SANITIZE_STRIDE='abc'"):
+            enable_sanitizer()
+
+    def test_env_activation_uses_knob_false_words(self, monkeypatch):
+        from repro import knobs
+        from repro.checks import sanitizer as sanitizer_module
+
+        for word in knobs.FALSE_WORDS:
+            monkeypatch.setenv("REPRO_SANITIZE", f" {word.upper()} ")
+            sanitizer_module._init_from_env()
+            assert current_sanitizer() is None
+        monkeypatch.setenv("REPRO_SANITIZE", "warn")
+        sanitizer_module._init_from_env()
+        assert current_sanitizer().mode == "warn"
 
 
 class TestSanitizerEngineHooks:
@@ -861,51 +829,101 @@ class TestTraceGuard:
             *sorted((root / "src/repro/topology").glob("*.py")),
             root / "src/repro/shard/runtime.py",
         ]
-        findings, _ = lint_paths(hot, [TraceGuardRule()], root=root)
+        findings = lint_paths(hot, [TraceGuardRule()], root=root)
         assert findings == []
 
 
+#: One violation per rule family, keyed by its path under the tree.
+_FAMILY_FIXTURES = {
+    # REPRO101, determinism: the process-global RNG in a plain module.
+    "mod.py": "import random\n\nx = random.random()\n",
+    # REPRO306, pool hygiene: a graph object handed across a pool.
+    "repro/parallel/fan.py": (
+        "def fan(pool, task, graph):\n"
+        "    return pool.submit(task, graph)\n"
+    ),
+    # REPRO210, locality: a runtime decision reads the global topology.
+    "repro/runtime/logic.py": (
+        "def decide(sim):\n"
+        "    for node in sim.active:\n"
+        "        if sim.graph.degree(node) > 1:\n"
+        "            pass\n"
+    ),
+    # REPRO202, protocol: a message kind nobody sends or handles.
+    "repro/runtime/proto.py": (
+        "from enum import Enum\n"
+        "\n"
+        "\n"
+        "class MessageKind(Enum):\n"
+        '    PING = "ping"\n'
+        '    DEAD = "dead"\n'
+        "\n"
+        "\n"
+        "def flood(sim, nodes):\n"
+        "    for v in nodes:\n"
+        "        sim.send(Message(MessageKind.PING, src=v))\n"
+        "    for node in nodes:\n"
+        "        for msg in sim.inbox(node):\n"
+        "            if msg.kind is not MessageKind.PING:\n"
+        "                sim.stats.record_drop(msg.kind.value)\n"
+        "                continue\n"
+    ),
+}
+
+#: What the determinism, pool-hygiene and protocol/locality checks,
+#: each run on its own, reported for that tree as (path, rule, line, col).
+_FAMILY_UNION = [
+    ("mod.py", "REPRO101", 3, 4),
+    ("repro/parallel/fan.py", "REPRO306", 2, 11),
+    ("repro/runtime/logic.py", "REPRO210", 3, 11),
+    ("repro/runtime/proto.py", "REPRO202", 1, 0),
+]
+
+
 class TestReproCheckUmbrella:
-    """The repro-check entry point: all fronts, one exit code."""
+    """The repro-check entry point: every rule, one pass, one exit code."""
 
     ROOT = Path(__file__).resolve().parents[2]
 
-    def test_unknown_front_exits_two(self, capsys):
-        from repro.checks.runner import main as check_main
-
-        assert check_main(["--fronts", "lint,nonsense"]) == 2
-        assert "unknown fronts: nonsense" in capsys.readouterr().err
-
-    def test_front_subset_runs_only_those(self, capsys):
-        from repro.checks.runner import main as check_main
-
-        code = check_main(
-            [str(self.ROOT / "src"), "--root", str(self.ROOT),
-             "--fronts", "lint,race"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "== repro-lint ==" in out
-        assert "== repro-race ==" in out
-        assert "== repro-verify ==" not in out
-
     def test_exit_code_is_worst_front(self, tmp_path, capsys):
-        from repro.checks.runner import main as check_main
-
-        # A tree that is race-clean but lint-dirty: the umbrella must
-        # surface the failing front's code.
+        # A tree that is pool- and protocol-clean but determinism-dirty:
+        # the one exit code must surface the failing family.
         fixture = tmp_path / "repro" / "core" / "fix.py"
         fixture.parent.mkdir(parents=True)
         fixture.write_text("def f(xs=[]):\n    return xs\n")
-        code = check_main(
-            [str(tmp_path), "--root", str(tmp_path),
-             "--fronts", "race,lint"]
-        )
+        code = check_main([str(tmp_path), "--root", str(tmp_path)])
         out = capsys.readouterr().out
-        assert "repro-race: 0 finding(s)" in out
-        assert "repro-lint: 1 finding(s)" in out
+        assert "REPRO105" in out
+        assert "repro-check: 1 finding(s)" in out
         assert code == 1
 
-    def test_shared_select_rejects_unknown_rules(self, capsys):
-        assert lint_main(["--select", "REPRO999"]) == 2
-        assert "unknown rules" in capsys.readouterr().err
+    def test_one_pass_reports_every_family(self, tmp_path, capsys):
+        for rel, source in _FAMILY_FIXTURES.items():
+            target = tmp_path / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(source)
+        assert check_main([str(tmp_path), "--root", str(tmp_path), "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        got = [(f["path"], f["rule"], f["line"], f["col"]) for f in payload["findings"]]
+        assert got == _FAMILY_UNION
+        assert payload["count"] == len(_FAMILY_UNION)
+        assert payload["contract"]["kinds"] == ["PING", "DEAD"]
+
+    def test_repo_sweep_is_clean_and_carries_contract(self, capsys):
+        code = check_main([str(self.ROOT / "src"), "--root", str(self.ROOT), "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0, payload["findings"]
+        assert payload["format"] == "repro-check/v1"
+        assert set(payload) == {"format", "count", "findings", "contract"}
+        assert set(payload["contract"]) == {"kinds", "matrix"}
+        assert set(payload["contract"]["matrix"]) == {"DELETE", "PRIORITY", "TOPOLOGY"}
+
+    def test_missing_path_fails(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "dir"
+        assert check_main([str(missing), "--root", str(tmp_path)]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_path_without_python_files_fails(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("nothing to check\n")
+        assert check_main([str(tmp_path), "--root", str(tmp_path)]) == 2
+        assert "no .py files" in capsys.readouterr().err

@@ -60,8 +60,12 @@ class TestAccessors:
         assert knobs.get_int("REPRO_SANITIZE_STRIDE") == 1
         monkeypatch.setenv("REPRO_SANITIZE_STRIDE", "17")
         assert knobs.get_int("REPRO_SANITIZE_STRIDE") == 17
-        monkeypatch.setenv("REPRO_SANITIZE_STRIDE", "not-a-number")
-        assert knobs.get_int("REPRO_SANITIZE_STRIDE") == 1
+
+    def test_int_malformed_value_raises(self, monkeypatch):
+        for name, value in (("REPRO_SANITIZE_STRIDE", "abc"), ("REPRO_CHAOS_SEED", "x")):
+            monkeypatch.setenv(name, value)
+            with pytest.raises(ValueError, match=f"{name}='{value}'"):
+                knobs.get_int(name)
 
     def test_str_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)

@@ -1,9 +1,9 @@
-"""Unit tests for the REPRO3xx concurrency rules and the repro-race CLI.
+"""Unit tests for the REPRO3xx concurrency rules under repro-check.
 
 Each rule gets a positive fixture (the violation fires) and a negative
 fixture (the sanctioned idiom passes).  The sweep test at the bottom
 encodes the acceptance criterion: the real source tree is clean under
-every rule with an empty baseline.
+every rule.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from repro.checks.concurrency import CONCURRENCY_RULES, concurrency_rules
 from repro.checks.engine import lint_paths
-from repro.checks.race_cli import main as race_main
+from repro.checks.runner import main as check_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -27,8 +27,7 @@ def race_source(tmp_path: Path, source: str, rel: str = "repro/parallel/mod.py")
     target = tmp_path / rel
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source))
-    findings, _ = lint_paths([target], concurrency_rules(), root=tmp_path)
-    return findings
+    return lint_paths([target], concurrency_rules(), root=tmp_path)
 
 
 def rules_of(findings):
@@ -245,56 +244,35 @@ class TestRuleRegistry:
 class TestRaceCli:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("x = 1\n")
-        assert race_main([str(tmp_path), "--root", str(tmp_path)]) == 0
-        assert "repro-race: 0 finding(s)" in capsys.readouterr().out
+        assert check_main([str(tmp_path), "--root", str(tmp_path)]) == 0
+        assert "repro-check: 0 finding(s)" in capsys.readouterr().out
 
     def test_finding_exits_one_and_json_is_stable(self, tmp_path, capsys):
         bad = tmp_path / "repro" / "parallel" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text('import os\nA = os.environ.get("REPRO_NOPE")\n')
-        assert race_main([str(tmp_path), "--root", str(tmp_path)]) == 1
+        assert check_main([str(tmp_path), "--root", str(tmp_path)]) == 1
         capsys.readouterr()
-        assert (
-            race_main([str(tmp_path), "--root", str(tmp_path), "--json"]) == 1
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["format"] == "repro-race/v1"
+        argv = [str(tmp_path), "--root", str(tmp_path), "--json"]
+        assert check_main(argv) == 1
+        first = capsys.readouterr().out
+        assert check_main(argv) == 1
+        assert capsys.readouterr().out == first
+        payload = json.loads(first)
+        assert payload["format"] == "repro-check/v1"
         assert payload["count"] == 1
         assert payload["findings"][0]["rule"] == "REPRO308"
 
-    def test_baseline_parks_findings(self, tmp_path, capsys):
-        bad = tmp_path / "repro" / "parallel" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text('import os\nA = os.environ.get("REPRO_NOPE")\n')
-        assert (
-            race_main([str(tmp_path), "--root", str(tmp_path), "--update-baseline"])
-            == 0
-        )
-        capsys.readouterr()
-        assert race_main([str(tmp_path), "--root", str(tmp_path)]) == 0
-        assert "(1 baselined)" in capsys.readouterr().out
-        assert (
-            race_main([str(tmp_path), "--root", str(tmp_path), "--no-baseline"])
-            == 1
-        )
-
-    def test_select_and_list_rules(self, tmp_path, capsys):
-        assert race_main(["--list-rules"]) == 0
+    def test_list_rules(self, capsys):
+        assert check_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "REPRO306" in out and "knob-registry" in out
-        assert race_main([str(tmp_path), "--select", "bogus-rule"]) == 2
 
 
 class TestRepoSweep:
     def test_source_tree_is_clean(self):
-        """The acceptance criterion: repro-race finds nothing in src/."""
-        findings, _ = lint_paths(
-            [REPO_ROOT / "src"], concurrency_rules(), root=REPO_ROOT
-        )
+        """The acceptance criterion: the REPRO3xx rules find nothing in src/."""
+        findings = lint_paths([REPO_ROOT / "src"], concurrency_rules(), root=REPO_ROOT)
         assert findings == [], "\n".join(
             f"{f.path}:{f.line}: {f.rule} {f.message}" for f in findings
         )
-
-    def test_committed_baseline_is_empty(self):
-        data = json.loads((REPO_ROOT / "repro-race.baseline.json").read_text())
-        assert data["entries"] == []

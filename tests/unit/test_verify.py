@@ -1,4 +1,4 @@
-"""Unit tests for the repro-verify front: protocol, locality, CLI."""
+"""Unit tests for the protocol and locality rules and their repro-check report."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 from repro.checks.engine import LintEngine
 from repro.checks.locality import default_locality_rules
 from repro.checks.protocol import extract_contract
-from repro.checks.verify_cli import main as verify_main
+from repro.checks.runner import main as check_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 RUNTIME = REPO_ROOT / "src" / "repro" / "runtime"
@@ -237,35 +237,37 @@ class TestLocalityRules:
 # ----------------------------------------------------------------------
 class TestVerifyCli:
     def test_list_rules(self, capsys):
-        assert verify_main(["--list-rules"]) == 0
+        assert check_main(["--list-rules"]) == 0
         ids = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-        assert ids == ["REPRO202", "REPRO205", "REPRO210", "REPRO211", "REPRO212"]
+        assert ids == sorted(ids)
+        for rule_id in ("REPRO202", "REPRO205", "REPRO210", "REPRO211", "REPRO212"):
+            assert rule_id in ids
 
     def test_repo_verifies_clean(self, capsys):
-        code = verify_main(["src/repro/runtime", "--root", str(REPO_ROOT)])
+        code = check_main(["src/repro/runtime", "--root", str(REPO_ROOT)])
         out = capsys.readouterr().out
         assert code == 0
         assert "0 finding(s)" in out
         assert "contract DELETE(" in out
 
     def test_json_report_shape(self, capsys):
-        code = verify_main(
+        code = check_main(
             ["src/repro/runtime", "--root", str(REPO_ROOT), "--json"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["format"] == "repro-verify/v2"
+        assert payload["format"] == "repro-check/v1"
         assert payload["count"] == 0
         matrix = payload["contract"]["matrix"]
         assert set(matrix) == {"TOPOLOGY", "PRIORITY", "DELETE"}
 
     def test_json_contract_is_kinds_and_matrix(self, capsys):
-        verify_main(["src/repro/runtime", "--root", str(REPO_ROOT), "--json"])
+        check_main(["src/repro/runtime", "--root", str(REPO_ROOT), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"format", "count", "findings", "contract"}
         assert set(payload["contract"]) == {"kinds", "matrix"}
 
-    def test_violations_fail_and_baseline_parks_them(self, tmp_path, capsys):
+    def test_violations_fail(self, tmp_path, capsys):
         target = tmp_path / "repro" / "runtime" / "proto.py"
         target.parent.mkdir(parents=True)
         target.write_text(
@@ -273,10 +275,5 @@ class TestVerifyCli:
                 "                    sim.stats.record_drop(msg.kind.value)\n", ""
             )
         )
-        argv = [str(target), "--root", str(tmp_path)]
-        assert verify_main(argv) == 1
+        assert check_main([str(target), "--root", str(tmp_path)]) == 1
         assert "REPRO205" in capsys.readouterr().out
-        assert verify_main(argv + ["--update-baseline"]) == 0
-        capsys.readouterr()
-        assert verify_main(argv) == 0
-        assert "baselined" in capsys.readouterr().out
