@@ -4,8 +4,10 @@ The deletability primitive of Definition 5 bottoms out in three loops:
 k-ball extraction (BFS), chord numbering (spanning forest), and staged
 tau-capped cycle streaming into a GF(2) elimination; before the last
 two, each ball is shrunk to its strong-collapse core, which has the same
-verdict.  The last two are one staged rank routine (triangles, 4-cycles,
-truncated-BFS closures), which also answers every whole-graph question:
+verdict.  The last two are one staged rank routine (a tree closure that
+solves every chord with a short path through the spanning tree, then
+triangles, 4-cycles and truncated-BFS closures on what is left), which
+also answers every whole-graph question:
 the coverage criterion (:meth:`CSRGraph.short_cycles_contain`) runs it on
 the graph's strong-collapse core with the boundary vertices pinned, and
 ``ShortCycleSpan`` (:meth:`CSRGraph.short_cycle_span`) on the whole graph.
@@ -326,7 +328,11 @@ class CSRGraph:
             handle.set(core=len(members))
         if self._spanning_forest(members, mrows) != 1:
             return False
-        return self._rank_stages(self._number_chords(members, mrows), members, tau)
+        span = self._number_chords(members, mrows)
+        stage = self._rank_stages(span, members, tau)
+        if handle is not None:
+            handle.set(nu=span.nu, closed=span.closed, stage=stage or "none")
+        return stage is not None
 
     def strong_collapse(
         self,
@@ -433,7 +439,8 @@ class CSRGraph:
         members, mrows = self.strong_collapse(members, mrows, pinned)
         self._spanning_forest(members, mrows)
         span = self._number_chords(members, mrows)
-        return self._rank_stages(span, members, tau, span.project(slot_edges))
+        target = span.project(slot_edges)
+        return self._rank_stages(span, members, tau, target) is not None
 
     def short_cycle_span(self, tau: int) -> "StagedSpan":
         """The span of every cycle of length at most ``tau`` in the graph.
@@ -496,28 +503,46 @@ class CSRGraph:
         from its smaller endpoint; its position in the larger endpoint's
         row is tracked by a per-vertex cursor (smaller neighbours of
         ``w`` arrive in ascending order as ``u`` sweeps the sorted member
-        list, which is exactly row order).
+        list, which is exactly row order).  The same pass lays out the
+        tree closure's input (:meth:`_tree_closure`): the forest's closed
+        neighbourhoods as bitsets over member positions, its edges as
+        position pairs, and every chord with both of its mask cells.
         """
         parent = self._parent
         amask: Dict[int, List[int]] = {u: [0] * len(mrows[u]) for u in members}
         ptr = self._dist  # scratch; stage 3 reinitialises before reuse
-        for u in members:
+        pos = self._acc  # scratch; the triangle stage overwrites it
+        for i, u in enumerate(members):
             ptr[u] = 0
+            pos[u] = i
+        near = [1 << i for i in range(len(members))]
+        tree: List[Tuple[int, int]] = []
+        chords: List[Tuple[int, int, int, List[int], int, List[int], int]] = []
         bit = 0
         for u in members:
             pu = parent[u]
             row = mrows[u]
             arow = amask[u]
+            i = pos[u]
             for idx in range(bisect_right(row, u), len(row)):
                 w = row[idx]
                 p = ptr[w]
                 ptr[w] = p + 1
+                j = pos[w]
                 if pu != w and parent[w] != u:
                     m = 1 << bit
-                    bit += 1
                     arow[idx] = m
-                    amask[w][p] = m
-        return StagedSpan(mrows, amask, bit)
+                    wrow = amask[w]
+                    wrow[p] = m
+                    chords.append((i, j, bit, arow, idx, wrow, p))
+                    bit += 1
+                else:
+                    tree.append((i, j))
+                    near[i] |= 1 << j
+                    near[j] |= 1 << i
+        span = StagedSpan(mrows, amask, bit)
+        span.closure = (near, tree, chords)
+        return span
 
     def _rank_stages(
         self,
@@ -525,43 +550,124 @@ class CSRGraph:
         members: Sequence[int],
         tau: int,
         target: Optional[int] = None,
-    ) -> bool:
+    ) -> Optional[str]:
         """Stream the member cycles of length <= tau into ``span``.
 
-        Staged enumeration, cheapest candidates first: triangles,
-        4-cycles, then (tau >= 5) truncated-BFS closures.  Every simple
-        cycle of length <= 4 is a triangle or a 4-cycle, so the first two
-        stages are *complete* for tau in {3, 4}: no BFS at all on the
-        hot path.  Elimination is inlined into each stage (a flat pivot
-        array indexed by leading bit) with early exit at full rank —
-        dense neighbourhoods usually reach it midway through the
-        triangle stage.
+        The tree closure (:meth:`_tree_closure`) runs first and solves
+        every chord it can; the stages then stream, cheapest candidates
+        first, in the quotient it leaves: triangles, 4-cycles, then (tau
+        >= 5) truncated-BFS closures.  Every simple cycle of length <= 4
+        is a triangle or a 4-cycle, so the first two stages are
+        *complete* for tau in {3, 4}: no BFS at all on the hot path.
+        Elimination is inlined into each stage (a flat pivot array
+        indexed by leading bit) with early exit at full rank — the
+        closure alone fills it on most dense neighbourhoods.
 
         With ``target`` None the question is Definition 5's: do the short
         cycles fill the whole cycle space?  With a chord vector it is
         the criterion's: is the vector in their span?  It is reduced
-        against the pivots after each stage, and the routine answers
-        True as soon as it reduces to zero.
+        against the pivots after the closure and after each stage, and
+        the routine answers as soon as it reduces to zero.
+
+        Returns the step that completed the rank or emptied the target —
+        ``"closure"``, ``"triangle"``, ``"square"`` or ``"bfs"``; ``""``
+        when there is nothing to fill — or None when the short cycles
+        fall short.
         """
         nu = span.nu
         if target == 0 or nu == 0:
-            return True
-        rank = 0
-        for stage, complete_at in (
-            (self._triangle_stage, 3),
-            (self._square_stage, 4),
-            (self._closure_stage, tau),
+            span.closure = None
+            return ""
+        rank = self._tree_closure(span, tau)
+        if rank == nu:
+            return "closure"
+        if target is not None:
+            target = span.reduce(target)
+            if not target:
+                return "closure"
+        if rank == nu - 1:
+            # A short cycle through exactly one residual chord is that
+            # chord plus a path through H, which would have solved it;
+            # so a lone residual chord lies on no short cycle.
+            return None
+        for name, stage, complete_at in (
+            ("triangle", self._triangle_stage, 3),
+            ("square", self._square_stage, 4),
+            ("bfs", self._bfs_stage, tau),
         ):
             rank = stage(span, members, tau, rank)
             if rank == nu:
-                return True
+                return name
             if target is not None:
                 target = span.reduce(target)
                 if not target:
-                    return True
+                    return name
             if tau <= complete_at:
                 break
-        return False
+        return None
+
+    def _tree_closure(self, span, tau) -> int:
+        """Solve each chord that closes a cycle of length <= tau through H.
+
+        H starts as the spanning forest.  A chord (a, b) is *solved* when
+        H holds an a-b path of at most tau - 1 edges; it then joins H.
+        The test reads closed-ball bitsets of H over member positions:
+        B_r1(a) and B_r2(b) meet, with r1 + r2 = tau - 1, exactly when
+        such a path exists.  The balls are recomputed between sweeps over
+        the pending chords (a chord joining H mid-sweep already widens
+        its endpoints' radius-1 balls), until a sweep solves nothing.
+        That last sweep read balls exact for the final H, so no chord
+        left has such a path: the closure stops at its fixpoint, which
+        the lone-chord exit of :meth:`_rank_stages` relies on.  Solving
+        is monotone in H, so the chords solved do not depend on the
+        order of the walk.
+
+        Exactness: a solved chord's cycle is the chord plus tree edges
+        and chords solved before it, so these cycles are independent and
+        their span S is the span of the solved chords' unit vectors.  Let
+        pi clear the solved bits; ker pi = S lies inside the tau-span, so
+        rank = #solved + rank pi(candidates), and a target lies in the
+        tau-span iff its image under pi lies in pi of it.  Each solved
+        chord is recorded as a unit pivot, which keeps
+        :meth:`StagedSpan.rank` and :meth:`StagedSpan.reduce` exact, and
+        its ``amask`` cells are zeroed, so every stage streams projected
+        vectors with no XOR spent on solved bits and
+        :meth:`StagedSpan.project` returns the image under pi.  Returns
+        the number of chords solved.
+        """
+        near, tree, chords = span.closure
+        span.closure = None
+        r1 = (tau - 1) // 2
+        r2 = tau - 1 - r1
+        pivots = span.pivots
+        solved = 0
+        while chords:
+            ball = ball1 = near
+            for r in range(2, r2 + 1):
+                nxt = ball[:]
+                for i, j in tree:
+                    nxt[i] |= ball[j]
+                    nxt[j] |= ball[i]
+                ball = nxt
+                if r == r1:
+                    ball1 = ball
+            left = []
+            for chord in chords:
+                i, j, b, arow, idx, wrow, p = chord
+                if ball1[i] & ball[j]:
+                    pivots[b] = arow[idx]
+                    arow[idx] = wrow[p] = 0
+                    tree.append((i, j))
+                    near[i] |= 1 << j
+                    near[j] |= 1 << i
+                else:
+                    left.append(chord)
+            if len(left) == len(chords):
+                break
+            solved += len(chords) - len(left)
+            chords = left
+        span.closed = solved
+        return solved
 
     def _triangle_stage(self, span, members, tau, rank) -> int:
         """Stage 1: every triangle once; returns the rank reached."""
@@ -653,7 +759,7 @@ class CSRGraph:
                         return rank
         return rank
 
-    def _closure_stage(self, span, members, tau, rank) -> int:
+    def _bfs_stage(self, span, members, tau, rank) -> int:
         """Stage 3 (tau >= 5): per-root truncated-BFS closure streaming.
 
         For every root, the closure ``path(r,x) + (x,y) + path(r,y)`` of
@@ -723,10 +829,12 @@ class StagedSpan:
     ``amask[u][i]`` is the single-bit mask of edge ``(u, rows[u][i])``,
     0 for a tree edge, and ``nu`` counts the chords (the cycle-space
     dimension).  ``pivots[b]`` is the reduced row whose leading bit is
-    ``b``, or 0 when no row leads there.
+    ``b``, or 0 when no row leads there.  ``closure`` holds the tree
+    closure's input until it runs; ``closed`` then counts the chords it
+    solved, each a unit pivot with its ``amask`` cells zeroed.
     """
 
-    __slots__ = ("rows", "amask", "nu", "pivots")
+    __slots__ = ("rows", "amask", "nu", "pivots", "closure", "closed")
 
     def __init__(
         self, rows: Dict[int, List[int]], amask: Dict[int, List[int]], nu: int
@@ -735,6 +843,8 @@ class StagedSpan:
         self.amask = amask
         self.nu = nu
         self.pivots = [0] * nu
+        self.closure: Optional[tuple] = None
+        self.closed = 0
 
     @property
     def rank(self) -> int:

@@ -9,7 +9,8 @@ Three invariants carry the kernel:
   does fire;
 * the coverage criterion on the boundary-pinned strong-collapse core, and
   the staged whole-graph span behind ``ShortCycleSpan``, agree with the
-  dict-based ``ShortCycleSpan(use_csr=False)``; and
+  dict-based ``ShortCycleSpan(use_csr=False)`` at tau 3-8, where the tree
+  closure's ball radii reach 3 and 4; and
 * spreading a schedule over region shards and worker processes never
   changes output — schedules at a fixed seed are byte-identical to the
   serial run at any worker count.
@@ -29,6 +30,7 @@ from repro.cycles.horton import ShortCycleSpan
 from repro.network.deployment import network_for_average_degree
 from repro.network.graph import NetworkGraph
 from repro.network.topologies import annulus_network
+from repro.obs import Tracer
 from repro.topology import LocalTopologyEngine
 
 
@@ -109,12 +111,14 @@ class TestKernelAgreesWithOracle:
 
 def test_collapsed_verdict_matches_dict_oracle():
     collapsed = []
+    closures = []
 
     @given(unit_disk_or_gnp_graphs(), st.integers(min_value=3, max_value=8), st.data())
     @settings(max_examples=60, deadline=None)
     def check(graph, tau, data):
         # A random deletion prefix, applied through the mirror.
         csr = graph.csr()
+        csr.tracer = tracer = Tracer()
         order = data.draw(st.permutations(sorted(graph.vertices())))
         for victim in order[: data.draw(st.integers(0, len(order) // 2))]:
             csr.delete_vertex(victim)
@@ -129,11 +133,19 @@ def test_collapsed_verdict_matches_dict_oracle():
             verdict = csr.span_connected_verdict(slots, tau)
             assert verdict == oracle_deletable(graph, v, tau)
         collapsed.append(fired)
+        ranked = [span.attrs for span in tracer.spans() if span.attrs.get("nu")]
+        closures.append(
+            {"full" if a["closed"] == a["nu"] else "residual" for a in ranked}
+        )
 
     check()
     # G(n,p) balls rarely have dominated vertices; the unit-disk half
     # keeps the property from passing without the collapse ever firing.
     assert sum(collapsed) > 0.6 * len(collapsed)
+    # Both tree-closure outcomes must be exercised: a core the closure
+    # solves outright, and one where it leaves chords unsolved.
+    for outcome in ("full", "residual"):
+        assert sum(outcome in seen for seen in closures) >= 3, outcome
 
 
 @st.composite
@@ -165,7 +177,7 @@ def boundary_cases(draw):
 def test_criterion_matches_dict_oracle():
     answers = []
 
-    @given(boundary_cases(), st.integers(min_value=3, max_value=6))
+    @given(boundary_cases(), st.integers(min_value=3, max_value=8))
     @settings(max_examples=60, deadline=None)
     def check(case, tau):
         assume(case is not None)
@@ -180,7 +192,7 @@ def test_criterion_matches_dict_oracle():
     assert answers and answers.count(False) >= len(answers) / 3
 
 
-@given(unit_disk_or_gnp_graphs(), st.integers(min_value=3, max_value=6))
+@given(unit_disk_or_gnp_graphs(), st.integers(min_value=3, max_value=8))
 @settings(max_examples=40, deadline=None)
 def test_staged_span_rank_matches_dict_oracle(graph, tau):
     staged = ShortCycleSpan(graph, tau)

@@ -8,12 +8,16 @@ the kernel to it, including across incremental mutations.
 
 import math
 import random
+from itertools import islice
 
+import networkx as nx
 import pytest
 
 from repro.checks.sanitizer import oracle_deletable
 from repro.cycles.horton import ShortCycleSpan
+from repro.cycles.kernel import CSRGraph
 from repro.network.graph import NetworkGraph
+from repro.network.topologies import cycle_graph
 from repro.topology import LocalTopologyEngine
 
 
@@ -180,3 +184,81 @@ def test_strong_collapse_keeps_disconnected_ball_disconnected():
     csr, slots, core, _ = _collapse(g, range(6))
     assert {csr.ids[u] < 3 for u in core} == {True, False}
     assert not csr.span_connected_verdict(slots, 3)
+
+
+# ----------------------------------------------------------------------
+# The tree closure before the rank stages
+# ----------------------------------------------------------------------
+TAUS = [3, 4, 5, 6, 7, 8]
+
+
+def _stages_forbidden(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a rank stage ran")
+
+    for name in ("_triangle_stage", "_square_stage", "_bfs_stage"):
+        monkeypatch.setattr(CSRGraph, name, fail)
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_closure_solves_the_cycle_chord_exactly_when_it_is_short(tau, monkeypatch):
+    # Either way no stage runs: a lone residual chord lies on no short
+    # cycle, or the closure would have solved it.
+    _stages_forbidden(monkeypatch)
+    for n in range(3, 11):
+        csr = cycle_graph(n).csr()
+        span = csr.short_cycle_span(tau)
+        assert span.nu == 1
+        assert span.closed == (1 if n <= tau else 0)
+        assert span.rank == span.closed
+        assert csr.span_connected_verdict(csr.member_slots(range(n)), tau) is (n <= tau)
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_wheel_and_triangulated_grid_close_with_no_stage(
+    tau, wheel8, trigrid6, monkeypatch
+):
+    _stages_forbidden(monkeypatch)
+    for graph in (wheel8, trigrid6.graph):
+        span = graph.csr().short_cycle_span(tau)
+        assert span.nu > 0
+        assert span.closed == span.rank == span.nu
+
+
+def test_square_grid_closes_only_from_tau_four(grid5):
+    csr = grid5.graph.csr()
+    at3 = csr.short_cycle_span(3)
+    assert at3.nu == 16 and at3.closed == 0 and at3.rank == 0
+    at4 = csr.short_cycle_span(4)
+    assert at4.closed == at4.rank == at4.nu == 16
+
+
+def test_two_residual_chords_can_share_a_short_cycle():
+    # The closure leaves two chords here and one 4-cycle carries both,
+    # so the last unit of rank comes from the stages: only a lone
+    # residual chord is known to lie on no short cycle.
+    edges = [(0, 7), (1, 4), (1, 8), (2, 4), (2, 6), (2, 8), (3, 5), (3, 7),
+             (3, 8), (5, 8), (6, 7)]
+    g = NetworkGraph(range(9), edges)
+    span = g.csr().short_cycle_span(4)
+    assert span.nu - span.closed == 2
+    assert span.rank == span.closed + 1 == ShortCycleSpan(g, 4, use_csr=False).rank
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_closure_keeps_span_queries_exact(tau):
+    # The closure zeroes solved chords in ``amask`` and writes unit
+    # pivots; rank, reduce and project must still answer for the
+    # whole span, as the dict oracle does.  This graph has a hole no
+    # cycle of length <= 8 fills, so both answers occur at every tau.
+    g = _unit_disk_graph(7, n=30, radius=0.3)
+    staged = ShortCycleSpan(g, tau)
+    oracle = ShortCycleSpan(g, tau, use_csr=False)
+    assert staged.rank == oracle.rank
+    nxg = nx.Graph(list(g.edges()))
+    cycles = nx.cycle_basis(nxg) + list(
+        islice(nx.simple_cycles(nxg, length_bound=tau), 200)
+    )
+    answers = [staged.contains_vertex_cycle(c) for c in cycles]
+    assert answers == [oracle.contains_vertex_cycle(c) for c in cycles]
+    assert True in answers and False in answers

@@ -163,7 +163,40 @@ class TestTracer:
         assert csr.span_connected_verdict(csr.member_slots(range(7)), 3)
         (span,) = tracer.spans()
         assert span.name == "kernel.span_verdict"
-        assert span.attrs == {"members": 7, "tau": 3, "core": 1}
+        assert span.attrs == {
+            "members": 7,
+            "tau": 3,
+            "core": 1,
+            "nu": 0,
+            "closed": 0,
+            "stage": "none",
+        }
+
+    @pytest.mark.parametrize(
+        "length, tau, verdict, closed, stage",
+        [(4, 4, True, 1, "closure"), (5, 4, False, 0, "none"), (5, 5, True, 1, "closure")],
+    )
+    def test_span_verdict_records_how_the_rank_was_decided(
+        self, length, tau, verdict, closed, stage
+    ):
+        # A bare cycle has no dominated vertex, so the core is the whole
+        # cycle: one chord, solved by the tree closure iff length <= tau.
+        graph = NetworkGraph(range(length))
+        for v in range(length):
+            graph.add_edge(v, (v + 1) % length)
+        csr = graph.csr()
+        tracer = Tracer()
+        csr.tracer = tracer
+        assert csr.span_connected_verdict(csr.member_slots(range(length)), tau) is verdict
+        (span,) = tracer.spans()
+        assert span.attrs == {
+            "members": length,
+            "tau": tau,
+            "core": length,
+            "nu": 1,
+            "closed": closed,
+            "stage": stage,
+        }
 
 
 class TestNullTracer:
