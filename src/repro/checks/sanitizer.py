@@ -16,6 +16,9 @@ the env var so parallel worker processes sanitize too.  When active:
 * every **kernel coverage-criterion answer** (Propositions 2/3 on the
   boundary-pinned strong-collapse core) is compared against
   ``ShortCycleSpan(use_csr=False)`` on the whole graph;
+* after each fresh verdict and criterion answer, the mirror's collapse
+  scratch (``_bit``, ``_closed``) must be zero in every cell
+  (``kernel-scratch-dirty``);
 * every **parallel metrics merge** of three or more worker payloads is
   re-associated — ``merge(a, merge(b, c))`` against
   ``merge(merge(a, b), c)`` — and the resulting registries compared.
@@ -198,8 +201,28 @@ class Sanitizer:
         )
 
     # -- engine hooks --------------------------------------------------
+    def check_kernel_scratch(self, graph: Any) -> None:
+        """The mirror's collapse scratch is zero between kernel calls.
+
+        The collapse reads every non-member as bit 0 with an empty closed
+        neighbourhood, so a cell left nonzero would silently corrupt the
+        next verdict.  Reads the graph's cached mirror, never builds one.
+        """
+        csr = getattr(graph, "_csr", None)
+        if csr is None:
+            return
+        self._count("scratch")
+        if any(csr._bit) or any(csr._closed):
+            dirty = [
+                csr.ids[i]
+                for i, (b, c) in enumerate(zip(csr._bit, csr._closed))
+                if b or c
+            ]
+            self._violate("kernel-scratch-dirty", cells=len(dirty), first=dirty[:5])
+
     def check_fresh_verdict(self, graph: Any, v: int, tau: int, verdict: bool) -> None:
         """A fresh kernel verdict against the full dict-oracle recompute."""
+        self.check_kernel_scratch(graph)
         self._count("fresh_verdict")
         expected = oracle_deletable(graph, v, tau)
         if expected != verdict:
@@ -247,6 +270,7 @@ class Sanitizer:
         self, graph: Any, edges: Sequence[Any], tau: int, answer: bool
     ) -> None:
         """A kernel criterion answer against the whole-graph dict oracle."""
+        self.check_kernel_scratch(graph)
         self._count("criterion")
         expected = ShortCycleSpan(graph, tau, use_csr=False).contains_edges(edges)
         if expected != answer:

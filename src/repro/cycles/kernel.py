@@ -4,7 +4,10 @@ The deletability primitive of Definition 5 bottoms out in three loops:
 k-ball extraction (BFS), chord numbering (spanning forest), and staged
 tau-capped cycle streaming into a GF(2) elimination; before the last
 two, each ball is shrunk to its strong-collapse core, which has the same
-verdict.  The last two are one staged rank routine (a tree closure that
+verdict.  The collapse walks the mirror's rows directly, over scratch
+that is zero outside the call, pops the ball outermost layer first, and
+stops once one vertex is left; member rows are built for the core only.
+The last two are one staged rank routine (a tree closure that
 solves every chord with a short path through the spanning tree, then
 triangles, 4-cycles and truncated-BFS closures on what is left), which
 also answers every whole-graph question:
@@ -17,7 +20,8 @@ on every step of all three.  :class:`CSRGraph` is a compact int-indexed
 mirror of a ``NetworkGraph`` — vertex ids are mapped onto dense slots,
 adjacency rows are flat lists of slot indices, and every traversal runs
 over preallocated scratch arrays with token-stamped visitation (no
-per-query clearing, no per-vertex hashing).
+per-query clearing, no per-vertex hashing).  The collapse scratch is the
+exception: it is cleared over the members on every exit instead.
 
 The mirror is built once and patched incrementally: the mutation methods
 (:meth:`delete_vertex` / :meth:`delete_edge` / :meth:`add_edge` /
@@ -76,8 +80,8 @@ class CSRGraph:
         "_dist",
         "_stamp",
         "_token",
-        "_member_stamp",
-        "_member_token",
+        "_bit",
+        "_closed",
         "_parent",
         "_acc",
         "__weakref__",
@@ -105,8 +109,10 @@ class CSRGraph:
         self._dist = [0] * n
         self._stamp = [0] * n
         self._token = 0
-        self._member_stamp = [0] * n
-        self._member_token = 0
+        # Collapse scratch, zero in every cell outside a
+        # :meth:`strong_collapse` call.
+        self._bit = [0] * n
+        self._closed = [0] * n
         self._parent = [0] * n
         self._acc = [0] * n
         self.version = base.version
@@ -117,7 +123,8 @@ class CSRGraph:
     def _grow(self) -> None:
         self._dist.append(0)
         self._stamp.append(0)
-        self._member_stamp.append(0)
+        self._bit.append(0)
+        self._closed.append(0)
         self._parent.append(0)
         self._acc.append(0)
 
@@ -237,12 +244,6 @@ class CSRGraph:
         """The k-ball as a frozenset of vertex ids (incl. the center)."""
         return frozenset(map(self.ids.__getitem__, self.ball_slots(source, radius)))
 
-    def punctured_ball_slots(self, source: int, radius: int) -> List[int]:
-        """Sorted slots of the ``radius``-ball of ``source``, minus it."""
-        slots = self.ball_slots(source, radius)[1:]
-        slots.sort()
-        return slots
-
     def shortest_path_tree(
         self, root: int, cutoff: Optional[int] = None
     ) -> Tuple[Dict[int, int], Dict[int, int]]:
@@ -316,14 +317,7 @@ class CSRGraph:
             raise ValueError("tau must be at least 3 (the shortest cycle)")
         if not members:
             return True
-        adj = self.adj
-        self._member_token += 1
-        token = self._member_token
-        mstamp = self._member_stamp
-        for i in members:
-            mstamp[i] = token
-        mrows = {u: [w for w in adj[u] if mstamp[w] == token] for u in members}
-        members, mrows = self.strong_collapse(members, mrows)
+        members, mrows = self.strong_collapse(members)
         if handle is not None:
             handle.set(core=len(members))
         if self._spanning_forest(members, mrows) != 1:
@@ -335,11 +329,8 @@ class CSRGraph:
         return stage is not None
 
     def strong_collapse(
-        self,
-        members: Sequence[int],
-        mrows: Dict[int, List[int]],
-        pinned: Collection[int] = (),
-    ) -> Tuple[Sequence[int], Dict[int, List[int]]]:
+        self, members: Sequence[int], pinned: Collection[int] = ()
+    ) -> Tuple[List[int], Dict[int, List[int]]]:
         """The dominated-vertex-free core of the subgraph on ``members``.
 
         A member ``u`` is *dominated* by a member neighbour ``v`` when
@@ -351,71 +342,73 @@ class CSRGraph:
         none is left — Barmak & Minian's strong collapse.  Members in
         ``pinned`` are never removed (they may still dominate): the
         criterion pins the boundary so the boundary sum survives in the
-        core.  Closed neighbourhoods are int bitsets over positions in
-        ``members``.
+        core.
+
+        The pass reads the mirror's own rows.  ``_bit`` and ``_closed``
+        are zero in every cell outside a call, so a non-member reads as
+        bit 0 with an empty closed neighbourhood and needs no filter.
+        Members are popped from the end of ``members``: for a ball in BFS
+        order the outermost layer, the likeliest to be dominated, goes
+        first.  When one live member is left it is the core.
 
         Returns the core as sorted slots with its member-restricted rows.
-        ``members`` and ``mrows`` come back as they are when nothing is
-        dominated; the caller's ``mrows`` is never mutated.
         """
-        # Scratch: ``bit`` is each member's positional bit, ``closed``
-        # its closed neighbourhood (0 once removed, so a removed vertex
-        # never dominates), and a stamp equal to ``tok`` marks a queued
-        # member.  The rank stages reinitialise ``_acc`` and ``_dist``
-        # before reading them, and stamps are only read against a fresh
-        # token.
-        bit = self._acc
-        closed = self._dist
+        adj = self.adj
+        bit = self._bit
+        closed = self._closed
         stamp = self._stamp
-        b = 1
-        for u in members:
-            bit[u] = b
-            b <<= 1
-        for u in members:
-            closed[u] = bit[u] + sum(map(bit.__getitem__, mrows[u]))
-        self._token += 1
-        tok = self._token
-        for u in members:
-            stamp[u] = tok
-        # Low-degree members are the likeliest to be dominated: pop them
-        # first.  A removal re-queues its neighbours, the only members
-        # whose domination it can create.  Pinned members are never
-        # popped, so their stamp stays ``tok`` and they are never queued.
-        work = sorted(members, key=lambda u: len(mrows[u]), reverse=True)
-        if pinned:
-            work = [u for u in work if u not in pinned]
-        removed = False
-        while work:
-            u = work.pop()
-            stamp[u] = 0
-            cu = closed[u]
-            for w in mrows[u]:
-                cw = closed[w]
-                if cu | cw == cw:
-                    closed[u] = 0
-                    bu = bit[u]
-                    for x in mrows[u]:
-                        cx = closed[x]
-                        if cx:
-                            closed[x] = cx ^ bu
-                            if stamp[x] != tok:
+        try:
+            b = 1
+            for u in members:
+                bit[u] = b
+                b <<= 1
+            # ``live`` holds the bits of the members not yet removed.  A
+            # removal zeroes only its own ``closed`` cell (so it never
+            # dominates) and its ``live`` bit; the neighbours' masks go
+            # stale, and every test reads them under ``live``.
+            live = b - 1
+            for u in members:
+                closed[u] = bit[u] + sum(map(bit.__getitem__, adj[u]))
+            # A stamp equal to ``tok`` marks a queued member.  Pinned
+            # members keep it, so they are never queued.
+            self._token += 1
+            tok = self._token
+            for u in members:
+                stamp[u] = tok
+            work = [u for u in members if u not in pinned] if pinned else list(members)
+            left = len(members)
+            while work:
+                u = work.pop()
+                stamp[u] = 0
+                cu = closed[u] & live
+                for w in adj[u]:
+                    cw = closed[w]
+                    if cu | cw == cw:
+                        closed[u] = 0
+                        live ^= bit[u]
+                        left -= 1
+                        if left == 1:
+                            last = members[live.bit_length() - 1]
+                            return [last], {last: []}
+                        # A removal can only create domination among
+                        # the removed vertex's neighbours: requeue them.
+                        for x in adj[u]:
+                            if closed[x] and stamp[x] != tok:
                                 stamp[x] = tok
                                 work.append(x)
-                    removed = True
-                    break
-        if not removed:
-            return members, mrows
-        core = [u for u in members if closed[u]]
-        return core, {u: [w for w in mrows[u] if closed[w]] for u in core}
+                        break
+            core = sorted(u for u in members if closed[u])
+            return core, {u: [w for w in adj[u] if closed[w]] for u in core}
+        finally:
+            for u in members:
+                bit[u] = 0
+                closed[u] = 0
 
     # ------------------------------------------------------------------
     # Whole-graph short-cycle span (the coverage criterion)
     # ------------------------------------------------------------------
-    def _whole_graph(self) -> Tuple[List[int], Dict[int, List[int]]]:
-        """Every live slot, sorted, with its (live) adjacency row."""
-        adj = self.adj
-        members = [u for u, live in enumerate(self.alive) if live]
-        return members, {u: adj[u] for u in members}
+    def _live_slots(self) -> List[int]:
+        return [u for u, live in enumerate(self.alive) if live]
 
     def short_cycles_contain(self, edges: Sequence[Tuple[int, int]], tau: int) -> bool:
         """Is the edge set a GF(2) sum of cycles of length at most ``tau``?
@@ -435,8 +428,7 @@ class CSRGraph:
         index = self.index
         slot_edges = [(index[a], index[b]) for a, b in edges]
         pinned = {s for edge in slot_edges for s in edge}
-        members, mrows = self._whole_graph()
-        members, mrows = self.strong_collapse(members, mrows, pinned)
+        members, mrows = self.strong_collapse(self._live_slots(), pinned)
         self._spanning_forest(members, mrows)
         span = self._number_chords(members, mrows)
         target = span.project(slot_edges)
@@ -453,8 +445,9 @@ class CSRGraph:
         """
         if tau < 3:
             raise ValueError("tau must be at least 3 (the shortest cycle)")
-        members, mrows = self._whole_graph()
-        mrows = {u: list(row) for u, row in mrows.items()}
+        adj = self.adj
+        members = self._live_slots()
+        mrows = {u: list(adj[u]) for u in members}
         self._spanning_forest(members, mrows)
         span = self._number_chords(members, mrows)
         self._rank_stages(span, members, tau)

@@ -160,14 +160,17 @@ class LocalTopologyEngine:
         both need ``u`` within ``k`` hops of ``v``.
         """
         self._sync()
+        kernel = self._kernel
         if self._verdicts:
-            dist = self.graph.bfs_distances(v, cutoff=self.radius)
+            # The untraced BFS: eviction is not a verdict's ball.
+            slots = kernel._ball_slots(v, self.radius)
             self.counters.ball_computations += 1
-            self.counters.bfs_expansions += len(dist)
-            for u in dist:
-                if self._verdicts.pop(u, None) is not None:
+            self.counters.bfs_expansions += len(slots)
+            ids = kernel.ids
+            for s in slots:
+                if self._verdicts.pop(ids[s], None) is not None:
                     self.counters.invalidations += 1
-        nbrs = self._kernel.delete_vertex(v)
+        nbrs = kernel.delete_vertex(v)
         self._version = self.graph.version
         return nbrs
 
@@ -252,16 +255,17 @@ class LocalTopologyEngine:
 
     def _fresh_verdict(self, v: int) -> bool:
         # The punctured neighbourhood never leaves slot space (no
-        # frozensets, no id round-trips).
+        # frozensets, no id round-trips).  The ball stays in BFS order,
+        # centre first, which the collapse pops outermost-first.
         kernel = self._kernel
-        slots = kernel.punctured_ball_slots(v, self.radius)
+        slots = kernel.ball_slots(v, self.radius)
         self.counters.ball_computations += 1
-        self.counters.bfs_expansions += len(slots) + 1
-        if not slots:
+        self.counters.bfs_expansions += len(slots)
+        if len(slots) == 1:
             # An isolated vertex supports no cycles; deleting it is safe.
             return True
         self.counters.span_computations += 1
-        return kernel.span_connected_verdict(slots, self.tau)
+        return kernel.span_connected_verdict(slots[1:], self.tau)
 
     def boundary_partitionable(self, boundary_cycles) -> bool:
         """Propositions 2/3 on the engine's *current* graph.

@@ -648,6 +648,22 @@ class TestSanitizerEngineHooks:
             assert sanitizer.violations == []
             for kind in ("fresh_verdict", "cached_verdict", "ball"):
                 assert sanitizer.checks.get(kind, 0) > 0
+            assert sanitizer.checks["scratch"] == sanitizer.checks["fresh_verdict"]
+        finally:
+            disable_sanitizer()
+
+    def test_dirty_collapse_scratch_detected(self):
+        enable_sanitizer(mode="warn")
+        try:
+            graph = triangulated_grid(5, 5).graph
+            engine = LocalTopologyEngine(graph, tau=4)
+            kernel = engine.kernel
+            far = kernel.index[24]
+            kernel._closed[far] = 1  # a cell no collapse of 0's ball resets
+            engine.deletable(0)
+            sanitizer = current_sanitizer()
+            assert [v.kind for v in sanitizer.violations] == ["kernel-scratch-dirty"]
+            assert sanitizer.violations[0].detail == {"cells": 1, "first": [24]}
         finally:
             disable_sanitizer()
 
@@ -671,7 +687,7 @@ class TestSanitizerEngineHooks:
             engine = LocalTopologyEngine(grid.graph, tau=3)
             assert engine.boundary_partitionable([grid.outer_boundary])
             sanitizer = current_sanitizer()
-            assert sanitizer.checks["criterion"] == 1
+            assert sanitizer.checks["criterion"] == sanitizer.checks["scratch"] == 1
             assert sanitizer.violations == []
         finally:
             disable_sanitizer()

@@ -82,8 +82,9 @@ class TestPartitionability:
         graph.remove_vertex(12)
         csr = graph.csr()
         members = csr.member_slots(graph.vertices())
-        core, _ = csr.strong_collapse(members, {u: csr.adj[u] for u in members})
+        core, _ = csr.strong_collapse(members)
         assert csr.index[0] not in core
+        assert csr.index[0] in csr.strong_collapse(members, [csr.index[0]])[0]
         edges = boundary_edge_sum([grid.outer_boundary])
         answers = []
         for tau in range(3, 7):

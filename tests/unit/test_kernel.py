@@ -65,9 +65,9 @@ def test_ball_primitives_match_dict_bfs():
         for radius in (1, 2, 3):
             ball = csr.ball_ids(v, radius)
             assert ball == _dict_ball(g, v, radius)
-            slots = csr.punctured_ball_slots(v, radius)
-            assert csr.index[v] not in slots
-            assert frozenset(csr.ids[i] for i in slots) == ball - {v}
+            slots = csr.ball_slots(v, radius)
+            assert slots[0] == csr.index[v] and csr.index[v] not in slots[1:]
+            assert frozenset(csr.ids[i] for i in slots[1:]) == ball - {v}
 
 
 @pytest.mark.parametrize("tau", [3, 4, 5, 6, 7, 8])
@@ -109,16 +109,24 @@ def _unit_disk_graph(seed, n=40, radius=0.3):
     return g
 
 
-def _member_rows(csr, slots):
-    members = set(slots)
-    return {u: [w for w in csr.adj[u] if w in members] for u in slots}
-
-
 def _collapse(g, member_ids):
     csr = g.csr()
     slots = csr.member_slots(member_ids)
-    core, rows = csr.strong_collapse(slots, _member_rows(csr, slots))
+    core, rows = csr.strong_collapse(slots)
     return csr, slots, core, rows
+
+
+def _wheel(rim):
+    """A hub 0 joined to every vertex of the cycle 1..rim."""
+    g = NetworkGraph(range(rim + 1))
+    for v in range(1, rim + 1):
+        g.add_edge(0, v)
+        g.add_edge(v, v % rim + 1)
+    return g
+
+
+def _assert_scratch_clean(csr):
+    assert not any(csr._bit) and not any(csr._closed)
 
 
 def test_strong_collapse_core_is_induced_and_undominated():
@@ -127,13 +135,13 @@ def test_strong_collapse_core_is_induced_and_undominated():
         g = _unit_disk_graph(seed)
         csr = g.csr()
         for v in sorted(g.vertices()):
-            slots = csr.punctured_ball_slots(v, 2)
+            slots = csr.ball_slots(v, 2)[1:]
             if not slots:
                 continue
-            mrows = _member_rows(csr, slots)
-            before = {u: list(row) for u, row in mrows.items()}
-            core, rows = csr.strong_collapse(slots, mrows)
-            assert mrows == before  # the caller's rows are left alone
+            before = [list(row) for row in csr.adj]
+            core, rows = csr.strong_collapse(slots)
+            assert csr.adj == before  # the mirror's rows are left alone
+            _assert_scratch_clean(csr)
             assert core == sorted(core) and set(core) <= set(slots)
             fired += len(core) < len(slots)
             members = set(core)
@@ -143,6 +151,21 @@ def test_strong_collapse_core_is_induced_and_undominated():
             for u in core:
                 assert not any(closed[u] <= closed[w] for w in rows[u])
     assert fired > 0
+
+
+def test_strong_collapse_core_size_ignores_member_order():
+    # Strong-collapse cores are unique up to isomorphism, so the pop
+    # order may pick different survivors but never a different count.
+    for seed in range(6):
+        g = _unit_disk_graph(seed)
+        csr = g.csr()
+        for v in sorted(g.vertices()):
+            slots = csr.ball_slots(v, 2)[1:]
+            if not slots:
+                continue
+            forward, _ = csr.strong_collapse(slots)
+            backward, _ = csr.strong_collapse(slots[::-1])
+            assert len(forward) == len(backward)
 
 
 def test_strong_collapse_complete_graph_to_one_vertex():
@@ -160,9 +183,10 @@ def test_strong_collapse_leaves_long_cycles_untouched(n):
     g = NetworkGraph(range(n))
     for u in range(n):
         g.add_edge(u, (u + 1) % n)
-    _, slots, core, rows = _collapse(g, range(n))
+    csr, slots, core, rows = _collapse(g, range(n))
     assert core == slots
     assert all(len(row) == 2 for row in rows.values())
+    assert rows == {u: csr.adj[u] for u in slots}
 
 
 def test_strong_collapse_twins_keep_one_survivor():
@@ -184,6 +208,71 @@ def test_strong_collapse_keeps_disconnected_ball_disconnected():
     csr, slots, core, _ = _collapse(g, range(6))
     assert {csr.ids[u] < 3 for u in core} == {True, False}
     assert not csr.span_connected_verdict(slots, 3)
+
+
+def test_strong_collapse_ignores_non_members():
+    # The hub dominates the whole rim, but only the rim is the member
+    # set: it is a bare 6-cycle, and no vertex of it may go.
+    g = _wheel(6)
+    csr = g.csr()
+    rim = csr.member_slots(range(1, 7))
+    core, rows = csr.strong_collapse(rim)
+    assert core == rim and all(len(row) == 2 for row in rows.values())
+    assert not csr.span_connected_verdict(rim, 5)
+    assert csr.span_connected_verdict(rim, 6)
+
+
+def test_scratch_is_zero_after_verdict_criterion_and_error():
+    g = _wheel(6)
+    csr = g.csr()
+    slots = csr.ball_slots(1, 2)[1:]  # the hub and the other rim vertices
+    assert csr.span_connected_verdict(slots, 3)
+    _assert_scratch_clean(csr)
+    assert not csr.span_connected_verdict(csr.ball_slots(0, 1)[1:], 3)
+    _assert_scratch_clean(csr)
+    # Pinned to one triangle, the collapse removes the rest of the rim.
+    assert csr.short_cycles_contain([(0, 1), (1, 2), (2, 0)], 3)
+    _assert_scratch_clean(csr)
+    rim = [(v, v % 6 + 1) for v in range(1, 7)]
+    assert csr.short_cycles_contain(rim, 3)
+    _assert_scratch_clean(csr)
+    csr.delete_vertex(0)
+    csr.add_vertex(7)
+    csr.add_edge(7, 1)
+    csr.add_edge(7, 2)  # dominated by 1 and by 2
+    assert not csr.short_cycles_contain(rim, 5)
+    _assert_scratch_clean(csr)
+    with pytest.raises(ValueError):
+        csr.span_connected_verdict(slots, 2)
+    _assert_scratch_clean(csr)
+    with pytest.raises(ValueError):
+        csr.short_cycles_contain(rim, 2)
+    _assert_scratch_clean(csr)
+
+
+def test_add_vertex_grows_the_collapse_scratch():
+    g = _wheel(5)
+    csr = g.csr()
+    csr.add_vertex(10)
+    assert len(csr._bit) == len(csr._closed) == len(csr.ids) == 7
+    for v in range(1, 6):
+        csr.add_edge(10, v)
+    csr.delete_vertex(0)
+    # The new slot replaces the hub: its punctured 1-ball is the bare
+    # 5-cycle, short only from tau 5, and it is the last slot of the
+    # scratch arrays.
+    new = csr.index[10]
+    assert new == 6 and new in csr.ball_slots(1, 2)
+    assert csr.span_connected_verdict(csr.ball_slots(10, 1)[1:], 4) is False
+    assert csr.span_connected_verdict(csr.ball_slots(10, 1)[1:], 5) is True
+    # Around a rim vertex the new hub dominates: a one-vertex core.
+    core, rows = csr.strong_collapse(csr.ball_slots(1, 2)[1:])
+    assert len(core) == 1 and rows == {core[0]: []}
+    _assert_scratch_clean(csr)
+    for v in g.vertices():
+        for tau in (3, 4, 5, 6):
+            ball = csr.ball_slots(v, math.ceil(tau / 2))[1:]
+            assert csr.span_connected_verdict(ball, tau) == oracle_deletable(g, v, tau)
 
 
 # ----------------------------------------------------------------------

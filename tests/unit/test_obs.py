@@ -172,6 +172,27 @@ class TestTracer:
             "stage": "none",
         }
 
+    def test_cop_win_ball_takes_the_one_vertex_exit(self, trigrid6):
+        # A border vertex of a triangulated grid: its punctured 2-ball,
+        # 11 vertices in the BFS order the engine passes, is dismantlable
+        # down to a single vertex.
+        csr = trigrid6.graph.csr()
+        tracer = Tracer()
+        csr.tracer = tracer
+        ball = csr.ball_slots(2, 2)[1:]
+        tracer.clear()
+        assert csr.span_connected_verdict(ball, 4)
+        (span,) = tracer.spans()
+        assert span.attrs == {
+            "members": len(ball),
+            "tau": 4,
+            "core": 1,
+            "nu": 0,
+            "closed": 0,
+            "stage": "none",
+        }
+        assert not any(csr._bit) and not any(csr._closed)
+
     @pytest.mark.parametrize(
         "length, tau, verdict, closed, stage",
         [(4, 4, True, 1, "closure"), (5, 4, False, 0, "none"), (5, 5, True, 1, "closure")],
