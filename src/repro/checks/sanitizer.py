@@ -10,8 +10,7 @@ the env var so parallel worker processes sanitize too.  When active:
   sets, :class:`~repro.network.graph.SubgraphView`,
   :class:`~repro.cycles.horton.ShortCycleSpan` with ``use_csr=False``)
   and compared;
-* every **verdict-cache hit** is compared against a fresh recompute
-  (stride-sampled via ``REPRO_SANITIZE_STRIDE``, default: every hit);
+* every **verdict-cache hit** is compared against a fresh recompute;
 * every **kernel k-ball** is compared against the dict BFS;
 * every **kernel coverage-criterion answer** (Propositions 2/3 on the
   boundary-pinned strong-collapse core) is compared against
@@ -152,22 +151,17 @@ class Sanitizer:
     """Shadow-checks live computations against the dict oracles.
 
     ``mode`` is ``"raise"`` (default: first violation raises
-    :class:`SanitizerError`) or ``"warn"`` (record and continue);
-    ``stride`` samples the verdict-cache-hit recompute (1 = every hit).
+    :class:`SanitizerError`) or ``"warn"`` (record and continue).
     Checks and violations are counted per kind in :attr:`checks` /
     :attr:`violations`.
     """
 
-    def __init__(self, mode: str = "raise", stride: int = 1) -> None:
+    def __init__(self, mode: str = "raise") -> None:
         if mode not in ("raise", "warn"):
             raise ValueError(f"unknown sanitizer mode {mode!r}")
-        if stride < 1:
-            raise ValueError(f"REPRO_SANITIZE_STRIDE must be >= 1, got {stride!r}")
         self.mode = mode
-        self.stride = stride
         self.checks: Dict[str, int] = {}
         self.violations: List[Violation] = []
-        self._hit_tick = 0
 
     # -- accounting ----------------------------------------------------
     def _count(self, kind: str) -> None:
@@ -235,10 +229,7 @@ class Sanitizer:
             )
 
     def check_cached_verdict(self, graph: Any, v: int, tau: int, verdict: bool) -> None:
-        """A verdict-cache hit against a fresh recompute (stride-sampled)."""
-        self._hit_tick += 1
-        if self._hit_tick % self.stride:
-            return
+        """A verdict-cache hit against a fresh recompute."""
         self._count("cached_verdict")
         expected = oracle_deletable(graph, v, tau)
         if expected != verdict:
@@ -313,9 +304,7 @@ def current_sanitizer() -> Optional[Sanitizer]:
     return _ACTIVE
 
 
-def enable_sanitizer(
-    mode: Optional[str] = None, stride: Optional[int] = None
-) -> Sanitizer:
+def enable_sanitizer(mode: Optional[str] = None) -> Sanitizer:
     """Install a fresh sanitizer and export ``REPRO_SANITIZE``.
 
     Exporting the env var is what lets :class:`ProcessPoolExecutor`
@@ -326,9 +315,7 @@ def enable_sanitizer(
     global _ACTIVE
     if mode is None:
         mode = "raise"
-    if stride is None:
-        stride = _env_stride()
-    _ACTIVE = Sanitizer(mode=mode, stride=stride)
+    _ACTIVE = Sanitizer(mode=mode)
     os.environ["REPRO_SANITIZE"] = "warn" if mode == "warn" else "1"
     return _ACTIVE
 
@@ -340,16 +327,12 @@ def disable_sanitizer() -> None:
     os.environ.pop("REPRO_SANITIZE", None)
 
 
-def _env_stride() -> int:
-    return knobs.get_int("REPRO_SANITIZE_STRIDE")
-
-
 def _init_from_env() -> None:
     global _ACTIVE
     value = knobs.get_str("REPRO_SANITIZE").strip().lower()
     if value not in knobs.FALSE_WORDS:
         mode = "warn" if value == "warn" else "raise"
-        _ACTIVE = Sanitizer(mode=mode, stride=_env_stride())
+        _ACTIVE = Sanitizer(mode=mode)
 
 
 _init_from_env()

@@ -48,7 +48,6 @@ from repro.core.scheduler import (
     ScheduleResult,
     dcc_schedule,
     is_non_redundant,
-    mis_by_distance,
 )
 from repro.core.vpt import (
     VoidPreservingTransformation,
@@ -94,7 +93,6 @@ __all__ = [
     "repair_coverage",
     "rotation_simulation",
     "ShiftRecord",
-    "mis_by_distance",
     "partition_is_valid",
     "repair_inner_boundaries",
     "schedule_barrier",

@@ -2,26 +2,17 @@
 
 Given the connectivity graph, the protected boundary nodes and a confine
 size ``tau``, the scheduler repeatedly deletes internal vertices that pass
-the void-preserving test (Definition 5) until none remains deletable.  Two
-execution modes produce the same *kind* of fixed point:
-
-* ``parallel`` — the paper's round structure: an m-hop MIS
-  (``m = ceil(tau/2) + 1``) of the deletable internal nodes is selected at
-  random, and all MIS members delete themselves simultaneously.  Nodes at
-  pairwise distance >= m have disjoint deletion neighbourhoods, so the
-  parallel round is equivalent to some sequential order.  The MIS is drawn
-  lazily: vertices are visited in a random priority order, and a vertex
-  already inside a winner's separation ball is skipped *without* the
-  expensive deletability test (it cannot join the MIS regardless).  The
-  induced order on the deletable set is still a uniform permutation, so the
-  winner-set distribution matches the eager draw exactly.
-* ``sequential`` — a centralized emulation that deletes one uniformly random
-  deletable vertex at a time; cheaper in total work, used for large
-  simulations.  The victim is drawn lazily: vertices are visited in a random
-  order and the first deletable one is removed, which is the same uniform
-  distribution over the deletable set but skips testing the vertices behind
-  the winner — repeated invalidations of a vertex coalesce into a single
-  retest instead of one per deletion.
+the void-preserving test (Definition 5) until none remains deletable.
+Each round is the paper's (Section V-B): an m-hop MIS
+(``m = ceil(tau/2) + 1``) of the deletable internal nodes is selected at
+random, and all MIS members delete themselves simultaneously.  Nodes at
+pairwise distance >= m have disjoint deletion neighbourhoods, so the
+round is equivalent to some sequential order.  The MIS is drawn lazily:
+vertices are visited in a random priority order, and a vertex already
+inside a winner's separation ball is skipped *without* the expensive
+deletability test (it cannot join the MIS regardless).  The induced order
+on the deletable set is still a uniform permutation, so the winner-set
+distribution matches the eager draw exactly.
 
 All local-topology work (k-ball extraction, deletability verdicts, MIS
 separation balls) runs through a :class:`repro.topology.LocalTopologyEngine`,
@@ -70,42 +61,11 @@ class ScheduleResult:
         return len(self.removed)
 
 
-def mis_by_distance(
-    graph: NetworkGraph,
-    candidates: Sequence[int],
-    min_separation: int,
-    rng: random.Random,
-    engine: Optional[LocalTopologyEngine] = None,
-) -> List[int]:
-    """A maximal set of candidates at pairwise hop distance >= min_separation.
-
-    Emulates the distributed random-priority MIS: candidates are visited in
-    a random order (the priority draw) and join the set when no earlier
-    member lies within ``min_separation - 1`` hops.  With an ``engine``, the
-    separation balls come from its CSR kernel BFS (and are counted in its
-    ``TopologyCounters``); without one, from the dict BFS.
-    """
-    order = list(candidates)
-    rng.shuffle(order)
-    selected: Set[int] = set()
-    out: List[int] = []
-    for v in order:
-        if engine is not None:
-            ball = engine.ball(v, min_separation - 1)
-        else:
-            ball = graph.bfs_distances(v, cutoff=min_separation - 1)
-        if selected.isdisjoint(ball):
-            selected.add(v)
-            out.append(v)
-    return out
-
-
 def dcc_schedule(
     graph: NetworkGraph,
     protected: Iterable[int],
     tau: int,
     rng: Optional[random.Random] = None,
-    mode: str = "parallel",
     seed: int = 0,
     engine: Optional[LocalTopologyEngine] = None,
     workers: Optional[int] = 1,
@@ -131,12 +91,12 @@ def dcc_schedule(
     ``shards`` partitions the deployment into halo-exchange region
     shards (see :mod:`repro.shard`) and runs the round-synchronous
     sharded coordinator instead of the monolithic loop; the schedule is
-    vertex-identical either way.  Sharded runs require ``parallel`` mode
-    and no prebuilt ``engine``.  ``workers`` counts persistent shard
-    workers (``1`` hosts every shard in-process, ``0``/``None``
-    auto-detects) and is only meaningful with ``shards=``: an unsharded
-    run is always a single in-process loop, so any ``workers`` other
-    than ``1`` without ``shards=`` raises :class:`ValueError`.
+    vertex-identical either way.  Sharded runs take no prebuilt
+    ``engine``.  ``workers`` counts persistent shard workers (``1``
+    hosts every shard in-process, ``0``/``None`` auto-detects) and is
+    only meaningful with ``shards=``: an unsharded run is always a
+    single in-process loop, so any ``workers`` other than ``1`` without
+    ``shards=`` raises :class:`ValueError`.
 
     ``tracer`` / ``metrics`` default to the ambient observers
     (:func:`repro.obs.tracer.observe`); a run with both disabled pays
@@ -145,8 +105,6 @@ def dcc_schedule(
     and deletion phases, and the engine's counter delta is absorbed into
     the registry under ``topology.*``.
     """
-    if mode not in ("parallel", "sequential"):
-        raise ValueError(f"unknown mode {mode!r}")
     rng = rng if rng is not None else random.Random(seed)
     tracer = tracer if tracer is not None else current_tracer()
     metrics = metrics if metrics is not None else current_metrics()
@@ -156,8 +114,6 @@ def dcc_schedule(
             "in-process (pass shards=N to schedule on N region shards)"
         )
     if shards is not None:
-        if mode != "parallel":
-            raise ValueError("sharded scheduling requires parallel mode")
         if engine is not None:
             raise ValueError("sharded scheduling cannot reuse a prebuilt engine")
         from repro.shard.scheduler import sharded_dcc_schedule
@@ -186,7 +142,7 @@ def dcc_schedule(
     if missing:
         raise KeyError(f"protected nodes not in graph: {sorted(missing)[:5]}")
     return _dcc_schedule_rounds(
-        engine, work, protected_set, tau, rng, mode, tracer, metrics
+        engine, work, protected_set, tau, rng, tracer, metrics
     )
 
 
@@ -196,7 +152,6 @@ def _dcc_schedule_rounds(
     protected_set: Set[int],
     tau: int,
     rng: random.Random,
-    mode: str,
     tracer,
     metrics,
 ) -> ScheduleResult:
@@ -208,57 +163,35 @@ def _dcc_schedule_rounds(
 
     while True:
         round_start = perf_counter()
-        with tracer.trace("scheduler.round", round=round_no, mode=mode):
-            if mode == "parallel":
-                # Lazy MIS: one random priority order over the internal
-                # vertices; a vertex blocked by an earlier winner skips the
-                # deletability test entirely.  A blocked vertex can never be
-                # selected and never blocks anyone else, so the winners are
-                # exactly the greedy MIS over the induced (uniform) order on
-                # the deletable set — the eager candidates-then-MIS draw's
-                # distribution, minus its wasted span tests.  Blocking is
-                # marked from the winner's side: hop distance is symmetric,
-                # so ``v`` lies in some winner's separation ball iff a winner
-                # lies in ``v``'s — one ball extraction per *winner* (and an
-                # O(1) membership probe per candidate) instead of one BFS per
-                # candidate.
-                with tracer.trace(
-                    "scheduler.candidates", round=round_no
-                ) as discovery:
-                    order = [
-                        v for v in work.vertices() if v not in protected_set
-                    ]
-                    rng.shuffle(order)
-                    discovery.set(candidates=len(order))
-                with tracer.trace("scheduler.mis_draw", round=round_no) as draw:
-                    blocked: Set[int] = set()
-                    batch = []
-                    for v in order:
-                        if v in blocked:
-                            continue
-                        if engine.deletable(v):
-                            batch.append(v)
-                            blocked |= engine.ball(v, separation - 1)
-                    draw.set(winners=len(batch))
-                if not batch:
-                    break
-            else:
-                # Lazy uniform draw: the first deletable vertex of a
-                # uniformly random permutation is uniform over the
-                # deletable set.
-                with tracer.trace("scheduler.mis_draw", round=round_no) as draw:
-                    order = [
-                        v for v in work.vertices() if v not in protected_set
-                    ]
-                    rng.shuffle(order)
-                    batch = []
-                    for v in order:
-                        if engine.deletable(v):
-                            batch.append(v)
-                            break
-                    draw.set(winners=len(batch))
-                if not batch:
-                    break
+        with tracer.trace("scheduler.round", round=round_no, mode="parallel"):
+            # Lazy MIS: one random priority order over the internal
+            # vertices; a vertex blocked by an earlier winner skips the
+            # deletability test entirely.  A blocked vertex can never be
+            # selected and never blocks anyone else, so the winners are
+            # exactly the greedy MIS over the induced (uniform) order on
+            # the deletable set — the eager candidates-then-MIS draw's
+            # distribution, minus its wasted span tests.  Blocking is
+            # marked from the winner's side: hop distance is symmetric,
+            # so ``v`` lies in some winner's separation ball iff a winner
+            # lies in ``v``'s — one ball extraction per *winner* (and an
+            # O(1) membership probe per candidate) instead of one BFS per
+            # candidate.
+            with tracer.trace("scheduler.candidates", round=round_no) as discovery:
+                order = [v for v in work.vertices() if v not in protected_set]
+                rng.shuffle(order)
+                discovery.set(candidates=len(order))
+            with tracer.trace("scheduler.mis_draw", round=round_no) as draw:
+                blocked: Set[int] = set()
+                batch = []
+                for v in order:
+                    if v in blocked:
+                        continue
+                    if engine.deletable(v):
+                        batch.append(v)
+                        blocked |= engine.ball(v, separation - 1)
+                draw.set(winners=len(batch))
+            if not batch:
+                break
             with tracer.trace(
                 "scheduler.deletion", round=round_no, deletions=len(batch)
             ):
@@ -273,8 +206,7 @@ def _dcc_schedule_rounds(
                 volatile=True,
             )
             metrics.observe("scheduler.deletions_per_round", len(batch))
-            if mode == "parallel":
-                metrics.observe("scheduler.mis_size", len(batch))
+            metrics.observe("scheduler.mis_size", len(batch))
         round_no += 1
 
     if metrics is not None:

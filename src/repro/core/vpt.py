@@ -17,13 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
+from repro.checks.sanitizer import oracle_deletable
 from repro.cycles.horton import ShortCycleSpan
 from repro.network.graph import NetworkGraph
-from repro.topology import (
-    LocalTopologyEngine,
-    neighborhood_radius,
-    punctured_deletable,
-)
+from repro.topology import LocalTopologyEngine, neighborhood_radius
 
 
 def deletion_radius(tau: int) -> int:
@@ -31,25 +28,17 @@ def deletion_radius(tau: int) -> int:
     return neighborhood_radius(tau)
 
 
-def vertex_deletable(
-    graph: NetworkGraph,
-    v: int,
-    tau: int,
-    engine: Optional[LocalTopologyEngine] = None,
-) -> bool:
+def vertex_deletable(graph: NetworkGraph, v: int, tau: int) -> bool:
     """Can ``v`` be removed by a tau-void-preserving transformation?
 
     The test uses only the connectivity of the k-hop neighbourhood of
     ``v`` — exactly the information a node can gather locally in a
-    distributed execution.  Pass an ``engine`` built on ``graph`` to get
-    cached, incrementally-invalidated verdicts; without one, the test is
-    a one-shot copy-free computation.
+    distributed execution.  It is a one-shot computation on the dict
+    oracle (:func:`repro.checks.sanitizer.oracle_deletable`); repeated
+    tests on a mutating graph belong on a
+    :class:`~repro.topology.LocalTopologyEngine`, which caches verdicts.
     """
-    if engine is not None:
-        if engine.graph is not graph or engine.tau != tau:
-            raise ValueError("engine was built for a different graph or tau")
-        return engine.deletable(v)
-    return punctured_deletable(graph, v, tau)
+    return oracle_deletable(graph, v, tau)
 
 
 def edge_deletable(graph: NetworkGraph, u: int, v: int, tau: int) -> bool:
@@ -133,15 +122,12 @@ class VoidPreservingTransformation:
 
 
 def deletable_vertices(
-    graph: NetworkGraph,
-    tau: int,
-    exclude: Optional[Set[int]] = None,
-    engine: Optional[LocalTopologyEngine] = None,
+    graph: NetworkGraph, tau: int, exclude: Optional[Set[int]] = None
 ) -> List[int]:
     """All vertices currently deletable under the tau-VPT rule."""
     exclude = exclude or set()
     return [
         v
         for v in sorted(graph.vertices())
-        if v not in exclude and vertex_deletable(graph, v, tau, engine=engine)
+        if v not in exclude and vertex_deletable(graph, v, tau)
     ]

@@ -33,6 +33,7 @@ from repro.cycles.cycle_space import (
     cycle_space_dimension,
 )
 from repro.cycles.gf2 import GF2Basis
+from repro.cycles.kernel import is_even_subgraph
 from repro.cycles.shortest_paths import ShortestPathTree
 from repro.network.graph import Edge, NetworkGraph, canonical_edge
 
@@ -139,14 +140,6 @@ class _ChordSpace:
         for u, v in edges:
             mask ^= self.chord_mask.get((u, v), 0)
         return mask
-
-
-def _edge_set_has_even_degrees(edges: Sequence[Edge]) -> bool:
-    degree: Dict[int, int] = {}
-    for u, v in edges:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    return all(d % 2 == 0 for d in degree.values())
 
 
 class ShortCycleSpan:
@@ -256,16 +249,13 @@ class ShortCycleSpan:
         return self._basis.rank == self._dimension
 
     def contains_edges(self, edges: Sequence[Edge]) -> bool:
-        """Is the (even) edge set a GF(2) sum of cycles of length <= tau?
+        """Is the edge set a GF(2) sum of cycles of length <= tau?
 
-        ``edges`` must all belong to the host graph.  An edge set lies in
-        the cycle space iff every vertex degree is even; sets failing that
-        are rejected outright.
+        A set with a non-edge of the host graph or an odd-degree vertex
+        is not in the cycle space and is rejected outright
+        (:func:`~repro.cycles.kernel.is_even_subgraph`).
         """
-        for u, v in edges:
-            if not self.graph.has_edge(u, v):
-                return False
-        if not _edge_set_has_even_degrees(edges):
+        if not is_even_subgraph(edges, self.graph.has_edge):
             return False
         return self._basis.reduce(self._project(edges)) == 0
 

@@ -14,7 +14,9 @@ also answers every whole-graph question:
 the coverage criterion (:meth:`CSRGraph.short_cycles_contain`) runs it on
 the graph's strong-collapse core with the boundary vertices pinned, and
 ``ShortCycleSpan`` (:meth:`CSRGraph.short_cycle_span`) on the whole graph.
-The dict-of-sets
+The mirror serves the topology engine and these span questions only;
+the dict graph's own traversals (``bfs_distances``, ``ShortestPathTree``)
+never switch onto it.  The dict-of-sets
 :class:`~repro.network.graph.NetworkGraph` pays hashing and allocation
 on every step of all three.  :class:`CSRGraph` is a compact int-indexed
 mirror of a ``NetworkGraph`` — vertex ids are mapped onto dense slots,
@@ -46,6 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from itertools import islice
 from typing import (
+    Callable,
     Collection,
     Dict,
     FrozenSet,
@@ -53,19 +56,35 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
+
+
+def is_even_subgraph(
+    edges: Iterable[Tuple[int, int]], has_edge: Callable[[int, int], bool]
+) -> bool:
+    """Is ``edges`` an element of the host graph's cycle space?
+
+    True iff every pair is an edge of the host (``has_edge``) and every
+    vertex meets an even number of the pairs.  The kernel's criterion
+    and the dict ``ShortCycleSpan`` both reject anything else here,
+    before projecting onto chord space.
+    """
+    odd: Set[int] = set()
+    for u, v in edges:
+        if not has_edge(u, v):
+            return False
+        odd ^= {u, v}
+    return not odd
 
 
 class CSRGraph:
     """Compact adjacency mirror of a :class:`NetworkGraph`.
 
     Slots (dense ints) are assigned to vertex ids in sorted-id order at
-    build time, so slot order and id order agree; :attr:`monotone_ids`
-    records whether that invariant still holds after mutations (vertices
-    added later get fresh slots at the end).  Rows are kept sorted by
-    slot, which under the invariant is also sorted by id — the property
-    the deterministic shortest-path trees rely on.
+    build time; vertices added later get fresh slots at the end.  Rows
+    are kept sorted by slot.
     """
 
     __slots__ = (
@@ -75,7 +94,6 @@ class CSRGraph:
         "index",
         "adj",
         "alive",
-        "monotone_ids",
         "tracer",
         "_dist",
         "_stamp",
@@ -102,7 +120,6 @@ class CSRGraph:
             sorted(index[w] for w in base.neighbors(v)) for v in ids
         ]
         self.alive = bytearray([1]) * len(ids) if ids else bytearray()
-        self.monotone_ids = True
         n = len(ids)
         # Token-stamped scratch: a cell is valid only when its stamp
         # matches the current token, so traversals never clear arrays.
@@ -134,8 +151,6 @@ class CSRGraph:
         if i is not None:
             return i
         i = len(self.ids)
-        if self.ids and v <= self.ids[-1]:
-            self.monotone_ids = False
         self.ids.append(v)
         self.index[v] = i
         self.adj.append([])
@@ -177,37 +192,6 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def bfs_distances(
-        self, source: int, cutoff: Optional[int] = None
-    ) -> Dict[int, int]:
-        """Hop distances keyed by vertex *id* — mirrors the oracle."""
-        src = self.index.get(source)
-        if src is None:
-            raise KeyError(f"vertex {source} not in graph")
-        adj = self.adj
-        ids = self.ids
-        self._token += 1
-        token = self._token
-        stamp = self._stamp
-        dist = self._dist
-        stamp[src] = token
-        dist[src] = 0
-        out = {source: 0}
-        frontier = [src]
-        d = 0
-        while frontier and (cutoff is None or d < cutoff):
-            nxt: List[int] = []
-            d += 1
-            for u in frontier:
-                for w in adj[u]:
-                    if stamp[w] != token:
-                        stamp[w] = token
-                        dist[w] = d
-                        out[ids[w]] = d
-                        nxt.append(w)
-            frontier = nxt
-        return out
-
     def ball_slots(self, source: int, radius: int) -> List[int]:
         """Slots within ``radius`` hops of id ``source`` (incl. source)."""
         trc = self.tracer
@@ -243,40 +227,6 @@ class CSRGraph:
     def ball_ids(self, source: int, radius: int) -> FrozenSet[int]:
         """The k-ball as a frozenset of vertex ids (incl. the center)."""
         return frozenset(map(self.ids.__getitem__, self.ball_slots(source, radius)))
-
-    def shortest_path_tree(
-        self, root: int, cutoff: Optional[int] = None
-    ) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """``(parent, depth)`` dicts matching the oracle's BFS tree.
-
-        Requires :attr:`monotone_ids`: rows sorted by slot are then
-        sorted by id, reproducing the oracle's smallest-id-parent
-        adoption *and* its dict insertion order exactly.
-        """
-        if not self.monotone_ids:
-            raise RuntimeError("id-sorted traversal unavailable after renames")
-        src = self.index.get(root)
-        if src is None:
-            raise KeyError(f"vertex {root} not in graph")
-        adj = self.adj
-        ids = self.ids
-        parent = {root: root}
-        depth = {root: 0}
-        frontier = [src]
-        d = 0
-        while frontier and (cutoff is None or d < cutoff):
-            nxt: List[int] = []
-            d += 1
-            for u in frontier:
-                uid = ids[u]
-                for w in adj[u]:
-                    wid = ids[w]
-                    if wid not in parent:
-                        parent[wid] = uid
-                        depth[wid] = d
-                        nxt.append(w)
-            frontier = nxt
-        return parent, depth
 
     # ------------------------------------------------------------------
     # Induced-subgraph primitives (members given as slot lists)
@@ -414,15 +364,18 @@ class CSRGraph:
         """Is the edge set a GF(2) sum of cycles of length at most ``tau``?
 
         The coverage criterion of Propositions 2 and 3.  ``edges`` are
-        vertex-id pairs of this graph forming an even subgraph (every
-        boundary sum is one).  The whole graph is first strong-collapsed
-        with the edges' endpoints pinned, which leaves the answer
-        unchanged (DESIGN.md section 5); the staged rank routine then
-        runs on the core with the edge set's chord vector as its target
-        and stops as soon as that vector reduces to zero.
+        vertex-id pairs; a set with a non-edge or an odd-degree vertex
+        is not in the cycle space and answers False
+        (:func:`is_even_subgraph`).  The whole graph is first
+        strong-collapsed with the edges' endpoints pinned, which leaves
+        the answer unchanged (DESIGN.md section 5); the staged rank
+        routine then runs on the core with the edge set's chord vector as
+        its target and stops as soon as that vector reduces to zero.
         """
         if tau < 3:
             raise ValueError("tau must be at least 3 (the shortest cycle)")
+        if not is_even_subgraph(edges, self.base.has_edge):
+            return False
         if not edges:
             return True
         index = self.index

@@ -26,17 +26,6 @@ class ShortestPathTree:
         self, graph: NetworkGraph, root: int, cutoff: Optional[int] = None
     ) -> None:
         self.root = root
-        csr = getattr(graph, "_csr", None)
-        if (
-            csr is not None
-            and csr.version == graph.version
-            and csr.monotone_ids
-        ):
-            # Array fast path: slot-sorted rows are id-sorted while the
-            # mirror's ids stay monotone, so the tree (and even the dict
-            # insertion order) matches the sorted-BFS below exactly.
-            self.parent, self.depth = csr.shortest_path_tree(root, cutoff)
-            return
         self.parent: Dict[int, int] = {root: root}
         self.depth: Dict[int, int] = {root: 0}
         frontier = deque([root])

@@ -187,12 +187,11 @@ class NetworkGraph:
     def bfs_distances(
         self, source: int, cutoff: Optional[int] = None
     ) -> Dict[int, int]:
-        """Hop distances from ``source``, optionally truncated at ``cutoff``."""
-        csr = self._csr
-        if csr is not None and csr.version == self._version:
-            # Array fast path: only when a fresh mirror already exists,
-            # so one-shot callers never pay a build for a single BFS.
-            return csr.bfs_distances(source, cutoff)
+        """Hop distances from ``source``, optionally truncated at ``cutoff``.
+
+        Neighbours are visited in sorted-id order, so the dict's order is
+        deterministic.
+        """
         if source not in self._adj:
             raise KeyError(f"vertex {source} not in graph")
         dist = {source: 0}

@@ -224,10 +224,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Cross-process shipping
     # ------------------------------------------------------------------
-    def export_spans(self) -> Tuple[List[SpanTuple], int]:
-        """``(span tuples, dropped)`` in record order — picklable."""
-        return [s.as_tuple() for s in self.spans()], self.dropped
-
     def export_payload(self, process: Optional[str] = None) -> Dict[str, Any]:
         """The v2 trace-context payload: spans plus this tracer's origin.
 
@@ -240,16 +236,15 @@ class Tracer:
         shifting with the epoch difference instead of pretending they
         happened at merge time.
         """
-        spans, dropped = self.export_spans()
         return {
             "version": PAYLOAD_VERSION,
             "process": process,
             "epoch_unix": self._epoch_unix,
-            "spans": spans,
-            "dropped": dropped,
+            "spans": [s.as_tuple() for s in self.spans()],
+            "dropped": self.dropped,
         }
 
-    def import_spans(self, payload: Any, rebase: bool = True) -> None:
+    def import_spans(self, payload: Dict[str, Any]) -> None:
         """Merge spans exported elsewhere (a worker, a nested observer).
 
         Depths are offset by the current open depth, so imported spans
@@ -257,28 +252,17 @@ class Tracer:
         invariant is preserved because the open parent's own record is
         appended later.
 
-        Two payload formats are accepted.  The legacy
-        ``(span tuples, dropped)`` pair rebases start offsets onto "now"
-        (``rebase=False`` keeps the foreign offsets verbatim).  A
-        :meth:`export_payload` dict *aligns* instead: the exporter's
-        ``epoch_unix`` anchors its offsets onto this tracer's timeline,
-        so concurrent shard/worker spans land where they actually ran,
-        and the payload's ``process`` label is stamped on every span as
-        a ``proc`` attribute.  Start times stay volatile either way;
-        names, attributes and nesting stay deterministic.
+        The payload is an :meth:`export_payload` dict.  Its
+        ``epoch_unix`` anchors the exporter's offsets onto this tracer's
+        timeline, so concurrent shard/worker spans land where they
+        actually ran, and its ``process`` label is stamped on every span
+        as a ``proc`` attribute.  Start times stay volatile; names,
+        attributes and nesting stay deterministic.
         """
-        proc: Optional[str] = None
-        if isinstance(payload, dict):
-            spans = payload["spans"]
-            dropped = payload["dropped"]
-            proc = payload.get("process")
-            shift = payload["epoch_unix"] - self._epoch_unix
-        else:
-            spans, dropped = payload
-            shift = 0.0
-            if rebase and spans:
-                shift = (time.perf_counter() - self._epoch) - spans[0][2]
-        self.dropped += dropped
+        spans = payload["spans"]
+        proc = payload.get("process")
+        shift = payload["epoch_unix"] - self._epoch_unix
+        self.dropped += payload["dropped"]
         if not spans:
             return
         offset = self._depth
@@ -321,9 +305,6 @@ class NullTracer:
     def clear(self) -> None:
         pass
 
-    def export_spans(self) -> Tuple[List[SpanTuple], int]:
-        return [], 0
-
     def export_payload(self, process: Optional[str] = None) -> Dict[str, Any]:
         return {
             "version": PAYLOAD_VERSION,
@@ -333,7 +314,7 @@ class NullTracer:
             "dropped": 0,
         }
 
-    def import_spans(self, payload: Any, rebase: bool = True) -> None:
+    def import_spans(self, payload: Dict[str, Any]) -> None:
         pass
 
 

@@ -204,17 +204,14 @@ def parallel_starmap(
     func: Callable[..., Any],
     tasks: Sequence[Tuple[Any, ...]],
     workers: Optional[int] = None,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple[Any, ...] = (),
 ) -> List[Any]:
     """``[func(*t) for t in tasks]``, fanned out, in submission order.
 
-    ``func``, ``initializer`` and every task must be picklable
-    (top-level functions, plain-data arguments).  With one resolved
-    worker (or at most one task) everything runs inline in this process
-    — including ``initializer``, so warm-state task functions behave
-    identically.  Exceptions propagate from the first failing task in
-    *submission* order; later tasks may already have run.
+    ``func`` and every task must be picklable (top-level functions,
+    plain-data arguments).  With one resolved worker (or at most one
+    task) everything runs inline in this process.  Exceptions propagate
+    from the first failing task in *submission* order; later tasks may
+    already have run.
 
     When the *caller's* ambient tracer is enabled (or an ambient metrics
     registry is installed), every task is wrapped in
@@ -247,8 +244,6 @@ def parallel_starmap(
             sanitizer.check_merge(merged_rows)
 
     if count <= 1 or len(tasks) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
         if not capture:
             return [func(*task) for task in tasks]
         results = [
@@ -257,9 +252,7 @@ def parallel_starmap(
         ]
         check_merge()
         return results
-    with ProcessPoolExecutor(
-        max_workers=count, initializer=initializer, initargs=initargs
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=count) as pool:
         if not capture:
             futures = [pool.submit(func, *task) for task in tasks]
             _chaos_wait(futures)

@@ -11,11 +11,7 @@ invariant and the instrumentation counters.
 """
 
 from repro.topology.counters import TopologyCounters
-from repro.topology.engine import (
-    LocalTopologyEngine,
-    OwnedRegionError,
-    punctured_deletable,
-)
+from repro.topology.engine import LocalTopologyEngine, OwnedRegionError
 from repro.topology.radii import (
     halo_radius,
     mis_separation,
@@ -29,5 +25,4 @@ __all__ = [
     "halo_radius",
     "mis_separation",
     "neighborhood_radius",
-    "punctured_deletable",
 ]

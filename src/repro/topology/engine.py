@@ -33,7 +33,6 @@ from time import perf_counter
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.checks.sanitizer import current_sanitizer
-from repro.cycles.horton import ShortCycleSpan
 from repro.network.graph import NetworkGraph
 from repro.obs.tracer import NULL_TRACER
 from repro.topology.counters import TopologyCounters
@@ -310,16 +309,3 @@ class LocalTopologyEngine:
         clone._verdicts = dict(self._verdicts)
         return clone
 
-
-def punctured_deletable(graph: NetworkGraph, v: int, tau: int) -> bool:
-    """One-shot Definition 5 test, copy-free, without engine state.
-
-    The stateless sibling of :meth:`LocalTopologyEngine.deletable`, used
-    by call sites that test a single vertex on an arbitrary graph.
-    """
-    k = neighborhood_radius(tau)
-    neighborhood = frozenset(graph.bfs_distances(v, cutoff=k)) - {v}
-    if not neighborhood:
-        return True
-    view = graph.subgraph_view(neighborhood)
-    return view.is_connected() and ShortCycleSpan(view, tau).spans_cycle_space()

@@ -1,7 +1,8 @@
 """Property-based tests for VPT deletion and the DCC scheduler.
 
 The central invariant (Theorem 5): a void-preserving vertex deletion never
-changes whether the boundary is tau-partitionable.
+changes whether the boundary is tau-partitionable.  Each scheduler round
+deletes an m-hop MIS of the deletable internal vertices (Section V-B).
 """
 
 import random
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.criterion import is_tau_partitionable
-from repro.core.scheduler import dcc_schedule, mis_by_distance
+from repro.checks.sanitizer import oracle_deletable
+from repro.core.scheduler import dcc_schedule
 from repro.core.vpt import deletable_vertices
 from repro.network.topologies import triangulated_grid
+from repro.topology import mis_separation
 
 
 @st.composite
@@ -71,24 +74,49 @@ class TestTheorem5:
         assert deletable_vertices(result.active, tau, exclude=set(boundary)) == []
 
 
-class TestMISProperties:
+class TestRoundMIS:
+    """Every round the scheduler runs is an m-hop MIS of the deletable set.
+
+    Each round's winners are rebuilt from ``removed`` and
+    ``deletions_per_round`` and checked on the graph as it stood at the
+    start of that round, against the dict oracle of Definition 5.
+    """
+
     @given(
         thinned_grids(),
-        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=3, max_value=7),
         st.integers(min_value=0, max_value=99),
     )
-    @settings(max_examples=20, deadline=None)
-    def test_separation_and_maximality(self, case, m, seed):
-        graph, __ = case
-        candidates = sorted(graph.vertices())[::2]
-        selected = mis_by_distance(graph, candidates, m, random.Random(seed))
-        # pairwise separation
-        for i, u in enumerate(selected):
-            dist = graph.bfs_distances(u)
-            for v in selected[i + 1:]:
-                assert dist.get(v, 10**9) >= m
-        # maximality: every candidate is within m-1 hops of a winner
-        winners = set(selected)
-        for v in candidates:
-            ball = set(graph.bfs_distances(v, cutoff=m - 1))
-            assert winners & ball
+    @settings(max_examples=25, deadline=None)
+    def test_each_round_is_a_separated_maximal_set_of_deletable_vertices(
+        self, case, tau, seed
+    ):
+        graph, boundary = case
+        protected = set(boundary)
+        result = dcc_schedule(graph, protected, tau, rng=random.Random(seed))
+        m = mis_separation(tau)
+        live = graph.copy()
+        start = 0
+        # The trailing empty batch is the round that found no winner.
+        for count in result.deletions_per_round + [0]:
+            winners = result.removed[start : start + count]
+            start += count
+            for v in winners:
+                assert v not in protected
+                assert oracle_deletable(live, v, tau), f"winner {v} not deletable"
+            near = set()
+            for i, u in enumerate(winners):
+                ball = live.bfs_distances(u, cutoff=m - 1)
+                # pairwise separation: no later winner within m - 1 hops
+                assert ball.keys().isdisjoint(winners[i + 1 :])
+                near |= ball.keys()
+            # maximality: a deletable internal vertex is a winner or lies
+            # within m - 1 hops of one
+            for v in live.vertices():
+                if v not in protected and v not in near:
+                    assert not oracle_deletable(live, v, tau), (
+                        f"deletable vertex {v} has no winner within {m - 1} hops"
+                    )
+            for v in winners:
+                live.remove_vertex(v)
+        assert start == len(result.removed)

@@ -598,26 +598,9 @@ class TestSanitizerChecks:
                                reg_c.to_payload()])
         assert sanitizer.violations == []
 
-    def test_stride_samples_cache_hits(self):
-        graph = _grid_graph()
-        sanitizer = Sanitizer(stride=3)
-        for _ in range(6):
-            sanitizer.check_cached_verdict(graph, 5, 4, oracle_deletable(graph, 5, 4))
-        assert sanitizer.checks.get("cached_verdict") == 2
-
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             Sanitizer(mode="loud")
-
-    def test_nonpositive_stride_rejected(self):
-        for stride in (0, -2):
-            with pytest.raises(ValueError, match=f"REPRO_SANITIZE_STRIDE.*{stride}"):
-                Sanitizer(stride=stride)
-
-    def test_malformed_env_stride_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE_STRIDE", "abc")
-        with pytest.raises(ValueError, match="REPRO_SANITIZE_STRIDE='abc'"):
-            enable_sanitizer()
 
     def test_env_activation_uses_knob_false_words(self, monkeypatch):
         from repro import knobs

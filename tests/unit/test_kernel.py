@@ -1,7 +1,7 @@
 """The CSR kernel: compact-adjacency primitives against the dict oracle.
 
-Every primitive the kernel fast-paths (BFS distances, hop balls,
-punctured balls, span verdicts) has a dict-based reference
+Every primitive the kernel fast-paths (hop balls, punctured balls,
+span verdicts, the criterion) has a dict-based reference
 implementation that stays in the tree as the oracle; these tests pin
 the kernel to it, including across incremental mutations.
 """
@@ -17,7 +17,7 @@ from repro.checks.sanitizer import oracle_deletable
 from repro.cycles.horton import ShortCycleSpan
 from repro.cycles.kernel import CSRGraph
 from repro.network.graph import NetworkGraph
-from repro.network.topologies import cycle_graph
+from repro.network.topologies import cycle_graph, wheel_graph
 from repro.topology import LocalTopologyEngine
 
 
@@ -44,9 +44,8 @@ def test_csr_mirror_tracks_mutations():
     csr.add_edge(100, 7)
     assert g.csr() is csr  # still in lock-step, no rebuild
     for v in g.vertices():
-        want = g.bfs_distances(v)
-        got = csr.bfs_distances(v)
-        assert got == want
+        for radius in range(5):
+            assert csr.ball_ids(v, radius) == _dict_ball(g, v, radius)
 
 
 def test_out_of_band_mutation_triggers_rebuild():
@@ -68,6 +67,26 @@ def test_ball_primitives_match_dict_bfs():
             slots = csr.ball_slots(v, radius)
             assert slots[0] == csr.index[v] and csr.index[v] not in slots[1:]
             assert frozenset(csr.ids[i] for i in slots[1:]) == ball - {v}
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(1, 2), (2, 3), (3, 1)],
+        [(0, 1), (1, 2), (2, 0)],
+        [(0, 2), (2, 4), (4, 0)],
+        [(0, 6)],
+        [(0, 1)],
+        [(0, 1), (1, 2)],
+    ],
+)
+def test_criterion_rejects_what_is_not_an_even_subgraph(edges):
+    # wheel_graph(6): rim 0..5, hub 6.  Each set has a non-edge or an
+    # odd-degree vertex, so it is not in the cycle space at all.
+    g = wheel_graph(6)
+    oracle = ShortCycleSpan(g, 3, use_csr=False).contains_edges(edges)
+    assert oracle is False
+    assert g.csr().short_cycles_contain(edges, 3) == oracle
 
 
 @pytest.mark.parametrize("tau", [3, 4, 5, 6, 7, 8])

@@ -56,16 +56,15 @@ class TestAccessors:
             assert knobs.get_flag("REPRO_CHAOS") is True
 
     def test_int_default_and_parse(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE_STRIDE", raising=False)
-        assert knobs.get_int("REPRO_SANITIZE_STRIDE") == 1
-        monkeypatch.setenv("REPRO_SANITIZE_STRIDE", "17")
-        assert knobs.get_int("REPRO_SANITIZE_STRIDE") == 17
+        monkeypatch.delenv("REPRO_CHAOS_SEED", raising=False)
+        assert knobs.get_int("REPRO_CHAOS_SEED") == 0
+        monkeypatch.setenv("REPRO_CHAOS_SEED", "17")
+        assert knobs.get_int("REPRO_CHAOS_SEED") == 17
 
     def test_int_malformed_value_raises(self, monkeypatch):
-        for name, value in (("REPRO_SANITIZE_STRIDE", "abc"), ("REPRO_CHAOS_SEED", "x")):
-            monkeypatch.setenv(name, value)
-            with pytest.raises(ValueError, match=f"{name}='{value}'"):
-                knobs.get_int(name)
+        monkeypatch.setenv("REPRO_CHAOS_SEED", "x")
+        with pytest.raises(ValueError, match="REPRO_CHAOS_SEED='x'"):
+            knobs.get_int("REPRO_CHAOS_SEED")
 
     def test_str_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)

@@ -128,7 +128,7 @@ class TestTracer:
         worker = Tracer()
         with worker.trace("work", task=1):
             worker.add_span("step", 0.1)
-        payload = worker.export_spans()
+        payload = worker.export_payload()
 
         merged = Tracer()
         with merged.trace("fanout.task"):
@@ -147,7 +147,7 @@ class TestTracer:
         source.add_span("a", 0.0)
         source.add_span("b", 0.0)
         sink = Tracer()
-        sink.import_spans(source.export_spans())
+        sink.import_spans(source.export_payload())
         assert sink.dropped == 1
 
     def test_span_verdict_records_ball_and_core_size(self):
@@ -228,7 +228,7 @@ class TestNullTracer:
         NULL_TRACER.add_span("leaf", 1.0)
         assert NULL_TRACER.spans() == []
         assert NULL_TRACER.last_span() is None
-        assert NULL_TRACER.export_spans() == ([], 0)
+        assert NULL_TRACER.export_payload()["spans"] == []
 
     def test_shared_handle(self):
         # One no-op handle is shared; trace() allocates nothing per call.
@@ -610,11 +610,11 @@ class TestAlignedPayload:
         sink.import_spans(worker.export_payload(process="relay"))
         assert sink.spans()[0].attrs["proc"] == "original"
 
-    def test_legacy_tuple_payload_has_no_proc(self):
+    def test_unlabelled_payload_has_no_proc(self):
         worker = Tracer()
         worker.add_span("step", 0.1)
         sink = Tracer()
-        sink.import_spans(worker.export_spans())
+        sink.import_spans(worker.export_payload())
         assert "proc" not in sink.spans()[0].attrs
 
     def test_payload_import_accumulates_dropped(self):

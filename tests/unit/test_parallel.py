@@ -41,21 +41,10 @@ def _square(x):
     return x * x
 
 
-def _record_init(value):
-    # Runs in the worker (or inline for the serial path); _square does
-    # not read it — the test only checks the initializer is invoked on
-    # the inline path too.
-    global _INIT_SEEN
-    _INIT_SEEN = value
-
-
 def test_parallel_starmap_matches_inline():
     tasks = [(i,) for i in range(7)]
     assert parallel_starmap(_square, tasks, workers=1) == [i * i for i in range(7)]
     assert parallel_starmap(_square, tasks, workers=3) == [i * i for i in range(7)]
-    # Inline path still runs the initializer.
-    parallel_starmap(_square, [(2,)], workers=1, initializer=_record_init, initargs=(9,))
-    assert _INIT_SEEN == 9
 
 
 def _sweep_probe(count, bias, seed):
@@ -89,10 +78,6 @@ def test_unsharded_workers_require_shards(workers):
     with pytest.raises(ValueError, match="shards="):
         dcc_schedule(
             net.graph, protected, 4, rng=random.Random(0), workers=workers
-        )
-    with pytest.raises(ValueError, match="shards="):
-        dcc_schedule(
-            net.graph, protected, 4, mode="sequential", workers=workers
         )
     # The same request with shards= runs, and matches the serial schedule.
     serial = dcc_schedule(net.graph, protected, 4, rng=random.Random(0), workers=1)

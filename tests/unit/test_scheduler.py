@@ -5,39 +5,9 @@ import random
 import pytest
 
 from repro.core.criterion import is_tau_partitionable
-from repro.core.scheduler import (
-    dcc_schedule,
-    is_non_redundant,
-    mis_by_distance,
-)
+from repro.core.scheduler import dcc_schedule, is_non_redundant
 from repro.core.vpt import deletable_vertices
 from repro.network.topologies import wheel_graph
-
-
-class TestMIS:
-    def test_pairwise_separation(self, trigrid6):
-        rng = random.Random(0)
-        candidates = trigrid6.graph.vertices()
-        selected = mis_by_distance(trigrid6.graph, candidates, 3, rng)
-        for i, u in enumerate(selected):
-            dist = trigrid6.graph.bfs_distances(u)
-            for v in selected[i + 1:]:
-                assert dist[v] >= 3
-
-    def test_empty_candidates(self, trigrid6):
-        assert mis_by_distance(trigrid6.graph, [], 3, random.Random(0)) == []
-
-    def test_single_candidate_selected(self, trigrid6):
-        assert mis_by_distance(trigrid6.graph, [14], 3, random.Random(0)) == [14]
-
-    def test_maximality_every_candidate_near_winner(self, trigrid6):
-        rng = random.Random(1)
-        candidates = trigrid6.graph.vertices()
-        m = 4
-        selected = set(mis_by_distance(trigrid6.graph, candidates, m, rng))
-        for v in candidates:
-            dist = trigrid6.graph.bfs_distances(v, cutoff=m - 1)
-            assert selected & set(dist), f"candidate {v} has no nearby winner"
 
 
 class TestSchedule:
@@ -62,10 +32,6 @@ class TestSchedule:
         with pytest.raises(KeyError):
             dcc_schedule(trigrid6.graph, [999], 4)
 
-    def test_unknown_mode_rejected(self, trigrid6):
-        with pytest.raises(ValueError):
-            dcc_schedule(trigrid6.graph, [], 4, mode="turbo")
-
     def test_fixpoint_no_deletable_left(self, trigrid6):
         boundary = set(trigrid6.outer_boundary)
         result = dcc_schedule(trigrid6.graph, boundary, 6, rng=random.Random(3))
@@ -78,16 +44,6 @@ class TestSchedule:
             trigrid6.graph, set(boundary), 6, rng=random.Random(4)
         )
         assert is_tau_partitionable(result.active, [boundary], 6)
-
-    def test_sequential_mode_matches_quality(self, trigrid6):
-        boundary = set(trigrid6.outer_boundary)
-        par = dcc_schedule(trigrid6.graph, boundary, 6, rng=random.Random(5))
-        seq = dcc_schedule(
-            trigrid6.graph, boundary, 6, rng=random.Random(5), mode="sequential"
-        )
-        # both reach a fixpoint; sizes may differ slightly but not wildly
-        assert deletable_vertices(seq.active, 6, exclude=boundary) == []
-        assert abs(par.num_active - seq.num_active) <= 5
 
     def test_result_accounting(self, trigrid6):
         boundary = set(trigrid6.outer_boundary)

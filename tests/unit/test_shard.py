@@ -238,8 +238,6 @@ class TestShardedSchedule:
 
     def test_shards_require_parallel_mode_without_prebuilt_engine(self):
         graph = _random_graph(43, nodes=12, density=0.3)
-        with pytest.raises(ValueError):
-            dcc_schedule(graph, set(), 3, mode="serial", shards=2)
         engine = LocalTopologyEngine(graph.copy(), 3)
         with pytest.raises(ValueError):
             dcc_schedule(graph, set(), 3, engine=engine, shards=2)

@@ -2,14 +2,10 @@
 
 import pytest
 
+from repro.checks.sanitizer import oracle_deletable
 from repro.network.graph import NetworkGraph, SubgraphView
 from repro.network.topologies import triangulated_grid
-from repro.topology import (
-    LocalTopologyEngine,
-    TopologyCounters,
-    neighborhood_radius,
-    punctured_deletable,
-)
+from repro.topology import LocalTopologyEngine, TopologyCounters, neighborhood_radius
 
 
 def path_graph(n):
@@ -91,7 +87,7 @@ class TestEngineCaching:
         engine.deletable(v)
         u = sorted(mesh.vertices())[6]
         mesh.remove_vertex(u)  # behind the engine's back
-        assert engine.deletable(v) == punctured_deletable(mesh.copy(), v, 4)
+        assert engine.deletable(v) == oracle_deletable(mesh, v, 4)
 
     @pytest.mark.parametrize("mutation", ["delete_edge", "add_edge"])
     def test_edge_mutations_count_dropped_verdicts(self, mutation):
