@@ -32,7 +32,7 @@ def test_ablation_distributed_vs_central(benchmark):
     print("Ablation (distributed execution of DCC, tau=3):")
     print(
         f"  centralized : active={central.num_active} "
-        f"tests={central.deletability_tests}"
+        f"tests={central.counters.deletability_tests}"
     )
     print(
         f"  distributed : active={distributed.num_active} "

@@ -20,6 +20,7 @@ from repro.core.criterion import is_tau_partitionable
 from repro.core.scheduler import dcc_schedule
 from repro.homology.hgc import hgc_schedule, hgc_verify
 from repro.network.deployment import Network, network_for_average_degree
+from repro.network.graph import NetworkGraph
 from repro.network.topologies import mobius_band_network
 from repro.traces.greenorbs import (
     GreenOrbsConfig,
@@ -128,26 +129,25 @@ class Fig2Result:
 
 
 def _fig2_cell(
-    count: int,
-    degree: float,
+    graph: NetworkGraph,
+    cycle: List[int],
+    protected: Set[int],
     seed: int,
     tau: int,
-    shards: Optional[int] = None,
-    criterion: bool = True,
-) -> Tuple[int, int, Optional[bool], Optional[bool]]:
-    """One confine size of Figure 2, rebuilt from seeds (picklable)."""
-    network, cycle, protected = _prepare_network(count, degree, seed)
-    initially = (
-        is_tau_partitionable(network.graph, [cycle], tau) if criterion else None
-    )
+    shards: Optional[int],
+    workers: Optional[int],
+    criterion: bool,
+) -> Tuple[int, Optional[bool], Optional[bool]]:
+    """One confine size of Figure 2 on the prepared deployment (picklable)."""
+    initially = is_tau_partitionable(graph, [cycle], tau) if criterion else None
     result = dcc_schedule(
-        network.graph, protected, tau, rng=random.Random(seed + tau),
-        shards=shards,
+        graph, protected, tau, rng=random.Random(seed + tau),
+        shards=shards, workers=workers,
     )
     finally_ = (
         is_tau_partitionable(result.active, [cycle], tau) if criterion else None
     )
-    return tau, result.num_active, initially, finally_
+    return result.num_active, initially, finally_
 
 
 def run_fig2_vertex_deletion(
@@ -161,18 +161,17 @@ def run_fig2_vertex_deletion(
 ) -> Fig2Result:
     """One network thinned for each confine size, as in Figure 2 (b-e).
 
-    The per-tau runs share nothing but the (deterministically rebuilt)
-    deployment, so ``workers`` fans them across processes; results are
-    identical to the serial loop at any worker count.  Under an active
-    observation the serial shortcut is skipped too: every cell goes
-    through :func:`parallel_starmap`'s per-task capture, so run-reports
-    are worker-count invariant (modulo wall-clock fields), not just the
-    figure tables.
+    The deployment and its boundary are built once; the per-tau cells
+    share nothing else, so one :func:`parallel_starmap` call maps them
+    over that prepared graph (it pickles without its CSR mirror) and
+    ``workers`` fans them across processes.  Results are identical at
+    any worker count, and so are run-reports once
+    :func:`~repro.obs.export.strip_volatile` drops the wall-clock fields.
 
     ``shards`` runs every cell's schedule over halo-exchange region
     shards (vertex-identical results — see :mod:`repro.shard`).  A
-    sharded run keeps the cells serial and spends ``workers`` on the
-    schedule instead: each cell's shards are hosted by a
+    sharded run keeps the cells in this process and spends ``workers``
+    on the schedule instead: each cell's shards are hosted by a
     coordinator-driven worker pool
     (:class:`~repro.parallel.runner.ShardWorkerPool`), which keeps the
     chaos/attribution accounting in this process.
@@ -181,50 +180,23 @@ def run_fig2_vertex_deletion(
     itself is local work; the criterion is a whole-graph GF(2) span).
     The 100k fig2-style run uses both together.
     """
-    from repro.obs.tracer import current_metrics, current_tracer
-    from repro.parallel import parallel_starmap, resolve_workers
+    from repro.parallel import parallel_starmap
 
-    observed = current_tracer().enabled or current_metrics() is not None
     network, cycle, protected = _prepare_network(count, degree, seed)
-    if shards is None and (resolve_workers(workers) > 1 or observed):
-        cells = parallel_starmap(
-            _fig2_cell,
-            [(count, degree, seed, tau, None, criterion) for tau in taus],
-            workers=workers,
-        )
-    else:
-        # Serial path reuses the one prepared network instead of letting
-        # each cell rebuild it.  Sharded runs always take it: the
-        # schedule itself is then the parallel unit — ``workers`` sizes
-        # each cell's shard worker pool (coordinator-driven, so chaos
-        # and attribution accounting stay in this process) instead of
-        # fanning whole cells.
-        cells = []
-        for tau in taus:
-            initially_tau = (
-                is_tau_partitionable(network.graph, [cycle], tau)
-                if criterion
-                else None
-            )
-            result = dcc_schedule(
-                network.graph, protected, tau, rng=random.Random(seed + tau),
-                shards=shards,
-                workers=workers if shards is not None else 1,
-            )
-            cells.append(
-                (
-                    tau,
-                    result.num_active,
-                    initially_tau,
-                    is_tau_partitionable(result.active, [cycle], tau)
-                    if criterion
-                    else None,
-                )
-            )
+    cell_workers, shard_workers = (workers, 1) if shards is None else (1, workers)
+    cells = parallel_starmap(
+        _fig2_cell,
+        [
+            (network.graph, cycle, protected, seed, tau, shards,
+             shard_workers, criterion)
+            for tau in taus
+        ],
+        workers=cell_workers,
+    )
     active_by_tau: Dict[int, int] = {}
-    initially: Dict[int, bool] = {}
-    finally_: Dict[int, bool] = {}
-    for tau, active, init, fin in cells:
+    initially: Dict[int, Optional[bool]] = {}
+    finally_: Dict[int, Optional[bool]] = {}
+    for tau, (active, init, fin) in zip(taus, cells):
         active_by_tau[tau] = active
         initially[tau] = init
         finally_[tau] = fin
@@ -517,17 +489,11 @@ class TraceConfineResult:
 
 
 def _trace_confine_cell(
-    config: GreenOrbsConfig, seed: int, tau: int
-) -> Tuple[int, int]:
-    """One confine size on the (regenerated) trace topology (picklable)."""
-    trace = generate_greenorbs_trace(config, seed=seed)
-    network = trace.as_network(rc=config.max_range, rs=config.max_range)
-    cycle = outer_boundary_cycle(network)
-    protected = set(cycle)
-    result = dcc_schedule(
-        network.graph, protected, tau, rng=random.Random(seed + tau)
-    )
-    return tau, result.num_active - len(protected)
+    graph: NetworkGraph, protected: Set[int], seed: int, tau: int
+) -> int:
+    """Inner nodes one confine size leaves on the trace topology (picklable)."""
+    result = dcc_schedule(graph, protected, tau, rng=random.Random(seed + tau))
+    return result.num_active - len(protected)
 
 
 def run_trace_confine(
@@ -542,46 +508,26 @@ def run_trace_confine(
     Figure 6 plots taus 3..8; Figure 7's snapshots are taus 3..7 of the
     same experiment.  The sharp drop between tau=3 and tau=5 is the
     signature the paper attributes to the trace's long links and the long
-    narrow deployment shape.  With ``workers`` the per-tau runs fan out
-    across processes (each regenerating the deterministic trace from
-    ``seed``); an explicitly supplied ``trace`` forces the serial path.
-    Under an active observation the fan-out path is taken even with one
-    worker, so run-reports are worker-count invariant.
+    narrow deployment shape.  The trace (generated from ``seed`` unless
+    supplied), its network and the protected outer cycle are built once;
+    one :func:`parallel_starmap` call maps the per-tau cells over that
+    prepared graph, fanned across ``workers`` processes with results
+    identical at any worker count.
     """
-    from repro.obs.tracer import current_metrics, current_tracer
-    from repro.parallel import parallel_starmap, resolve_workers
+    from repro.parallel import parallel_starmap
 
-    observed = current_tracer().enabled or current_metrics() is not None
     config = config or GreenOrbsConfig()
-    if trace is None and (resolve_workers(workers) > 1 or observed):
-        trace = generate_greenorbs_trace(config, seed=seed)
-        network = trace.as_network(rc=config.max_range, rs=config.max_range)
-        protected = set(outer_boundary_cycle(network))
-        cells = parallel_starmap(
-            _trace_confine_cell,
-            [(config, seed, tau) for tau in taus],
-            workers=workers,
-        )
-        inner_left = dict(cells)
-        return TraceConfineResult(
-            taus=list(taus),
-            inner_left_by_tau=inner_left,
-            boundary_nodes=len(protected),
-            total_nodes=len(network.graph),
-        )
     trace = trace or generate_greenorbs_trace(config, seed=seed)
     network = trace.as_network(rc=config.max_range, rs=config.max_range)
-    cycle = outer_boundary_cycle(network)
-    protected = set(cycle)
-    inner_left = {}
-    for tau in taus:
-        result = dcc_schedule(
-            network.graph, protected, tau, rng=random.Random(seed + tau)
-        )
-        inner_left[tau] = result.num_active - len(protected)
+    protected = set(outer_boundary_cycle(network))
+    cells = parallel_starmap(
+        _trace_confine_cell,
+        [(network.graph, protected, seed, tau) for tau in taus],
+        workers=workers,
+    )
     return TraceConfineResult(
         taus=list(taus),
-        inner_left_by_tau=inner_left,
+        inner_left_by_tau=dict(zip(taus, cells)),
         boundary_nodes=len(protected),
         total_nodes=len(network.graph),
     )

@@ -82,7 +82,6 @@ def energy_aware_schedule(
         tau=tau,
         rounds=len(deletions_per_round),
         deletions_per_round=deletions_per_round,
-        deletability_tests=engine.counters.deletability_tests,
         counters=engine.counters,
     )
 

@@ -29,7 +29,6 @@ from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.core.criterion import VertexCycle, is_tau_partitionable
 from repro.network.graph import NetworkGraph
-from repro.obs.tracer import current_metrics, current_tracer
 from repro.topology import LocalTopologyEngine, TopologyCounters, mis_separation
 
 
@@ -42,7 +41,6 @@ class ScheduleResult:
     tau: int
     rounds: int
     deletions_per_round: List[int] = field(default_factory=list)
-    deletability_tests: int = 0
     counters: Optional[TopologyCounters] = None
     #: sharding account (:class:`repro.shard.scheduler.ShardStats`),
     #: ``None`` for unsharded runs.
@@ -69,8 +67,6 @@ def dcc_schedule(
     seed: int = 0,
     engine: Optional[LocalTopologyEngine] = None,
     workers: Optional[int] = 1,
-    tracer=None,
-    metrics=None,
     shards: Optional[int] = None,
 ) -> ScheduleResult:
     """Compute a sparse tau-confine coverage set by maximal vertex deletion.
@@ -98,16 +94,15 @@ def dcc_schedule(
     single in-process loop, so any ``workers`` other than ``1`` without
     ``shards=`` raises :class:`ValueError`.
 
-    ``tracer`` / ``metrics`` default to the ambient observers
+    The run is observed by the ambient pair
     (:func:`repro.obs.tracer.observe`); a run with both disabled pays
     only the null-tracer guards.  When observed, every round records a
     ``scheduler.round`` span with nested candidate-discovery, MIS-draw
     and deletion phases, and the engine's counter delta is absorbed into
-    the registry under ``topology.*``.
+    the registry under ``topology.*``.  A prebuilt ``engine`` re-captures
+    the ambient pair, so it is observed exactly as a fresh one would be.
     """
     rng = rng if rng is not None else random.Random(seed)
-    tracer = tracer if tracer is not None else current_tracer()
-    metrics = metrics if metrics is not None else current_metrics()
     if shards is None and workers != 1:
         raise ValueError(
             f"workers={workers!r} needs shards=: unsharded schedules run "
@@ -125,25 +120,19 @@ def dcc_schedule(
             rng,
             shards,
             workers=workers if workers is not None else 0,
-            tracer=tracer,
-            metrics=metrics,
         )
     if engine is None:
-        engine = LocalTopologyEngine(
-            graph.copy(), tau, tracer=tracer, metrics=metrics
-        )
+        engine = LocalTopologyEngine(graph.copy(), tau)
     elif engine.tau != tau:
         raise ValueError("engine was built for a different tau")
-    elif tracer.enabled or metrics is not None:
-        engine.set_observers(tracer=tracer, metrics=metrics)
+    else:
+        engine._capture_ambient()
     work = engine.graph
     protected_set = set(protected)
     missing = protected_set - work.vertex_set()
     if missing:
         raise KeyError(f"protected nodes not in graph: {sorted(missing)[:5]}")
-    return _dcc_schedule_rounds(
-        engine, work, protected_set, tau, rng, tracer, metrics
-    )
+    return _dcc_schedule_rounds(engine, work, protected_set, tau, rng)
 
 
 def _dcc_schedule_rounds(
@@ -152,9 +141,9 @@ def _dcc_schedule_rounds(
     protected_set: Set[int],
     tau: int,
     rng: random.Random,
-    tracer,
-    metrics,
 ) -> ScheduleResult:
+    tracer = engine.tracer
+    metrics = engine.metrics
     removed: List[int] = []
     deletions_per_round: List[int] = []
     separation = mis_separation(tau)
@@ -206,7 +195,6 @@ def _dcc_schedule_rounds(
                 volatile=True,
             )
             metrics.observe("scheduler.deletions_per_round", len(batch))
-            metrics.observe("scheduler.mis_size", len(batch))
         round_no += 1
 
     if metrics is not None:
@@ -229,7 +217,6 @@ def _dcc_schedule_rounds(
         tau=tau,
         rounds=len(deletions_per_round),
         deletions_per_round=deletions_per_round,
-        deletability_tests=engine.counters.deletability_tests,
         counters=engine.counters,
     )
 

@@ -185,12 +185,15 @@ def render_lane_timeline(
 
     The coordinator lane holds the round structure (``halo.route``
     blocks, ``shard.merge``); each ``proc``-tagged process (shards,
-    pool tasks) gets its own lane of top-level busy
-    intervals.  ``shard.barrier`` windows are shaded behind every lane —
-    shard busy bars covering the shading show parallel compute, the
-    uncovered remainder is coordinator barrier wait.  A rows-per-route
-    polyline above the lanes plots the halo traffic recorded on the
-    ``halo.route`` spans.
+    pool tasks) gets its own lane of top-level busy intervals.  The
+    process that waits at the ``shard.barrier`` windows is the
+    coordinator whatever its ``proc`` tag, so a sharded schedule run as
+    a pool task (a sharded Figure 2 cell) still draws its round
+    structure on the coordinator lane.  ``shard.barrier`` windows are
+    shaded behind every lane — shard busy bars covering the shading show
+    parallel compute, the uncovered remainder is coordinator barrier
+    wait.  A rows-per-route polyline above the lanes plots the halo
+    traffic recorded on the ``halo.route`` spans.
     """
     canvas = canvas or SvgCanvas(width=1200, height=520)
 
@@ -199,9 +202,12 @@ def render_lane_timeline(
     halo_points: List[tuple] = []  # (mid_time, rows, bytes)
     coordinator: List[Span] = []
     lanes: Dict[str, List[Span]] = {}
+    coordinator_procs = {
+        span.attrs.get("proc") for span in spans if span.name == "shard.barrier"
+    }
     for span in spans:
         proc = span.attrs.get("proc")
-        if proc is not None:
+        if proc is not None and proc not in coordinator_procs:
             lanes.setdefault(str(proc), []).append(span)
             continue
         if span.name == "shard.barrier":

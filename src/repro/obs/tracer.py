@@ -14,9 +14,9 @@ figure, per sweep) may call :meth:`Tracer.trace` unconditionally — the
 null tracer hands back a shared no-op context manager.
 
 An *ambient* tracer/metrics pair can be installed with :func:`observe`;
-:func:`current_tracer` / :func:`current_metrics` are how layers that are
-not explicitly threaded an observer (the scheduler, the simulator, the
-sweep runner) pick one up.  The ambient slot is process-global: worker
+:func:`current_tracer` / :func:`current_metrics` are the only way any
+layer (the engine, the schedulers, the simulator, the sweep runner)
+picks one up.  The ambient slot is process-global: worker
 processes of the parallel layer start with the null tracer and install
 their own capture-local observers (see :mod:`repro.parallel.runner`).
 

@@ -21,6 +21,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.vpt import deletion_radius
 from repro.network.graph import NetworkGraph
+from repro.obs.tracer import observe
 from repro.runtime.messages import (
     DeletePayload,
     Message,
@@ -54,28 +55,17 @@ class _LocalView:
     feed an incrementally-maintained local graph, and the node's
     deletability verdict is served by the engine's caches — it is only
     recomputed after a deletion inside the node's own k-ball, instead of
-    once per protocol iteration.
+    once per protocol iteration.  The engine observes through the
+    ambient pair at construction.
     """
 
     __slots__ = ("adjacency", "_engine")
 
     def __init__(
-        self,
-        tau: Optional[int] = None,
-        counters: Optional[TopologyCounters] = None,
-        tracer=None,
-        metrics=None,
+        self, tau: int, counters: Optional[TopologyCounters] = None
     ) -> None:
         self.adjacency: Dict[int, FrozenSet[int]] = {}
-        self._engine: Optional[LocalTopologyEngine] = None
-        if tau is not None:
-            self._engine = LocalTopologyEngine(
-                NetworkGraph(),
-                tau,
-                counters=counters,
-                tracer=tracer,
-                metrics=metrics,
-            )
+        self._engine = LocalTopologyEngine(NetworkGraph(), tau, counters=counters)
 
     def merge(self, rows: Tuple[Tuple[int, FrozenSet[int]], ...]) -> bool:
         changed = False
@@ -83,12 +73,11 @@ class _LocalView:
             if node not in self.adjacency:
                 self.adjacency[node] = nbrs
                 changed = True
-                if self._engine is not None:
-                    self._engine.add_vertex(node)
-                    for u in nbrs:
-                        if not self._engine.graph.has_edge(node, u):
-                            self._engine.add_vertex(u)
-                            self._engine.add_edge(node, u)
+                self._engine.add_vertex(node)
+                for u in nbrs:
+                    if not self._engine.graph.has_edge(node, u):
+                        self._engine.add_vertex(u)
+                        self._engine.add_edge(node, u)
         return changed
 
     def forget(self, node: int) -> None:
@@ -97,33 +86,24 @@ class _LocalView:
             v: nbrs - {node} if node in nbrs else nbrs
             for v, nbrs in self.adjacency.items()
         }
-        if self._engine is not None and node in self._engine.graph:
+        if node in self._engine.graph:
             self._engine.delete_vertex(node)
 
     def deletable(self, node: int) -> bool:
         """Definition 5 verdict for ``node`` within this local view."""
-        if self._engine is None:
-            raise ValueError("view was built without a confine size")
         return self._engine.deletable(node)
 
     def as_graph(self) -> NetworkGraph:
-        if self._engine is not None:
-            return self._engine.graph
-        graph = NetworkGraph()
-        known = set(self.adjacency)
-        for v, nbrs in self.adjacency.items():
-            graph.add_vertex(v)
-            for u in nbrs:
-                if u in known:
-                    graph.add_edge(u, v)
-                else:
-                    graph.add_vertex(u)
-                    graph.add_edge(u, v)
-        return graph
+        return self._engine.graph
 
 
 class DistributedDCC:
-    """Runs the DCC protocol on a simulated network."""
+    """Runs the DCC protocol on a simulated network.
+
+    Observed by the ambient tracer and metrics registry captured at
+    construction (:func:`repro.obs.tracer.observe`); every node's view
+    engine observes through the same pair.
+    """
 
     def __init__(
         self,
@@ -133,11 +113,9 @@ class DistributedDCC:
         rng: Optional[random.Random] = None,
         max_iterations: int = 10_000,
         seed: int = 0,
-        tracer=None,
-        metrics=None,
     ) -> None:
-        self.sim = Simulator(graph, tracer=tracer, metrics=metrics)
-        # Share the simulator's resolved observers (ambient by default).
+        self.sim = Simulator(graph)
+        # Share the observers the simulator captured.
         self.tracer = self.sim.tracer
         self.metrics = self.sim.metrics
         self.protected = set(protected)
@@ -200,16 +178,13 @@ class DistributedDCC:
         k-hop neighbours (including those between two depth-k nodes).
         """
         sim = self.sim
-        for node in sim.active:
-            view = _LocalView(
-                self.tau,
-                counters=self.counters,
-                tracer=self.tracer,
-            )
-            # A radio hears its one-hop neighbours for free; this seeds
-            # repro: allow[global-graph-read] bootstrap, round-0 gossip only
-            view.merge(((node, frozenset(sim.graph.neighbors(node))),))
-            self.views[node] = view
+        with observe(self.tracer, self.metrics):
+            for node in sim.active:
+                view = _LocalView(self.tau, counters=self.counters)
+                # A radio hears its one-hop neighbours for free; this seeds
+                # repro: allow[global-graph-read] bootstrap, round-0 gossip only
+                view.merge(((node, frozenset(sim.graph.neighbors(node))),))
+                self.views[node] = view
         for __ in range(self.k):
             for node in sim.active:
                 rows = tuple(self.views[node].adjacency.items())

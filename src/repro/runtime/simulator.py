@@ -21,24 +21,23 @@ from repro.runtime.stats import RuntimeStats
 class Simulator:
     """Synchronous broadcast rounds over a (mutable) topology.
 
-    ``tracer`` / ``metrics`` default to the ambient observers.  When
-    observing, every :meth:`step` records a ``runtime.round`` span plus
+    Observed by the ambient tracer and metrics registry captured at
+    construction (:func:`repro.obs.tracer.observe`).  When observing,
+    every :meth:`step` records a ``runtime.round`` span plus
     per-round message-volume histograms (``runtime.messages_per_round``,
     ``runtime.delivered_per_round`` and per-kind
     ``runtime.round_messages.<kind>``) — all deterministic at a fixed
     seed, so they survive run-report determinism comparisons.
     """
 
-    def __init__(
-        self, graph: NetworkGraph, tracer=None, metrics=None
-    ) -> None:
+    def __init__(self, graph: NetworkGraph) -> None:
         self.graph = graph.copy()
         self.active: Set[int] = graph.vertex_set()
         self.inboxes: Dict[int, List[Message]] = defaultdict(list)
         self.outboxes: Dict[int, List[Message]] = defaultdict(list)
         self.stats = RuntimeStats()
-        self.tracer = tracer if tracer is not None else current_tracer()
-        self.metrics = metrics if metrics is not None else current_metrics()
+        self.tracer = current_tracer()
+        self.metrics = current_metrics()
 
     def send(self, message: Message) -> None:
         """Queue a local broadcast for delivery next round."""

@@ -32,7 +32,7 @@ import pickle
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.network.graph import NetworkGraph
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer, observe
 from repro.topology import LocalTopologyEngine
 from repro.topology.mis import LOSER, UNDECIDED, WINNER, WaveMIS
 
@@ -74,12 +74,12 @@ class LocalShard:
         self.halo_slots = frozenset(rank[v] for v in self.halo)
         self._owned_set = frozenset(self.owned)
         self._boundary = frozenset(boundary)
-        self.engine = LocalTopologyEngine(
-            partition,
-            tau,
-            owned=self._owned_set,
-            tracer=self.tracer if capture else None,
-        )
+        # The engine observes through this shard's own tracer only, never
+        # the host's ambient pair (inline shards share the coordinator's).
+        with observe(self.tracer):
+            self.engine = LocalTopologyEngine(
+                partition, tau, owned=self._owned_set
+            )
         self._radius = self.engine.radius
         self._mis: Optional[WaveMIS] = None
 

@@ -128,8 +128,6 @@ def sharded_dcc_schedule(
     rng: random.Random,
     shards: int,
     workers: int = 1,
-    tracer=None,
-    metrics=None,
     plan_seed: int = 0,
     plan: Optional[ShardPlan] = None,
 ):
@@ -143,7 +141,8 @@ def sharded_dcc_schedule(
     persistent worker processes via
     :class:`~repro.parallel.runner.ShardWorkerPool`.  ``plan`` overrides
     the partition (for tests); otherwise one is built from
-    ``(graph, tau, shards, plan_seed)``.
+    ``(graph, tau, shards, plan_seed)``.  The run is observed by the
+    ambient tracer and metrics registry (:func:`repro.obs.tracer.observe`).
     """
     from repro.core.scheduler import ScheduleResult
     from repro.parallel.runner import (
@@ -153,8 +152,8 @@ def sharded_dcc_schedule(
         resolve_workers,
     )
 
-    tracer = tracer if tracer is not None else current_tracer()
-    metrics = metrics if metrics is not None else current_metrics()
+    tracer = current_tracer()
+    metrics = current_metrics()
     if plan is None:
         plan = build_shard_plan(graph, tau, shards, seed=plan_seed)
     elif plan.tau != tau:
@@ -332,7 +331,6 @@ def sharded_dcc_schedule(
                     volatile=True,
                 )
                 metrics.observe("scheduler.deletions_per_round", len(batch))
-                metrics.observe("scheduler.mis_size", len(batch))
                 metrics.inc("shard.halo_rows", rows)
                 metrics.inc("shard.halo_bytes", nbytes)
                 metrics.observe("shard.subrounds", subrounds)
@@ -371,7 +369,6 @@ def sharded_dcc_schedule(
         tau=tau,
         rounds=len(deletions_per_round),
         deletions_per_round=deletions_per_round,
-        deletability_tests=counters.deletability_tests,
         counters=counters,
         shard_stats=stats,
     )

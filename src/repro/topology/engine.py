@@ -18,7 +18,9 @@ once, incrementally:
   the engine's mutations patch the kernel mirror and the graph together.
 * **Instrumentation.**  All of the above is counted in
   :class:`TopologyCounters`, surfaced on ``ScheduleResult`` and
-  ``RuntimeStats``.
+  ``RuntimeStats``.  Spans and verdict timings go to the ambient
+  observers (:func:`repro.obs.tracer.observe`) captured when the engine
+  is built.
 
 The engine owns its graph: all mutations must go through
 :meth:`delete_vertex` / :meth:`delete_edge` / :meth:`add_edge` /
@@ -34,7 +36,7 @@ from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.checks.sanitizer import current_sanitizer
 from repro.network.graph import NetworkGraph
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import current_metrics, current_tracer, observe
 from repro.topology.counters import TopologyCounters
 from repro.topology.radii import neighborhood_radius
 
@@ -66,8 +68,6 @@ class LocalTopologyEngine:
         Optional shared :class:`TopologyCounters` (several engines can
         aggregate into one, as the distributed protocol's per-node views
         do).
-    tracer / metrics:
-        Optional observers (see :meth:`set_observers`).
     owned:
         Optional owned-region restriction (the shard runtime).  When
         set, :meth:`deletable` refuses vertices outside the set with
@@ -81,20 +81,15 @@ class LocalTopologyEngine:
         tau: int,
         *,
         counters: Optional[TopologyCounters] = None,
-        tracer=None,
-        metrics=None,
         owned: Optional[FrozenSet[int]] = None,
     ) -> None:
         self.graph = graph
         self.tau = tau
         self.owned = owned
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
         self.radius = neighborhood_radius(tau)
         self.counters = counters if counters is not None else TopologyCounters()
         self._kernel = graph.csr()
-        if self.tracer.enabled:
-            self._kernel.tracer = self.tracer
+        self._capture_ambient()
         self._verdicts: Dict[int, bool] = {}
         self._criterion_key: Optional[Tuple] = None
         self._criterion = False
@@ -114,18 +109,16 @@ class LocalTopologyEngine:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def set_observers(self, tracer=None, metrics=None) -> None:
-        """Attach a tracer and/or metrics registry after construction.
+    def _capture_ambient(self) -> None:
+        """Observe through the ambient tracer and metrics registry.
 
         Timing is recorded only while ``tracer.enabled`` (or a registry
-        is attached): the disabled path pays two attribute lookups per
+        is installed): the disabled path pays two attribute lookups per
         fresh verdict.  The tracer is propagated to the kernel mirror so
         its ball-BFS and span-verdict spans nest under the engine's.
         """
-        if tracer is not None:
-            self.tracer = tracer
-        if metrics is not None:
-            self.metrics = metrics
+        self.tracer = current_tracer()
+        self.metrics = current_metrics()
         self._kernel.tracer = self.tracer if self.tracer.enabled else None
 
     # ------------------------------------------------------------------
@@ -291,21 +284,20 @@ class LocalTopologyEngine:
     def fork(self) -> "LocalTopologyEngine":
         """An engine on an independent graph copy with a warm verdict cache.
 
-        Shares the counters object with the parent (so accounting
-        aggregates), but copies the graph and the verdict cache —
+        Shares the counters object and the observers with the parent (so
+        accounting aggregates), but copies the graph and the verdict cache —
         mutations in the fork leave the parent untouched.  Used by the
         lifetime rotation: each shift schedules on a fork and inherits
         every verdict that is still valid.
         """
         self._sync()
-        clone = LocalTopologyEngine(
-            self.graph.copy(),
-            self.tau,
-            counters=self.counters,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            owned=self.owned,
-        )
+        with observe(self.tracer, self.metrics):
+            clone = LocalTopologyEngine(
+                self.graph.copy(),
+                self.tau,
+                counters=self.counters,
+                owned=self.owned,
+            )
         clone._verdicts = dict(self._verdicts)
         return clone
 

@@ -2,14 +2,35 @@
 
 import pytest
 
+from repro.analysis import experiments
 from repro.analysis.experiments import (
     run_fig1_mobius,
     run_fig2_vertex_deletion,
     run_fig3_confine_size,
     run_fig4_hgc_comparison,
     run_fig5_rssi_cdf,
+    run_trace_confine,
 )
+from repro.obs import MetricsRegistry, Tracer, observe
 from repro.traces.greenorbs import GreenOrbsConfig, generate_greenorbs_trace
+
+SMALL_TRACE = GreenOrbsConfig(
+    node_count=120, clusters=6, epochs=24,
+    strip_width=220.0, strip_height=80.0,
+)
+
+
+def _counting(monkeypatch, name):
+    """Wrap ``experiments.<name>`` so the test can count its calls."""
+    calls = []
+    original = getattr(experiments, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, wrapper)
+    return calls
 
 
 class TestFig1:
@@ -31,6 +52,33 @@ class TestFig2:
             assert result.preserved(tau), "Theorem 5 violated"
         assert result.active_by_tau[4] <= result.active_by_tau[3]
         assert "Figure 2" in result.format_table()
+
+
+class TestPreparedInputs:
+    """Each driver builds its inputs once, observed or not."""
+
+    def test_fig2_deploys_once_under_observation(self, monkeypatch):
+        calls = _counting(monkeypatch, "network_for_average_degree")
+        plain = run_fig2_vertex_deletion(
+            count=70, degree=10.0, taus=(3, 4, 5), seed=0
+        )
+        assert len(calls) == 1
+        with observe(Tracer(), MetricsRegistry()):
+            observed = run_fig2_vertex_deletion(
+                count=70, degree=10.0, taus=(3, 4, 5), seed=0
+            )
+        assert len(calls) == 2
+        assert observed.format_table() == plain.format_table()
+
+    def test_trace_generated_once_under_observation(self, monkeypatch):
+        calls = _counting(monkeypatch, "generate_greenorbs_trace")
+        taus = (3, 4, 5, 6, 7, 8)
+        plain = run_trace_confine(taus=taus, config=SMALL_TRACE, seed=4)
+        assert len(calls) == 1
+        with observe(Tracer(), MetricsRegistry()):
+            observed = run_trace_confine(taus=taus, config=SMALL_TRACE, seed=4)
+        assert len(calls) == 2
+        assert observed.format_table("6") == plain.format_table("6")
 
 
 class TestFig3:

@@ -1,7 +1,7 @@
 """Property tests for the observability layer's determinism contract.
 
 The headline guarantee (DESIGN.md section 6): at a fixed seed, a sweep's
-run-report is identical at any worker count once
+or a figure driver's run-report is identical at any worker count once
 :func:`repro.obs.export.strip_volatile` removes the wall-clock fields —
 span structure, call counts, merged counters and histogram contents all
 survive the serial-to-fanned-out transition byte-for-byte.
@@ -12,12 +12,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import run_trace_confine
 from repro.analysis.sweeps import parameter_grid, run_sweep
 from repro.core.scheduler import dcc_schedule
 from repro.network.deployment import Rectangle, build_network
+from repro.traces.greenorbs import GreenOrbsConfig
 from repro.obs import (
     MetricsRegistry,
     Tracer,
+    build_run_report,
     load_run_report,
     observe,
     strip_volatile,
@@ -49,6 +52,34 @@ def _report_for(workers, counts, seeds, tmp_path):
     return report
 
 
+def _trace_driver_report(workers):
+    """Run-report of the Figure 6/7 driver on a small trace."""
+    config = GreenOrbsConfig(
+        node_count=120, clusters=6, epochs=24,
+        strip_width=220.0, strip_height=80.0,
+    )
+    tracer, metrics = Tracer(), MetricsRegistry()
+    with observe(tracer, metrics):
+        run_trace_confine(
+            taus=(3, 4, 5), config=config, seed=4, workers=workers
+        )
+    report = build_run_report(
+        "trace", tracer, metrics, meta={"workers": workers}
+    )
+    validate_run_report(report)
+    return report
+
+
+def _assert_reports_agree(serial, fanned):
+    # Wall-clock aside, the observations must be indistinguishable.
+    assert strip_volatile(serial) == strip_volatile(fanned)
+    # The raw reports differ only in the volatile fields: the span
+    # structure itself (names, call counts) already agrees.
+    assert sorted(serial["phases"]) == sorted(fanned["phases"])
+    for phase in serial["phases"]:
+        assert serial["phases"][phase]["calls"] == fanned["phases"][phase]["calls"]
+
+
 class TestReportWorkerInvariance:
     @given(
         counts=st.lists(
@@ -67,18 +98,16 @@ class TestReportWorkerInvariance:
     @settings(max_examples=5, deadline=None)
     def test_serial_and_fanned_reports_agree(self, counts, seeds, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("obs-reports")
-        serial = _report_for(1, counts, tuple(seeds), tmp_path)
-        fanned = _report_for(2, counts, tuple(seeds), tmp_path)
-        # Wall-clock aside, the observations must be indistinguishable.
-        assert strip_volatile(serial) == strip_volatile(fanned)
-        # The raw reports differ only in the volatile fields: the span
-        # structure itself (names, call counts) already agrees.
-        assert sorted(serial["phases"]) == sorted(fanned["phases"])
-        for phase in serial["phases"]:
-            assert (
-                serial["phases"][phase]["calls"]
-                == fanned["phases"][phase]["calls"]
-            )
+        _assert_reports_agree(
+            _report_for(1, counts, tuple(seeds), tmp_path),
+            _report_for(2, counts, tuple(seeds), tmp_path),
+        )
+
+    def test_trace_driver_reports_agree(self):
+        """The figure 6/7 driver: one prepared trace, any worker count."""
+        serial = _trace_driver_report(1)
+        _assert_reports_agree(serial, _trace_driver_report(2))
+        assert serial["metrics"]["scheduler.runs"]["value"] == 3
 
     def test_ambient_merge_preserves_structure(self, tmp_path):
         """A reported sweep inside an observation leaves its spans behind."""

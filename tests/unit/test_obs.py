@@ -46,6 +46,7 @@ from repro.obs import (
     write_run_report,
     write_trace_jsonl,
 )
+from repro.obs.timeline import _BARRIER_SHADE
 from repro.obs.tracer import Span
 from repro.runtime.stats import RuntimeStats
 from repro.topology import TopologyCounters
@@ -259,6 +260,72 @@ class TestAmbientObservation:
             with observe(tracer):
                 raise RuntimeError("boom")
         assert current_tracer() is NULL_TRACER
+
+    def test_energy_aware_engine_observes_ambiently(self):
+        """An engine built inside an observation records its verdicts."""
+        import random
+
+        from repro.core.lifetime import energy_aware_schedule
+        from repro.network.topologies import triangulated_grid
+
+        mesh = triangulated_grid(5, 5)
+        residual = {v: 1.0 for v in mesh.graph.vertices()}
+        tracer = Tracer()
+        with observe(tracer):
+            energy_aware_schedule(
+                mesh.graph, set(mesh.outer_boundary), 4, residual,
+                rng=random.Random(0),
+            )
+        names = {span.name for span in tracer.spans()}
+        assert "engine.verdict" in names
+
+    def test_fork_keeps_the_parents_observers(self):
+        from repro.network.topologies import triangulated_grid
+        from repro.topology import LocalTopologyEngine
+
+        tracer, metrics = Tracer(), MetricsRegistry()
+        with observe(tracer, metrics):
+            engine = LocalTopologyEngine(triangulated_grid(4, 4).graph, 4)
+        fork = engine.fork()
+        assert fork.tracer is tracer and fork.metrics is metrics
+        with observe(Tracer()):
+            assert engine.fork().tracer is tracer
+
+    def test_prebuilt_engine_recaptures_ambient_observers(self):
+        import random
+
+        from repro.core.scheduler import dcc_schedule
+        from repro.network.topologies import triangulated_grid
+        from repro.topology import LocalTopologyEngine
+
+        mesh = triangulated_grid(5, 5)
+        engine = LocalTopologyEngine(mesh.graph.copy(), 4)
+        assert engine.tracer is NULL_TRACER and engine.metrics is None
+        tracer, metrics = Tracer(), MetricsRegistry()
+        with observe(tracer, metrics):
+            dcc_schedule(
+                engine.graph, set(mesh.outer_boundary), 4,
+                rng=random.Random(0), engine=engine,
+            )
+        assert engine.tracer is tracer and engine.metrics is metrics
+        assert "engine.verdict" in {span.name for span in tracer.spans()}
+        assert metrics.counter("scheduler.runs").value == 1
+
+    def test_protocol_views_receive_the_metrics_registry(self):
+        import random
+
+        from repro.network.topologies import triangulated_grid
+        from repro.runtime.protocol import DistributedDCC
+
+        mesh = triangulated_grid(4, 4)
+        tracer, metrics = Tracer(), MetricsRegistry()
+        with observe(tracer, metrics):
+            protocol = DistributedDCC(
+                mesh.graph, set(mesh.outer_boundary), 3, rng=random.Random(0)
+            )
+        protocol.run()
+        assert "engine.verdict_wall_s" in metrics.names()
+        assert "engine.verdict" in {span.name for span in tracer.spans()}
 
     def test_traced_decorator(self):
         @traced("unit.fn", layer="test")
@@ -803,14 +870,33 @@ class TestAttribution:
 # ----------------------------------------------------------------------
 # Multi-lane timeline
 # ----------------------------------------------------------------------
+def _as_pool_task(spans, label):
+    """``spans`` as imported from a pool task: untagged ones get ``label``."""
+    return [
+        Span(
+            span.name, span.depth, span.start_s, span.wall_s, span.cpu_s,
+            {"proc": label, **span.attrs},
+        )
+        for span in spans
+    ]
+
+
 class TestLaneTimeline:
     def test_lanes_render_with_shading_and_overlay(self):
-        canvas = render_lane_timeline(_sharded_segment(), title="unit")
-        svg = canvas.render()
-        assert "coordinator" in svg
-        assert "shard0" in svg and "shard1" in svg
-        assert "halo rows/route" in svg
-        assert "aligned wall-clock seconds" in svg
+        # The second stream is a sharded schedule run as a pool task: the
+        # coordinator's spans carry the task's label, the shards keep
+        # their own, and the task is still drawn as the coordinator.
+        for spans in (
+            _sharded_segment(),
+            _as_pool_task(_sharded_segment(), "task0"),
+        ):
+            svg = render_lane_timeline(spans, title="unit").render()
+            assert "coordinator" in svg
+            assert "shard0" in svg and "shard1" in svg
+            assert "task0" not in svg
+            assert "halo rows/route" in svg
+            assert "aligned wall-clock seconds" in svg
+            assert _BARRIER_SHADE in svg
 
     def test_no_distributed_spans_message(self):
         canvas = render_lane_timeline([])
@@ -943,10 +1029,10 @@ class TestAttributionEdgeCases:
                 if rng.random() < 0.25:
                     graph.add_edge(u, v)
         tracer = Tracer()
-        result = sharded_dcc_schedule(
-            graph, set(graph.vertices()), 3, random.Random(0),
-            shards=2, tracer=tracer,
-        )
+        with observe(tracer):
+            result = sharded_dcc_schedule(
+                graph, set(graph.vertices()), 3, random.Random(0), shards=2
+            )
         assert result.removed == []
         attribution = attribution_from_tracer(tracer)
         if attribution is not None:

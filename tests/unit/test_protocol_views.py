@@ -10,23 +10,24 @@ from repro.runtime.protocol import DistributedDCC, _LocalView
 
 class TestLocalView:
     def test_merge_reports_new_rows_only(self):
-        view = _LocalView()
+        view = _LocalView(3)
         assert view.merge(((1, frozenset({2, 3})),))
         assert not view.merge(((1, frozenset({2, 3})),))  # already known
 
     def test_merge_does_not_overwrite(self):
         """First-learned adjacency wins; gossip is append-only."""
-        view = _LocalView()
+        view = _LocalView(3)
         view.merge(((1, frozenset({2})),))
         view.merge(((1, frozenset({2, 3})),))
         assert view.adjacency[1] == frozenset({2})
 
     def test_forget_removes_node_and_mentions(self):
-        view = _LocalView()
+        view = _LocalView(3)
         view.merge(((1, frozenset({2, 3})), (2, frozenset({1}))))
         view.forget(2)
         assert 2 not in view.adjacency
         assert 2 not in view.adjacency[1]
+        assert 2 not in view.as_graph()
 
     def test_stale_row_cannot_resurrect_forgotten_node(self):
         """A stale TOPOLOGY row must not bring a deleted neighbour back.
@@ -37,7 +38,7 @@ class TestLocalView:
         ``node not in self.adjacency`` guard rejects the stale copy and
         the cleaned-up row stands.
         """
-        view = _LocalView()
+        view = _LocalView(3)
         view.merge(((1, frozenset({2, 3})), (2, frozenset({1})), (3, frozenset({1}))))
         view.forget(2)
         assert 2 not in view.adjacency
@@ -48,7 +49,7 @@ class TestLocalView:
         assert 2 not in view.as_graph()
 
     def test_as_graph_connects_known_rows(self):
-        view = _LocalView()
+        view = _LocalView(3)
         view.merge(((1, frozenset({2})), (2, frozenset({1, 3}))))
         graph = view.as_graph()
         assert graph.has_edge(1, 2)

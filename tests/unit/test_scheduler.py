@@ -52,7 +52,7 @@ class TestSchedule:
         assert result.num_active + result.num_removed == len(trigrid6.graph)
         assert sum(result.deletions_per_round) == result.num_removed
         assert result.rounds == len(result.deletions_per_round)
-        assert result.deletability_tests > 0
+        assert result.counters.deletability_tests > 0
 
     def test_input_graph_untouched(self, trigrid6):
         before = trigrid6.graph.num_edges()
