@@ -24,7 +24,7 @@ def main() -> None:
     trace = generate_greenorbs_trace(seed=1)
     values = trace.trace.edge_rssi_values()
     print(
-        f"accumulated {len(trace.trace.records)} RSSI records over "
+        f"accumulated {len(trace.trace)} RSSI records over "
         f"{len(trace.positions)} nodes -> {len(values)} undirected links"
     )
 

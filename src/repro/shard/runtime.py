@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.network.graph import NetworkGraph
 from repro.obs.tracer import NULL_TRACER, Tracer, observe
 from repro.topology import LocalTopologyEngine
-from repro.topology.mis import LOSER, UNDECIDED, WINNER, WaveMIS
+from repro.topology.mis import LOSER, WINNER, WaveMIS
 
 StatusRow = Tuple[int, int]  # (vertex, status)
 PriorityRow = Tuple[int, int]  # (vertex, priority index)

@@ -25,6 +25,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.network.deployment import Network, Rectangle
 from repro.network.graph import NetworkGraph
 from repro.network.node import Position, distance
@@ -35,6 +37,9 @@ from repro.traces.rssi import (
     graph_from_trace,
     threshold_for_fraction,
 )
+
+
+_TWOPI = 2.0 * math.pi  # random.TWOPI
 
 
 @dataclass
@@ -110,6 +115,52 @@ def _cluster_positions(
     return positions
 
 
+def random_bulk(rng: random.Random, n: int) -> np.ndarray:
+    """The next ``n`` values of ``rng.random()``, from one ``getrandbits`` call.
+
+    ``random()`` is ``(a * 2**26 + b) * 2**-53`` with ``a = w0 >> 5`` and
+    ``b = w1 >> 6`` over two consecutive 32-bit Mersenne Twister words;
+    ``getrandbits(64 * n)`` returns those words least significant first,
+    so its little-endian bytes are the stream in draw order.  Every step
+    is exact in float64, and the generator ends in the same state.
+    """
+    words = np.frombuffer(
+        rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4"
+    ).reshape(n, 2)
+    return ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) * 2.0**-53
+
+
+def gauss_bulk(rng: random.Random, n: int, sigma: float) -> np.ndarray:
+    """The next ``n`` values of ``rng.gauss(0.0, sigma)``, bit for bit.
+
+    ``Random.gauss`` is Box–Muller over ``random()`` pairs: it returns
+    ``cos(u0 * 2π) * sqrt(-2 log(1 - u1))`` and keeps the matching sine
+    term in ``rng.gauss_next`` for the next call.  The carry is honoured
+    on entry and left as the scalar calls would leave it.  NumPy does
+    only the correctly rounded steps (multiply, subtract, add, sqrt);
+    log, cos and sin are libm's, called through ``math`` as ``gauss``
+    calls them, because NumPy's own may differ in the last bit.
+    """
+    out = np.empty(n)
+    fresh = n
+    if n and rng.gauss_next is not None:
+        out[0] = rng.gauss_next
+        rng.gauss_next = None
+        fresh -= 1
+    pairs = (fresh + 1) // 2
+    if pairs:
+        u = random_bulk(rng, 2 * pairs)
+        x2pi = (u[0::2] * _TWOPI).tolist()
+        log = np.fromiter(map(math.log, (1.0 - u[1::2]).tolist()), float, pairs)
+        g2rad = np.sqrt(-2.0 * log)
+        z = np.empty(2 * pairs)
+        z[0::2] = np.fromiter(map(math.cos, x2pi), float, pairs) * g2rad
+        z[1::2] = np.fromiter(map(math.sin, x2pi), float, pairs) * g2rad
+        out[n - fresh :] = z[:fresh]
+        rng.gauss_next = float(z[-1]) if fresh % 2 else None
+    return 0.0 + out * sigma
+
+
 def _mean_rssi(config: GreenOrbsConfig, d: float) -> float:
     d = max(d, 0.1)
     return config.tx_power_dbm - 10.0 * config.path_loss_exponent * math.log10(d)
@@ -149,29 +200,49 @@ def generate_greenorbs_trace(
     trace = RssiTrace()
     gauss = rng.gauss
     fading = config.fading_sigma_db
-    # Per-receiver ``(sender, mean RSSI + shadowing)``: static per link,
-    # so only the fading is drawn again in later epochs.
-    links: Dict[int, List[Tuple[int, float]]] = {}
-    for __ in range(config.epochs):
-        for receiver in nodes:
-            static = links.get(receiver)
-            if static is None:
-                # First epoch: the lazy shadow() draws stay interleaved
-                # with the fading draws, as the rng stream requires.
-                static = links[receiver] = []
-                heard: List[Tuple[float, int]] = []
-                for sender in neighbors_in_range[receiver]:
-                    d = distance(positions[receiver], positions[sender])
-                    base = _mean_rssi(config, d) + shadow(receiver, sender)
-                    static.append((sender, base))
-                    heard.append((base + gauss(0.0, fading), sender))
-            else:
-                heard = [(base + gauss(0.0, fading), sender) for sender, base in static]
-            heard.sort(reverse=True)
-            trace.extend(
-                RssiRecord(receiver=receiver, sender=sender, rssi_dbm=rssi)
-                for rssi, sender in heard[: config.records_per_packet]
-            )
+    top = config.records_per_packet
+    # Epoch 1 is drawn scalar: the lazy shadow() draws stay interleaved
+    # with the fading draws, as the rng stream requires.  It also fixes
+    # each link's static mean RSSI + shadowing; later epochs redraw only
+    # the fading.
+    bases: List[float] = []
+    packets: List[Tuple[int, int, float]] = []
+    for receiver in nodes:
+        heard: List[Tuple[float, int]] = []
+        for sender in neighbors_in_range[receiver]:
+            d = distance(positions[receiver], positions[sender])
+            base = _mean_rssi(config, d) + shadow(receiver, sender)
+            bases.append(base)
+            heard.append((base + gauss(0.0, fading), sender))
+        heard.sort(reverse=True)
+        packets.extend((receiver, sender, rssi) for rssi, sender in heard[:top])
+    trace.extend(RssiRecord(*packet) for packet in packets)
+
+    # Epochs 2..E, one epoch at a time: links laid out as a
+    # (receiver, slot) block, slots in ascending sender order and unused
+    # slots at -inf.  A stable ascending argsort per row, read backwards,
+    # orders each packet by (RSSI, sender) descending — the tuple sort's
+    # order, ties included.
+    degree = np.array([len(neighbors_in_range[v]) for v in nodes], dtype=np.int64)
+    width = int(degree.max()) if len(nodes) else 0
+    in_row = np.arange(width) < degree[:, None]
+    sender_block = np.zeros((len(nodes), width), dtype=np.int64)
+    sender_block[in_row] = [s for v in nodes for s in neighbors_in_range[v]]
+    base_block = np.full((len(nodes), width), -np.inf)
+    base_block[in_row] = bases
+    kept = min(top, width)
+    picked = np.arange(kept) < np.minimum(degree, top)[:, None]
+    receiver_column = np.repeat(np.asarray(nodes, dtype=np.int64), np.minimum(degree, top))
+    rows = np.arange(len(nodes))[:, None]
+    for __ in range(1, config.epochs):
+        heard_block = base_block.copy()
+        heard_block[in_row] += gauss_bulk(rng, len(bases), fading)
+        best = np.argsort(heard_block, axis=1, kind="stable")[:, ::-1][:, :kept]
+        trace.extend_columns(
+            receiver_column,
+            sender_block[rows, best][picked],
+            heard_block[rows, best][picked],
+        )
 
     values = trace.edge_rssi_values()
     threshold = threshold_for_fraction(values, config.edge_keep_fraction)

@@ -1,12 +1,20 @@
 """Unit tests for RSSI traces and the synthetic GreenOrbs generator."""
 
 import hashlib
+import inspect
+import random
 
 import pytest
 
+from repro.network.node import distance
+from repro.network.topologies import grid_neighbor_pairs
 from repro.traces.greenorbs import (
     GreenOrbsConfig,
+    _cluster_positions,
+    _mean_rssi,
+    gauss_bulk,
     generate_greenorbs_trace,
+    random_bulk,
 )
 from repro.traces.rssi import (
     RssiRecord,
@@ -37,6 +45,42 @@ class TestRssiAggregation:
     def test_undirected_pools_directions(self):
         trace = make_trace([(1, 2, -60.0), (2, 1, -70.0)])
         assert trace.undirected_averages()[(1, 2)] == pytest.approx(-65.0)
+
+    def test_directed_sums_follow_record_order(self):
+        # Float addition does not associate: the mean must be the running
+        # sum in record order, as a per-record dict accumulation gives it.
+        rng = random.Random(4)
+        rows = [
+            (rng.randrange(5), rng.randrange(5), rng.uniform(-95.0, -40.0) * 10 ** rng.randrange(-3, 4))
+            for __ in range(3000)
+        ]
+        totals, counts = {}, {}
+        for receiver, sender, rssi in rows:
+            totals[(receiver, sender)] = totals.get((receiver, sender), 0.0) + rssi
+            counts[(receiver, sender)] = counts.get((receiver, sender), 0) + 1
+        expected = {key: totals[key] / counts[key] for key in totals}
+        directed = make_trace(rows).directed_averages()
+        assert list(directed.items()) == list(expected.items())
+
+    def test_columns_and_records_agree(self):
+        rows = [(1, 2, -60.0), (2, 1, -70.5), (1, 3, -80.25)]
+        trace = make_trace(rows[:1])
+        trace.extend_columns([2, 1], [1, 3], [-70.5, -80.25])
+        assert len(trace) == 3
+        assert trace.records == [RssiRecord(*r) for r in rows]
+        assert trace.directed_averages()[(1, 3)] == -80.25
+
+    def test_extend_invalidates_averages(self):
+        trace = make_trace([(1, 2, -60.0), (2, 1, -60.0)])
+        assert trace.edge_rssi_values() == [-60.0]
+        trace.extend([RssiRecord(1, 2, -80.0)])
+        assert trace.edge_rssi_values() == [-65.0]
+
+    def test_empty_trace(self):
+        trace = RssiTrace()
+        assert len(trace) == 0 and trace.records == []
+        assert trace.directed_averages() == {}
+        assert len(graph_from_trace(trace, -70.0)) == 0
 
     def test_edge_rssi_values_sorted(self):
         trace = make_trace(
@@ -74,6 +118,101 @@ class TestCdfAndThreshold:
         assert graph.has_edge(1, 2)
         assert not graph.has_edge(1, 3)
         assert 3 in graph  # node exists even if all its links fail
+
+
+class TestBulkDraws:
+    """The bulk draws reproduce the scalar rng calls bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+    def test_random_bulk_matches_random(self, n):
+        bulk, scalar = random.Random(11), random.Random(11)
+        values = random_bulk(bulk, n).tolist()
+        assert values == [scalar.random() for __ in range(n)]
+        assert bulk.getstate() == scalar.getstate()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 1000])
+    @pytest.mark.parametrize("carry", [False, True])
+    def test_gauss_bulk_matches_gauss(self, n, carry):
+        bulk, scalar = random.Random(23), random.Random(23)
+        if carry:
+            # One scalar draw leaves the Box-Muller sine term pending.
+            bulk.gauss()
+            scalar.gauss()
+            assert bulk.gauss_next is not None
+        values = gauss_bulk(bulk, n, 5.0).tolist()
+        assert values == [scalar.gauss(0.0, 5.0) for __ in range(n)]
+        assert bulk.getstate() == scalar.getstate()
+
+    def test_gauss_bulk_chains_like_gauss(self):
+        bulk, scalar = random.Random(5), random.Random(5)
+        for n in (3, 4, 1, 0, 5, 2):
+            assert gauss_bulk(bulk, n, 2.5).tolist() == [
+                scalar.gauss(0.0, 2.5) for __ in range(n)
+            ]
+        assert bulk.getstate() == scalar.getstate()
+
+    def test_transcendentals_stay_libm(self):
+        # NumPy's log/cos/sin may differ from libm in the last bit.
+        source = inspect.getsource(gauss_bulk)
+        for name in ("log", "cos", "sin", "exp"):
+            assert f"np.{name}" not in source
+
+
+def scalar_records(config, seed):
+    """The generator's records drawn one ``rng.gauss`` call at a time."""
+    rng = random.Random(seed)
+    positions = _cluster_positions(config, rng)
+    nodes = sorted(positions)
+    in_range = {v: [] for v in nodes}
+    for u, v in grid_neighbor_pairs(positions, config.max_range):
+        in_range[u].append(v)
+        in_range[v].append(u)
+    shadow = {}
+    records = []
+    for __ in range(config.epochs):
+        for receiver in nodes:
+            heard = []
+            for sender in in_range[receiver]:
+                key = (min(receiver, sender), max(receiver, sender))
+                if key not in shadow:
+                    shadow[key] = rng.gauss(0.0, config.pair_shadowing_sigma_db)
+                d = distance(positions[receiver], positions[sender])
+                base = _mean_rssi(config, d) + shadow[key]
+                heard.append((base + rng.gauss(0.0, config.fading_sigma_db), sender))
+            heard.sort(reverse=True)
+            records.extend(
+                (receiver, sender, rssi)
+                for rssi, sender in heard[: config.records_per_packet]
+            )
+    return records
+
+
+class TestGeneratorMatchesScalarDraws:
+    @pytest.mark.parametrize(
+        "config, seed",
+        [
+            (GreenOrbsConfig(node_count=50, clusters=4, epochs=4), 3),
+            (GreenOrbsConfig(node_count=50, clusters=4, epochs=1), 3),
+            (GreenOrbsConfig(node_count=70, clusters=5, epochs=3, records_per_packet=25), 8),
+            # Co-located clusters with no shadowing or fading: every
+            # packet is full of equal RSSI values, ordered by sender.
+            (
+                GreenOrbsConfig(
+                    node_count=40,
+                    clusters=4,
+                    cluster_sigma=0.0,
+                    pair_shadowing_sigma_db=0.0,
+                    fading_sigma_db=0.0,
+                    epochs=3,
+                ),
+                1,
+            ),
+        ],
+    )
+    def test_records_equal_scalar_reference(self, config, seed):
+        trace = generate_greenorbs_trace(config, seed=seed)
+        records = [(r.receiver, r.sender, r.rssi_dbm) for r in trace.trace.records]
+        assert records == scalar_records(config, seed)
 
 
 class TestGreenOrbsGenerator:
@@ -146,3 +285,21 @@ class TestGreenOrbsGenerator:
         assert digest.hexdigest() == (
             "d031a7c37b91a9f8fd24a5004ec401dfb74feecaecb6df3b6931620b25172d4a"
         )
+
+    def test_record_stream_is_pinned_across_a_gauss_carry(self):
+        # 2221 in-range pairs: epoch 1 draws an odd number of gaussians
+        # (one shadowing per pair, one fading per direction), so every
+        # later epoch starts and ends with a pending Box-Muller term.
+        # Digest recorded with the all-scalar generator.
+        trace = generate_greenorbs_trace(
+            GreenOrbsConfig(node_count=120, epochs=7), seed=2
+        )
+        digest = hashlib.sha256()
+        for r in trace.trace.records:
+            digest.update(repr((r.receiver, r.sender, r.rssi_dbm)).encode())
+        assert len(trace.trace) == 8400
+        assert digest.hexdigest() == (
+            "2986d6bd71d72314bcbb3743422e55c616a07a13177541ab00fa4a8b8c95de18"
+        )
+        assert trace.threshold_dbm == -90.39002942628008
+        assert len(trace.graph.edge_set()) == 708
