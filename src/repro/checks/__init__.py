@@ -1,38 +1,35 @@
-"""Correctness tooling: the determinism linter and the runtime sanitizer.
+"""Correctness tooling: the static rules and the runtime sanitizer.
 
 The reproduction's central guarantees — byte-identical serial-vs-parallel
 schedules, associative metric merges, per-node verdict agreement (the
 paper's Propositions 2-3 and the VPT of Definition 5) — are invariants of
-the *code*, not of any one test.  This package enforces them twice over:
+the *code*, not of any one test.  Most of them are checked on the
+running code: the examples' byte-diff under two hash seeds, the
+schedule-invariance and reproducible-defaults tests, the recorded
+schedule pins and the sanitizer below.  Mutable defaults and bare
+excepts are ruff's (B006, E722).  What stays static:
 
-* **Statically** — :mod:`repro.checks.engine` walks source files with an
-  AST rule registry (:mod:`repro.checks.rules`) that flags the
-  nondeterminism classes known to break the reproduction: unseeded RNGs,
-  unordered ``set`` iteration feeding ordering-sensitive sinks, wall
-  clock in deterministic paths, layering violations (``obs`` inside the
-  kernel), mutable default arguments, bare excepts, and public entry
-  points without a ``seed`` plumb-through.  Findings can be suppressed
-  inline with ``# repro: allow[RULE]``; ``repro-check`` reports the
-  rest.
+* **Per-file rules** — :mod:`repro.checks.engine` walks source files
+  with an AST rule registry.  :mod:`repro.checks.rules` flags wall
+  clock in deterministic paths and layering violations (``obs`` inside
+  the kernel), shard-local code reaching for coordinator state and
+  unguarded trace calls on hot paths; the locality rules
+  (:mod:`repro.checks.locality`, REPRO21x) keep the runtime's per-node
+  decision paths on their own view and inbox; the fork rule
+  (:mod:`repro.checks.concurrency`, REPRO307) keeps module-level state
+  fork-safe.  Findings can be suppressed inline with
+  ``# repro: allow[RULE]``; ``repro-check`` reports the rest.
+* **The protocol pass** — :mod:`repro.checks.protocol` (REPRO202/205)
+  extracts the send/handle contract from ``runtime/``.
 * **Dynamically** — :mod:`repro.checks.sanitizer` shadow-checks live
   runs (``REPRO_SANITIZE=1`` or ``repro-coverage --sanitize``): every
   fresh CSR-kernel verdict is recomputed on the dict oracle, engine
   cache hits are compared against fresh recomputes, and parallel metric
   merges are re-associated and compared.  Violations surface through the
-  obs tracer and raise by default.
-
-Three more rule families run beside the determinism rules.  The
-locality rules (:mod:`repro.checks.locality`, REPRO21x) prove the
-runtime's per-node decision paths read only their own view and inbox.
-The protocol pass (:mod:`repro.checks.protocol`, REPRO202/205) extracts
-the send/handle contract from ``runtime/``.  The pool-hygiene rules
-(:mod:`repro.checks.concurrency`, REPRO30x) keep only compact data
-crossing pool boundaries, keep module-level state fork-safe and keep
-every ``REPRO_*`` read in the declared knob registry
-(:mod:`repro.knobs`).  Their dynamic counterpart is the ``REPRO_CHAOS``
-order sanitizer in :mod:`repro.parallel.runner`, which adversarially
-permutes completion/consumption order while CI asserts schedules stay
-byte-identical.
+  obs tracer and raise by default.  Its pool-side counterpart is the
+  ``REPRO_CHAOS`` order sanitizer in :mod:`repro.parallel.runner`, which
+  adversarially permutes completion/consumption order while CI asserts
+  schedules stay byte-identical.
 
 ``repro-check`` (:mod:`repro.checks.runner`) runs every rule in one
 pass with one exit code.  The floods' behaviour under every inbox order

@@ -13,9 +13,9 @@ orders.
 
 Suppression syntax, on the flagged line or the line directly above::
 
-    frontier = set(active)  # repro: allow[set-iteration-order] reason...
+    stamp = time.time()  # repro: allow[wall-clock] reason...
 
-Rule ids (``REPRO102``) are accepted interchangeably with rule names.
+Rule ids (``REPRO103``) are accepted interchangeably with rule names.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class Finding:
     """One rule violation at one source location."""
 
     path: str  # repo-relative POSIX path
-    rule: str  # rule id, e.g. "REPRO102"
-    name: str  # rule name, e.g. "set-iteration-order"
+    rule: str  # rule id, e.g. "REPRO103"
+    name: str  # rule name, e.g. "wall-clock"
     line: int  # 1-based
     col: int  # 0-based, as reported by ast
     message: str

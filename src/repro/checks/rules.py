@@ -1,33 +1,19 @@
-"""The repo-specific determinism rules.
+"""The repo-specific per-file rules (REPRO103/104/113/114).
 
-Each rule encodes one way the reproduction's correctness argument has
-been observed (or is known from the literature) to break: the paper's
-DCC schedule is only well-defined if every node computes the *same*
-verdicts from the same k-hop view, so unseeded randomness, unordered
-iteration feeding order-sensitive sinks, and wall clock inside
-deterministic paths are all reproduction bugs even when no test catches
-them.
-
-The set-iteration rule carries a small flow analysis: an expression is
-*set-typed* if it is syntactically a set (literal, comprehension,
-``set()``/``frozenset()`` call, set algebra), a name or ``self``
-attribute assigned such an expression, a parameter annotated ``Set`` /
-``FrozenSet``, a subscript into a ``Dict[..., Set[...]]`` attribute, or
-a call to one of this repo's known set-returning APIs (``vertex_set``,
-``edge_set``, ``k_hop_neighborhood``, ``punctured_neighborhood``,
-``ball``).  Only iterations whose *consumer* is ordering-sensitive are
-flagged — building another set, counting, or ``sorted()`` are all fine.
-
-``dict`` iteration is deliberately exempt: CPython dicts preserve
-insertion order, so a dict built deterministically iterates
-deterministically; sets make no such promise across platforms or hash
-seeds.
+Wall clock inside deterministic paths (REPRO103), imports across the
+layering contract (REPRO104), shard-local code reaching for
+coordinator state (REPRO113) and unguarded trace calls on hot paths
+(REPRO114).  Unseeded RNGs and set-iteration order have no rule:
+tests of the running code guard them (the examples' byte-diff under two
+hash seeds, the schedule-invariance property test, the
+reproducible-defaults test of the public API and the recorded schedule
+pins).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.checks.engine import Finding, ModuleContext, Rule
 from repro.checks.locality import _bound_node_names
@@ -78,502 +64,6 @@ def _snippet(node: ast.AST, limit: int = 48) -> str:
     except Exception:  # pragma: no cover - unparse is total on py>=3.9
         text = "<expr>"
     return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-# ----------------------------------------------------------------------
-# REPRO101: unseeded RNG in library code
-# ----------------------------------------------------------------------
-_GLOBAL_RANDOM_FNS = {
-    "random", "randint", "randrange", "choice", "choices", "shuffle",
-    "sample", "uniform", "gauss", "normalvariate", "expovariate",
-    "betavariate", "vonmisesvariate", "triangular", "getrandbits", "seed",
-    "paretovariate", "weibullvariate", "lognormvariate",
-}
-
-
-class UnseededRngRule(Rule):
-    """``random.Random()`` without a seed / global-state ``random.*``.
-
-    Library code must draw from an explicitly seeded generator object
-    (``random.Random(seed)``) that the caller can plumb a seed into;
-    the process-global RNG makes every run — and every *node* of the
-    distributed protocol — diverge.  The numpy analogue is REPRO109.
-    """
-
-    rule_id = "REPRO101"
-    name = "unseeded-rng"
-    summary = "unseeded or process-global RNG in library code"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        imports = _import_map(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            full = _resolve(node.func, imports)
-            if full is None:
-                continue
-            if full == "random.Random" and not node.args and not node.keywords:
-                yield self.finding(
-                    ctx, node, "random.Random() without a seed argument"
-                )
-            elif full.startswith("random.") and full.split(".", 1)[1] in _GLOBAL_RANDOM_FNS:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{full}() uses the process-global RNG; "
-                    "draw from a seeded random.Random instance",
-                )
-
-
-# ----------------------------------------------------------------------
-# REPRO109: unseeded numpy.random generators and legacy global draws
-# ----------------------------------------------------------------------
-#: ``numpy.random`` bit-generator classes (all take ``seed`` first).
-_NUMPY_BIT_GENERATORS = {"PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"}
-#: Constructors whose first argument (or ``seed=``) is the seed.
-_NUMPY_SEEDED_CONSTRUCTORS = (
-    {"default_rng", "SeedSequence", "RandomState"} | _NUMPY_BIT_GENERATORS
-)
-
-
-def _unseeded_call(node: ast.Call) -> bool:
-    """No seed argument at all, or an explicit ``None`` seed."""
-    seed: Optional[ast.AST] = None
-    if node.args:
-        seed = node.args[0]
-    else:
-        for keyword in node.keywords:
-            if keyword.arg == "seed":
-                seed = keyword.value
-                break
-    if seed is None:
-        return True
-    return isinstance(seed, ast.Constant) and seed.value is None
-
-
-class NumpyRngRule(Rule):
-    """Unseeded ``numpy.random`` use, now that numpy is in the runtime.
-
-    Numpy is in library code (wave-MIS propagation, coverage
-    evaluation), so the REPRO101 argument applies to its RNG surface
-    too — in all three shapes it comes in: ``default_rng()`` /
-    ``SeedSequence()`` / bit generators without an explicit seed
-    (``None`` counts — that is OS entropy), ``Generator(...)`` wrapping an unseeded bit generator,
-    and the legacy module-level draws (``numpy.random.rand`` et al.),
-    which mutate process-global state no worker can reproduce.
-    ``numpy.random.seed`` is flagged with the latter: seeding the
-    global RNG *is* hidden shared state, exactly what the scheduler's
-    plumbed ``random.Random(seed)`` objects exist to avoid.
-    """
-
-    rule_id = "REPRO109"
-    name = "unseeded-numpy-rng"
-    summary = "unseeded numpy.random generator or legacy global draw"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        imports = _import_map(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            full = _resolve(node.func, imports)
-            if full is None or not full.startswith("numpy.random."):
-                continue
-            tail = full[len("numpy.random."):]
-            if tail == "Generator":
-                if not node.args:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "numpy.random.Generator() without a bit generator; "
-                        "use numpy.random.default_rng(seed)",
-                    )
-                    continue
-                source = node.args[0]
-                if isinstance(source, ast.Call):
-                    inner = _resolve(source.func, imports)
-                    if (
-                        inner is not None
-                        and inner.startswith("numpy.random.")
-                        and inner[len("numpy.random."):]
-                        in _NUMPY_BIT_GENERATORS
-                        and _unseeded_call(source)
-                    ):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"{_snippet(node)}: Generator over an unseeded "
-                            "bit generator; pass an explicit seed",
-                        )
-            elif tail in _NUMPY_SEEDED_CONSTRUCTORS:
-                if _unseeded_call(node):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{full}() without an explicit seed "
-                        "(None draws OS entropy)",
-                    )
-            else:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{full}() uses numpy's process-global RNG; "
-                    "use numpy.random.default_rng(seed)",
-                )
-
-
-# ----------------------------------------------------------------------
-# REPRO102: unordered set iteration into ordering-sensitive sinks
-# ----------------------------------------------------------------------
-_SET_CONSTRUCTORS = {"set", "frozenset"}
-_SET_METHODS = {"union", "intersection", "difference", "symmetric_difference"}
-#: Repo APIs documented to return ``set`` / ``frozenset``.
-_REPO_SET_METHODS = {
-    "vertex_set", "edge_set", "k_hop_neighborhood", "punctured_neighborhood",
-    "ball", "ball_ids", "neighbors",
-}
-_SET_ANNOTATION_NAMES = {
-    "Set", "FrozenSet", "set", "frozenset", "AbstractSet", "MutableSet",
-}
-_DICT_ANNOTATION_NAMES = {"Dict", "dict", "Mapping", "MutableMapping"}
-#: Order-insensitive consumers: a comprehension/generator feeding these
-#: cannot leak set order into the result.
-_ORDER_INSENSITIVE_CALLS = {
-    "sorted", "set", "frozenset", "sum", "min", "max", "any", "all", "len",
-}
-_APPEND_LIKE = {"append", "extend", "insert", "appendleft", "extendleft"}
-_ORDERING_FUNCS = {"insort", "insort_left", "insort_right", "heappush"}
-
-
-def _annotation_kind(node: Optional[ast.AST]) -> Optional[str]:
-    """``"set"`` / ``"dict_of_set"`` / ``None`` for a type annotation."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Name) and node.id in _SET_ANNOTATION_NAMES:
-        return "set"
-    if isinstance(node, ast.Subscript):
-        base = node.value
-        if isinstance(base, ast.Name):
-            if base.id in _SET_ANNOTATION_NAMES:
-                return "set"
-            if base.id in _DICT_ANNOTATION_NAMES:
-                sl = node.slice
-                if isinstance(sl, ast.Tuple) and len(sl.elts) == 2:
-                    if _annotation_kind(sl.elts[1]) == "set":
-                        return "dict_of_set"
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            return _annotation_kind(ast.parse(node.value, mode="eval").body)
-        except SyntaxError:
-            return None
-    return None
-
-
-class _ClassAttrTypes:
-    """Collect ``self.X`` attribute kinds across one class body.
-
-    Annotated attribute assignments type directly; plain assignments
-    (``self._keep = keep``) are typed through each method's local
-    environment, so ``keep = set(vs); self._keep = keep`` resolves.
-    """
-
-    def __init__(self) -> None:
-        self.attrs: Dict[str, str] = {}
-
-    def visit(self, cls: ast.ClassDef) -> None:
-        methods = [
-            item
-            for item in cls.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        # Annotations first (they also seed the per-method environments).
-        for node in ast.walk(cls):
-            if isinstance(node, ast.AnnAssign):
-                target = node.target
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    kind = _annotation_kind(node.annotation)
-                    if kind:
-                        self.attrs[target.attr] = kind
-        for method in methods:
-            local = _function_local_types(method, self.attrs)
-            for node in ast.walk(method):
-                if not isinstance(node, ast.Assign):
-                    continue
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        if _is_set_expr(node.value, local, self.attrs):
-                            self.attrs.setdefault(target.attr, "set")
-
-
-def _syntactic_set(node: ast.AST) -> bool:
-    """Is this expression a set by syntax alone (no environment)?"""
-    return _is_set_expr(node, {}, {})
-
-
-def _is_set_expr(
-    node: ast.AST, local_types: Dict[str, str], attr_types: Dict[str, str]
-) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in _SET_CONSTRUCTORS:
-            return True
-        if isinstance(func, ast.Attribute):
-            if func.attr in _SET_METHODS | _REPO_SET_METHODS:
-                return True
-            # dict-of-set .pop(key) hands back the set value
-            if (
-                func.attr == "pop"
-                and len(node.args) >= 1
-                and _is_dict_of_set(func.value, local_types, attr_types)
-            ):
-                return True
-        return False
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-    ):
-        return _is_set_expr(node.left, local_types, attr_types) or _is_set_expr(
-            node.right, local_types, attr_types
-        )
-    if isinstance(node, ast.IfExp):
-        return _is_set_expr(node.body, local_types, attr_types) or _is_set_expr(
-            node.orelse, local_types, attr_types
-        )
-    if isinstance(node, ast.Name):
-        return local_types.get(node.id) == "set"
-    if isinstance(node, ast.Attribute):
-        if isinstance(node.value, ast.Name) and node.value.id == "self":
-            return attr_types.get(node.attr) == "set"
-        return False
-    if isinstance(node, ast.Subscript):
-        return _is_dict_of_set(node.value, local_types, attr_types)
-    return False
-
-
-def _is_dict_of_set(
-    node: ast.AST, local_types: Dict[str, str], attr_types: Dict[str, str]
-) -> bool:
-    if isinstance(node, ast.Name):
-        return local_types.get(node.id) == "dict_of_set"
-    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-        if node.value.id == "self":
-            return attr_types.get(node.attr) == "dict_of_set"
-    return False
-
-
-def _function_local_types(
-    fn: ast.AST, attr_types: Dict[str, str]
-) -> Dict[str, str]:
-    """Name -> kind for parameters (by annotation) and local assignments."""
-    local: Dict[str, str] = {}
-    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        args = list(fn.args.posonlyargs) + list(fn.args.args) + list(
-            fn.args.kwonlyargs
-        )
-        for arg in args:
-            kind = _annotation_kind(arg.annotation)
-            if kind:
-                local[arg.arg] = kind
-    # Two passes so order of definition vs. use does not matter; the
-    # environment grows monotonically (set algebra of set names).
-    for _ in range(2):
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    if _is_set_expr(node.value, local, attr_types):
-                        local.setdefault(target.id, "set")
-            elif isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Name
-            ):
-                kind = _annotation_kind(node.annotation)
-                if kind:
-                    local[node.target.id] = kind
-            elif isinstance(node, ast.AugAssign) and isinstance(
-                node.target, ast.Name
-            ):
-                # ``s |= other`` marks s as a set
-                if isinstance(node.op, (ast.BitOr, ast.BitAnd)) and _is_set_expr(
-                    node.value, local, attr_types
-                ):
-                    local.setdefault(node.target.id, "set")
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                # ``for k, row in d.items()`` / ``for row in d.values()``
-                # over a Dict[..., Set[...]] bind set-typed loop vars.
-                it = node.iter
-                if (
-                    isinstance(it, ast.Call)
-                    and isinstance(it.func, ast.Attribute)
-                    and _is_dict_of_set(it.func.value, local, attr_types)
-                ):
-                    if (
-                        it.func.attr == "items"
-                        and isinstance(node.target, ast.Tuple)
-                        and len(node.target.elts) == 2
-                        and isinstance(node.target.elts[1], ast.Name)
-                    ):
-                        local.setdefault(node.target.elts[1].id, "set")
-                    elif it.func.attr == "values" and isinstance(
-                        node.target, ast.Name
-                    ):
-                        local.setdefault(node.target.id, "set")
-    return local
-
-
-def _body_has_order_sink(body: Sequence[ast.stmt]) -> Optional[str]:
-    """Name of the first ordering-sensitive effect in a loop body."""
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                return "yield"
-            if isinstance(node, ast.Call):
-                func = node.func
-                if isinstance(func, ast.Attribute) and func.attr in _APPEND_LIKE:
-                    return func.attr
-                if isinstance(func, ast.Name) and func.id in _ORDERING_FUNCS:
-                    return func.id
-    return None
-
-
-class SetIterationOrderRule(Rule):
-    """Unordered set iteration flowing into an ordering-sensitive sink.
-
-    Set iteration order is a function of the hash seed, the platform and
-    the insertion/deletion history; when it feeds an ordered result
-    (a list, a yield stream, an MIS draw, a deletion order) the output
-    stops being a pure function of the graph.  Wrap the iterable in
-    ``sorted(...)`` or restructure so the consumer is order-free.
-    """
-
-    rule_id = "REPRO102"
-    name = "set-iteration-order"
-    summary = "set iteration feeding an ordering-sensitive sink"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        # Parent map over the whole module: comprehension-consumer
-        # detection and enclosing-class lookup both need it.
-        parents: Dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(ctx.tree):
-            for child in ast.iter_child_nodes(node):
-                parents[child] = node
-        # Pass 1: class attribute kinds, per class.
-        class_attrs: Dict[ast.ClassDef, Dict[str, str]] = {}
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                collector = _ClassAttrTypes()
-                collector.visit(node)
-                class_attrs[node] = collector.attrs
-        # Pass 2: each scope is analysed with its own environment —
-        # module statements with an empty one, every function with its
-        # local inference plus the nearest enclosing class's attributes.
-        yield from self._scan(ctx, ctx.tree, {}, {}, parents)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                attrs = self._enclosing_attrs(node, parents, class_attrs)
-                local = _function_local_types(node, attrs)
-                yield from self._scan(ctx, node, local, attrs, parents)
-
-    @staticmethod
-    def _enclosing_attrs(
-        node: ast.AST,
-        parents: Dict[ast.AST, ast.AST],
-        class_attrs: Dict[ast.ClassDef, Dict[str, str]],
-    ) -> Dict[str, str]:
-        up = parents.get(node)
-        while up is not None:
-            if isinstance(up, ast.ClassDef):
-                return class_attrs.get(up, {})
-            up = parents.get(up)
-        return {}
-
-    def _scan(
-        self,
-        ctx: ModuleContext,
-        scope: ast.AST,
-        local_types: Dict[str, str],
-        attr_types: Dict[str, str],
-        parents: Dict[ast.AST, ast.AST],
-    ) -> Iterator[Finding]:
-        """DFS of one scope, pruning nested function/class subtrees."""
-        stack: List[ast.AST] = [scope]
-        while stack:
-            node = stack.pop()
-            if node is not scope and isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            yield from self._check_node(ctx, node, local_types, attr_types, parents)
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _check_node(
-        self,
-        ctx: ModuleContext,
-        node: ast.AST,
-        local_types: Dict[str, str],
-        attr_types: Dict[str, str],
-        parents: Dict[ast.AST, ast.AST],
-    ) -> Iterator[Finding]:
-        is_set = lambda expr: _is_set_expr(expr, local_types, attr_types)  # noqa: E731
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Name)
-                and func.id in ("list", "tuple", "enumerate")
-                and len(node.args) == 1
-                and is_set(node.args[0])
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{func.id}() materialises unordered set "
-                    f"`{_snippet(node.args[0])}` into an ordered sequence; "
-                    "wrap it in sorted(...)",
-                )
-        elif isinstance(node, (ast.For, ast.AsyncFor)) and is_set(node.iter):
-            sink = _body_has_order_sink(node.body)
-            if sink is not None:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"iteration over set `{_snippet(node.iter)}` feeds "
-                    f"ordering-sensitive sink `{sink}`; iterate "
-                    "sorted(...) instead",
-                )
-        elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-            if any(is_set(gen.iter) for gen in node.generators):
-                parent = parents.get(node)
-                if (
-                    isinstance(parent, ast.Call)
-                    and isinstance(parent.func, ast.Name)
-                    and parent.func.id in _ORDER_INSENSITIVE_CALLS
-                ):
-                    return
-                if isinstance(parent, ast.Call) and isinstance(
-                    parent.func, ast.Attribute
-                ) and parent.func.attr in _SET_METHODS | {"isdisjoint", "update",
-                                                          "issubset", "issuperset"}:
-                    return
-                kind = "list" if isinstance(node, ast.ListComp) else "generator"
-                iter_src = next(
-                    _snippet(g.iter) for g in node.generators if is_set(g.iter)
-                )
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{kind} comprehension over set `{iter_src}` leaks set "
-                    "order into an ordered result; iterate sorted(...) or "
-                    "feed an order-free consumer",
-                )
 
 
 # ----------------------------------------------------------------------
@@ -675,109 +165,6 @@ class LayeringRule(Rule):
                         yield self.finding(
                             ctx, node, f"import of {module} is forbidden here: {why}"
                         )
-
-
-# ----------------------------------------------------------------------
-# REPRO105: mutable default arguments
-# ----------------------------------------------------------------------
-class MutableDefaultRule(Rule):
-    """``def f(x=[])`` — shared mutable state across calls."""
-
-    rule_id = "REPRO105"
-    name = "mutable-default"
-    summary = "mutable default argument"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if isinstance(default, (ast.List, ast.Dict, ast.Set, ast.SetComp,
-                                        ast.ListComp, ast.DictComp)):
-                    bad = True
-                elif isinstance(default, ast.Call) and isinstance(
-                    default.func, ast.Name
-                ) and default.func.id in ("list", "dict", "set", "bytearray"):
-                    bad = True
-                else:
-                    bad = False
-                if bad:
-                    name = getattr(node, "name", "<lambda>")
-                    yield self.finding(
-                        ctx,
-                        default,
-                        f"mutable default `{_snippet(default)}` in {name}(); "
-                        "use None and construct inside",
-                    )
-
-
-# ----------------------------------------------------------------------
-# REPRO106: bare except
-# ----------------------------------------------------------------------
-class BareExceptRule(Rule):
-    """``except:`` swallows SystemExit/KeyboardInterrupt and real bugs."""
-
-    rule_id = "REPRO106"
-    name = "bare-except"
-    summary = "bare except clause"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self.finding(
-                    ctx, node, "bare `except:`; catch a specific exception type"
-                )
-
-
-# ----------------------------------------------------------------------
-# REPRO108: seed plumb-through on public entry points
-# ----------------------------------------------------------------------
-class SeedPlumbingRule(Rule):
-    """Optional ``rng=None`` without a ``seed`` fallback parameter.
-
-    An entry point that *optionally* takes an RNG claims to be
-    reproducible by default; without a ``seed`` parameter the default
-    path has nothing deterministic to fall back on (or hardcodes it).
-    Required ``rng`` parameters are fine — determinism is then the
-    caller's explicit job.
-    """
-
-    rule_id = "REPRO108"
-    name = "seed-plumbing"
-    summary = "optional rng parameter without a seed parameter"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name.startswith("_") and node.name != "__init__":
-                continue
-            args = list(node.args.posonlyargs) + list(node.args.args)
-            names = [a.arg for a in args] + [a.arg for a in node.args.kwonlyargs]
-            if "rng" not in names or "seed" in names:
-                continue
-            # Is rng optional (defaulted to None)?
-            defaults = node.args.defaults
-            defaulted = args[len(args) - len(defaults):] if defaults else []
-            rng_optional = any(
-                a.arg == "rng"
-                and isinstance(d, ast.Constant)
-                and d.value is None
-                for a, d in zip(defaulted, defaults)
-            )
-            for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults):
-                if a.arg == "rng" and isinstance(d, ast.Constant) and d.value is None:
-                    rng_optional = True
-            if rng_optional:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{node.name}() takes rng=None without a seed parameter; "
-                    "add seed=... so the default path is reproducible",
-                )
 
 
 # ----------------------------------------------------------------------
@@ -981,14 +368,8 @@ class TraceGuardRule(Rule):
 
 
 DEFAULT_RULES: Tuple[Rule, ...] = (
-    UnseededRngRule(),
-    NumpyRngRule(),
-    SetIterationOrderRule(),
     WallClockRule(),
     LayeringRule(),
-    MutableDefaultRule(),
-    BareExceptRule(),
-    SeedPlumbingRule(),
     ShardLocalityRule(),
     TraceGuardRule(),
 )

@@ -6,9 +6,9 @@ Examples::
     repro-check src/ --json            # repro-check/v1 document
     repro-check --list-rules
 
-One :class:`~repro.checks.engine.LintEngine` runs the determinism rules
-(:mod:`repro.checks.rules`, REPRO1xx), the pool-hygiene rules
-(:mod:`repro.checks.concurrency`, REPRO30x) and the locality rules
+One :class:`~repro.checks.engine.LintEngine` runs the per-file rules
+(:mod:`repro.checks.rules`, REPRO103/104/113/114), the fork rule
+(:mod:`repro.checks.concurrency`, REPRO307) and the locality rules
 (:mod:`repro.checks.locality`, REPRO21x) over each file once; the
 cross-module protocol pass (:mod:`repro.checks.protocol`, REPRO202/205)
 adds its findings and the send/handle contract.  Inline
@@ -74,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-check",
         description=(
-            "Determinism, pool-hygiene, locality and protocol checks for "
-            "the repro codebase, in one pass with one exit code."
+            "Wall-clock, layering, trace-guard, fork, locality and protocol "
+            "checks for the repro codebase, in one pass with one exit code."
         ),
     )
     parser.add_argument(

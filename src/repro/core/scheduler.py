@@ -78,10 +78,15 @@ def dcc_schedule(
     graph's irreducible cycles are bounded by ``tau``.
 
     Runs are reproducible by default: without an explicit ``rng`` the
-    scheduler uses ``random.Random(seed)`` (``seed=0``).  ``graph`` is never
-    mutated unless a prebuilt ``engine`` is supplied, in which case the
-    engine's graph is consumed in place (that is the point: callers like
-    boundary repair share one engine across criterion checks and
+    scheduler uses ``random.Random(seed)`` (``seed=0``).  The schedule is
+    a function of the seed and of ``graph.vertices()``, the order the
+    vertices were inserted in, which each round shuffles: the same graph
+    built with its vertices in another order gives another schedule.  The
+    order its edges were added in does not matter, and neither do the
+    label values under an order-preserving relabelling.  ``graph`` is
+    never mutated unless a prebuilt ``engine`` is supplied, in which case
+    the engine's graph is consumed in place (that is the point: callers
+    like boundary repair share one engine across criterion checks and
     scheduling).
 
     ``shards`` partitions the deployment into halo-exchange region

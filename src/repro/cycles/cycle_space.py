@@ -147,7 +147,7 @@ def is_cycle_mask(mask: int, index: EdgeIndex) -> bool:
     while stack:
         node = stack.pop()
         # Reachability only: the returned count is the same under any
-        # visitation order.  # repro: allow[set-iteration-order]
+        # visitation order.
         for nbr in adjacency[node]:
             if nbr not in seen:
                 seen.add(nbr)

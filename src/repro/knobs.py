@@ -6,9 +6,9 @@ derives from the declaration:
 
 * **Runtime reads** go through :func:`get_flag` / :func:`get_int` /
   :func:`get_str`, so a knob's default lives in one place.
-* **The static analysis** (:mod:`repro.checks.concurrency`, REPRO308)
-  flags any ``os.environ`` read of an undeclared ``REPRO_*`` name and
-  any literal default that disagrees with the registry.
+* **The drift test** (``tests/unit/test_knobs.py``) fails on any
+  undeclared ``REPRO_*`` name in the tree and on any ``os.environ``
+  read of one outside this module.
 * **The docs** — the knob tables in README.md and EXPERIMENTS.md are
   generated from this file (``python -m repro.knobs --write``) and a
   drift test fails when a knob is added without registry + docs.
@@ -45,9 +45,8 @@ class Knob:
         return self.default if self.default else '""'
 
 
-#: The registry, sorted by name.  Adding an ``os.environ`` read of a new
-#: ``REPRO_*`` name without a row here fails both REPRO308 and the
-#: drift test in tests/unit/test_knobs.py.
+#: The registry, sorted by name.  A new ``REPRO_*`` name without a row
+#: here fails the drift test in tests/unit/test_knobs.py.
 KNOBS: Tuple[Knob, ...] = (
     Knob(
         name="REPRO_CHAOS",
@@ -90,8 +89,7 @@ def knob(name: str) -> Knob:
         return _BY_NAME[name]
     except KeyError:
         raise KeyError(
-            f"undeclared knob {name!r}: declare it in repro.knobs.KNOBS "
-            "(REPRO308 flags undeclared os.environ reads)"
+            f"undeclared knob {name!r}: declare it in repro.knobs.KNOBS"
         ) from None
 
 

@@ -6,6 +6,7 @@ deletes an m-hop MIS of the deletable internal vertices (Section V-B).
 """
 
 import random
+from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from repro.core.criterion import is_tau_partitionable
 from repro.checks.sanitizer import oracle_deletable
 from repro.core.scheduler import dcc_schedule
 from repro.core.vpt import deletable_vertices
+from repro.network.deployment import network_for_average_degree
+from repro.network.graph import NetworkGraph
 from repro.network.topologies import triangulated_grid
 from repro.topology import mis_separation
 
@@ -120,3 +123,35 @@ class TestRoundMIS:
             for v in winners:
                 live.remove_vertex(v)
         assert start == len(result.removed)
+
+
+@lru_cache(maxsize=1)
+def _deployment():
+    net = network_for_average_degree(300, 10, seed=3)
+    assert net.graph.vertices() == sorted(net.graph.vertices())
+    tau = 4
+    removed = dcc_schedule(net.graph, net.boundary_nodes, tau, seed=0).removed
+    return net, tau, removed
+
+
+class TestScheduleInvariance:
+    """The schedule is a function of the vertex order and the seed alone.
+
+    Neither the order edges were added in nor the label values (which
+    decide how a set of labels iterates) may reach the removed sequence.
+    """
+
+    @given(
+        st.sampled_from([1, 8, 1024]), st.integers(min_value=0, max_value=2**16)
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_edge_order_and_label_scale_leave_the_schedule_unchanged(
+        self, scale, shuffle_seed
+    ):
+        net, tau, removed = _deployment()
+        edges = [(u * scale, v * scale) for u, v in net.graph.edges()]
+        random.Random(shuffle_seed).shuffle(edges)
+        rebuilt = NetworkGraph(sorted(v * scale for v in net.graph.vertices()), edges)
+        protected = {v * scale for v in net.boundary_nodes}
+        result = dcc_schedule(rebuilt, protected, tau, seed=0)
+        assert result.removed == [v * scale for v in removed]

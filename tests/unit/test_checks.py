@@ -59,172 +59,13 @@ def _no_ambient_sanitizer(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# REPRO101: unseeded RNG
-# ----------------------------------------------------------------------
-class TestUnseededRng:
-    def test_flags_unseeded_random(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            import random
-            r = random.Random()
-            x = random.random()
-            random.shuffle([1, 2])
-            """,
-        )
-        assert [f.rule for f in findings if f.rule == "REPRO101"] == ["REPRO101"] * 3
-
-    def test_seeded_constructions_pass(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            import random
-            r = random.Random(7)
-            x = r.random()
-            """,
-        )
-        assert not [f for f in findings if f.rule == "REPRO101"]
-
-
-# ----------------------------------------------------------------------
-# REPRO109: unseeded numpy.random
-# ----------------------------------------------------------------------
-class TestNumpyRng:
-    def test_flags_numpy_global_rng(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            import numpy as np
-            a = np.random.rand(3)
-            rng = np.random.default_rng()
-            np.random.seed(0)
-            """,
-        )
-        assert len([f for f in findings if f.rule == "REPRO109"]) == 3
-        assert not [f for f in findings if f.rule == "REPRO101"]
-
-    def test_none_seed_is_unseeded(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            import numpy as np
-            a = np.random.default_rng(None)
-            b = np.random.default_rng(seed=None)
-            """,
-        )
-        assert len([f for f in findings if f.rule == "REPRO109"]) == 2
-
-    def test_generator_over_unseeded_bit_generator(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            import numpy as np
-            bad = np.random.Generator(np.random.PCG64())
-            empty = np.random.Generator()
-            """,
-        )
-        assert len([f for f in findings if f.rule == "REPRO109"]) == 3
-        # PCG64() is flagged on its own and as the Generator's source.
-
-    def test_seeded_numpy_constructions_pass(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            import numpy as np
-            from numpy.random import default_rng
-            a = np.random.default_rng(3)
-            b = default_rng(seed=11)
-            c = np.random.Generator(np.random.PCG64(7))
-            d = np.random.SeedSequence(5)
-            """,
-        )
-        assert not [f for f in findings if f.rule == "REPRO109"]
-
-
-# ----------------------------------------------------------------------
-# REPRO102: set iteration order
-# ----------------------------------------------------------------------
-class TestSetIterationOrder:
-    def test_list_of_set_flagged(self, tmp_path):
-        findings = lint_source(tmp_path, "out = list({1, 2, 3})\n")
-        assert rules_of(findings) == ["REPRO102"]
-
-    def test_for_append_over_set_variable_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            def f(vs):
-                keep = set(vs)
-                out = []
-                for v in keep:
-                    out.append(v)
-                return out
-            """,
-        )
-        assert rules_of(findings) == ["REPRO102"]
-
-    def test_comprehension_over_repo_set_api_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            def f(graph, v):
-                return [w for w in graph.neighbors(v)]
-            """,
-        )
-        assert rules_of(findings) == ["REPRO102"]
-
-    def test_sorted_and_order_free_consumers_pass(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            def f(graph, v):
-                a = sorted(graph.neighbors(v))
-                b = sum(w for w in graph.neighbors(v))
-                c = {w for w in graph.neighbors(v)}
-                d = len({1, 2})
-                return a, b, c, d
-            """,
-        )
-        assert not findings
-
-    def test_dict_iteration_exempt(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            def f(d):
-                out = []
-                for k in d:
-                    out.append(k)
-                return out
-            """,
-        )
-        assert not findings
-
-    def test_annotated_attribute_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            from typing import Set
-
-            class View:
-                def __init__(self, vs):
-                    self._keep: Set[int] = set(vs)
-
-                def vertices(self):
-                    return list(self._keep)
-            """,
-        )
-        assert rules_of(findings) == ["REPRO102"]
-
-
-# ----------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------
 class TestSuppression:
     def test_allow_comment_on_line(self, tmp_path):
         findings = lint_source(
             tmp_path,
-            "out = list({1, 2})  # repro: allow[set-iteration-order]\n",
+            "import time\nstamp = time.time()  # repro: allow[wall-clock]\n",
         )
         assert not findings
 
@@ -232,8 +73,9 @@ class TestSuppression:
         findings = lint_source(
             tmp_path,
             """
-            # repro: allow[REPRO102] order-free by construction
-            out = list({1, 2})
+            import time
+            # repro: allow[REPRO103] a log stamp, never compared
+            stamp = time.time()
             """,
         )
         assert not findings
@@ -241,9 +83,9 @@ class TestSuppression:
     def test_wrong_rule_token_does_not_suppress(self, tmp_path):
         findings = lint_source(
             tmp_path,
-            "out = list({1, 2})  # repro: allow[bare-except]\n",
+            "import time\nstamp = time.time()  # repro: allow[layering]\n",
         )
-        assert rules_of(findings) == ["REPRO102"]
+        assert rules_of(findings) == ["REPRO103"]
 
 
 # ----------------------------------------------------------------------
@@ -328,29 +170,9 @@ class TestLayering:
 
 
 # ----------------------------------------------------------------------
-# REPRO105, REPRO106, REPRO108
+# Plain code no rule flags
 # ----------------------------------------------------------------------
 class TestSmallRules:
-    def test_mutable_default(self, tmp_path):
-        findings = lint_source(tmp_path, "def f(x=[]):\n    return x\n")
-        assert rules_of(findings) == ["REPRO105"]
-
-    def test_none_default_passes(self, tmp_path):
-        findings = lint_source(tmp_path, "def f(x=None):\n    return x\n")
-        assert not findings
-
-    def test_bare_except(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            try:
-                pass
-            except:
-                pass
-            """,
-        )
-        assert rules_of(findings) == ["REPRO106"]
-
     def test_division_outside_merge_passes(self, tmp_path):
         findings = lint_source(
             tmp_path,
@@ -361,28 +183,6 @@ class TestSmallRules:
             """,
         )
         assert not findings
-
-    def test_seed_plumbing_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "def schedule(graph, rng=None):\n    return rng\n",
-        )
-        assert rules_of(findings) == ["REPRO108"]
-
-    def test_seed_parameter_satisfies(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "def schedule(graph, rng=None, seed=0):\n    return rng, seed\n",
-        )
-        assert not findings
-
-    def test_required_rng_passes(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "def schedule(graph, rng):\n    return rng\n",
-        )
-        assert not findings
-
 
 # ----------------------------------------------------------------------
 # REPRO113: shard locality
@@ -473,9 +273,9 @@ class TestEngine:
 
     def test_json_rendering_is_stable(self):
         scrambled = [
-            Finding("b.py", "REPRO102", "set-iteration-order", 9, 0, "m2"),
-            Finding("a.py", "REPRO105", "mutable-default", 3, 4, "m1"),
-            Finding("a.py", "REPRO102", "set-iteration-order", 7, 0, "m0"),
+            Finding("b.py", "REPRO103", "wall-clock", 9, 0, "m2"),
+            Finding("a.py", "REPRO104", "layering", 3, 4, "m1"),
+            Finding("a.py", "REPRO103", "wall-clock", 7, 0, "m0"),
         ]
         rendered = render_json(scrambled)
         again = render_json(list(reversed(scrambled)))
@@ -487,8 +287,8 @@ class TestEngine:
 
     def test_text_rendering_sorted(self):
         findings = [
-            Finding("b.py", "REPRO102", "set-iteration-order", 9, 0, "m"),
-            Finding("a.py", "REPRO102", "set-iteration-order", 7, 0, "m"),
+            Finding("b.py", "REPRO103", "wall-clock", 9, 0, "m"),
+            Finding("a.py", "REPRO103", "wall-clock", 7, 0, "m"),
         ]
         lines = render_text(findings).splitlines()
         assert lines == sorted(lines)
@@ -509,21 +309,32 @@ class TestCli:
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_findings_exit_one(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("x = list({1, 2})\n")
+        (tmp_path / "bad.py").write_text("import time\nx = time.time()\n")
         assert check_main([str(tmp_path), "--root", str(tmp_path)]) == 1
-        assert "REPRO102" in capsys.readouterr().out
+        assert "REPRO103" in capsys.readouterr().out
 
     def test_json_output_parses(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("x = list({1, 2})\n")
+        (tmp_path / "bad.py").write_text("import time\nx = time.time()\n")
         check_main([str(tmp_path), "--root", str(tmp_path), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 1
 
     def test_list_rules(self, capsys):
+        """One row per rule of every family, in id order."""
         assert check_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("REPRO101", "REPRO108"):
-            assert rule_id in out
+        rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
+        assert rows == [
+            ["REPRO103", "wall-clock"],
+            ["REPRO104", "layering"],
+            ["REPRO113", "shard-locality"],
+            ["REPRO114", "trace-guard"],
+            ["REPRO202", "handled-unsent"],
+            ["REPRO205", "silent-drop"],
+            ["REPRO210", "global-graph-read"],
+            ["REPRO211", "foreign-view-access"],
+            ["REPRO212", "inbox-confinement"],
+            ["REPRO307", "fork-inherited-state"],
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -834,12 +645,16 @@ class TestTraceGuard:
 
 #: One violation per rule family, keyed by its path under the tree.
 _FAMILY_FIXTURES = {
-    # REPRO101, determinism: the process-global RNG in a plain module.
-    "mod.py": "import random\n\nx = random.random()\n",
-    # REPRO306, pool hygiene: a graph object handed across a pool.
+    # REPRO103, determinism: a wall-clock read in a plain module.
+    "mod.py": "import time\n\nx = time.time()\n",
+    # REPRO307, pool hygiene: module state reassigned with no re-init hook.
     "repro/parallel/fan.py": (
-        "def fan(pool, task, graph):\n"
-        "    return pool.submit(task, graph)\n"
+        "_LAST = None\n"
+        "\n"
+        "\n"
+        "def remember(value):\n"
+        "    global _LAST\n"
+        "    _LAST = value\n"
     ),
     # REPRO210, locality: a runtime decision reads the global topology.
     "repro/runtime/logic.py": (
@@ -872,8 +687,8 @@ _FAMILY_FIXTURES = {
 #: What the determinism, pool-hygiene and protocol/locality checks,
 #: each run on its own, reported for that tree as (path, rule, line, col).
 _FAMILY_UNION = [
-    ("mod.py", "REPRO101", 3, 4),
-    ("repro/parallel/fan.py", "REPRO306", 2, 11),
+    ("mod.py", "REPRO103", 3, 4),
+    ("repro/parallel/fan.py", "REPRO307", 1, 0),
     ("repro/runtime/logic.py", "REPRO210", 3, 11),
     ("repro/runtime/proto.py", "REPRO202", 1, 0),
 ]
@@ -889,10 +704,10 @@ class TestReproCheckUmbrella:
         # the one exit code must surface the failing family.
         fixture = tmp_path / "repro" / "core" / "fix.py"
         fixture.parent.mkdir(parents=True)
-        fixture.write_text("def f(xs=[]):\n    return xs\n")
+        fixture.write_text("import time\n\nSTAMP = time.time()\n")
         code = check_main([str(tmp_path), "--root", str(tmp_path)])
         out = capsys.readouterr().out
-        assert "REPRO105" in out
+        assert "REPRO103" in out
         assert "repro-check: 1 finding(s)" in out
         assert code == 1
 

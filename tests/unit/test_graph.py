@@ -131,3 +131,13 @@ class TestSubgraphsAndCopies:
         back = NetworkGraph.from_networkx(g.to_networkx())
         assert back.edge_set() == g.edge_set()
         assert back.vertex_set() == g.vertex_set()
+
+    def test_subgraph_view_order_is_independent_of_insertion(self):
+        # 0, 8, 16 and 24 share one slot modulo an 8-slot set table, so
+        # a set of them iterates in insertion order, not sorted order.
+        g = NetworkGraph(range(25), [(0, 8), (8, 16), (0, 16), (16, 24)])
+        forward = g.subgraph_view([0, 8, 16, 24])
+        backward = g.subgraph_view([24, 16, 8, 0])
+        assert forward.vertices() == backward.vertices() == [0, 8, 16, 24]
+        assert forward.edges() == backward.edges()
+        assert forward.edges() == sorted(forward.edges())

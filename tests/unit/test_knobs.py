@@ -8,6 +8,7 @@ keep both in sync with the source tree.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -33,7 +34,7 @@ class TestRegistry:
 
     def test_lookup_and_unknown_hint(self):
         assert knobs.knob("REPRO_CHAOS").kind == "flag"
-        with pytest.raises(KeyError, match="REPRO308"):
+        with pytest.raises(KeyError, match="declare it in repro.knobs.KNOBS"):
             knobs.knob("REPRO_NOPE")
 
     def test_knob_names_filters(self):
@@ -75,16 +76,37 @@ class TestAccessors:
 
 class TestDrift:
     def test_every_env_token_in_tree_is_declared(self):
-        """No REPRO_* env name appears in src/benchmarks undeclared."""
+        """No REPRO_* env name appears in src/benchmarks undeclared, and
+        only repro.knobs reads one from the environment, so the registry
+        holds the one default."""
         token = re.compile(r"\bREPRO_[A-Z][A-Z_]*\b")
         declared = set(knobs.knob_names())
         undeclared = {}
+        direct_reads = []
         for base in ("src", "benchmarks"):
             for path in sorted((REPO_ROOT / base).rglob("*.py")):
-                for name in token.findall(path.read_text()):
+                source = path.read_text()
+                for name in token.findall(source):
                     if name not in declared:
                         undeclared.setdefault(name, path.name)
+                if path == Path(knobs.__file__).resolve():
+                    continue
+                for node in ast.walk(ast.parse(source)):
+                    if isinstance(node, ast.Call) and node.args:
+                        target, key = ast.unparse(node.func), node.args[0]
+                        reads = target.endswith(("environ.get", "getenv"))
+                    elif isinstance(node, ast.Subscript):
+                        target, key = ast.unparse(node.value), node.slice
+                        reads = target.endswith("environ")
+                        reads = reads and isinstance(node.ctx, ast.Load)
+                    else:
+                        continue
+                    if reads and str(getattr(key, "value", "")).startswith("REPRO_"):
+                        direct_reads.append(f"{path.name}:{node.lineno}")
         assert not undeclared, f"undeclared knob tokens: {undeclared}"
+        assert not direct_reads, (
+            f"REPRO_* read outside repro.knobs (use knobs.get_*): {direct_reads}"
+        )
 
     def test_docs_tables_are_current(self):
         """README/EXPERIMENTS carry the generated table verbatim."""

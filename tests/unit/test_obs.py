@@ -236,6 +236,45 @@ class TestNullTracer:
         assert NULL_TRACER.trace("a") is NULL_TRACER.trace("b")
 
 
+class TestHotPathGuards:
+    """A disabled tracer costs a hot path one ``enabled`` probe, no call.
+
+    Coarse sites (one span per round or per figure) may call a disabled
+    tracer; the kernel, the engine and the shard runtime may not.
+    """
+
+    def test_disabled_tracer_is_never_called_from_a_hot_path(
+        self, trigrid6, monkeypatch
+    ):
+        from repro.core.criterion import is_tau_partitionable
+        from repro.core.scheduler import dcc_schedule
+        from repro.obs.tracer import NullTracer
+
+        calls = []
+
+        class CountingNullTracer(NullTracer):
+            def trace(self, name, **attrs):
+                calls.append(name)
+                return super().trace(name, **attrs)
+
+            def add_span(self, name, wall_s, cpu_s=0.0, **attrs):
+                calls.append(name)
+
+        counting = CountingNullTracer()
+        monkeypatch.setattr("repro.shard.runtime.NULL_TRACER", counting)
+        boundary = trigrid6.outer_boundary
+        with observe(counting, MetricsRegistry()):
+            dcc_schedule(trigrid6.graph, boundary, 4)
+            dcc_schedule(trigrid6.graph, boundary, 4, shards=2)
+            is_tau_partitionable(trigrid6.graph, [boundary], 4)
+        assert "scheduler.round" in calls
+        # The shard runtime's spans; the coordinator's barrier, merge and
+        # config spans are per round.
+        shard_local = ("shard.subround", "shard.verdicts", "shard.apply")
+        hot = {n for n in calls if n.startswith(("kernel.", "engine.", *shard_local))}
+        assert hot == set()
+
+
 class TestAmbientObservation:
     def test_defaults(self):
         assert current_tracer() is NULL_TRACER

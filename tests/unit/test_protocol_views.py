@@ -69,6 +69,8 @@ class TestTopologyDiscovery:
             truth = mesh.graph.induced_subgraph(ball)
             for u, v in truth.edges():
                 assert view.has_edge(u, v), (node, u, v)
+            # k rounds of gossip carry the rows of the k-ball, no more
+            assert set(protocol.views[node].adjacency) == ball, node
 
     def test_discovery_message_count(self):
         mesh = triangulated_grid(4, 4)

@@ -1,5 +1,6 @@
 """The documented public API surface imports and is complete."""
 
+import functools
 import importlib
 import os
 import subprocess
@@ -111,3 +112,56 @@ class TestSubpackages:
     def test_has_docstring(self, module_name):
         module = importlib.import_module(module_name)
         assert module.__doc__ and module.__doc__.strip()
+
+
+
+@functools.lru_cache(maxsize=1)
+def _default_seeded_calls():
+    """Public entry points that take ``rng=None``, called with their
+    defaults on small deployments."""
+    from repro.core.lifetime import energy_aware_schedule
+    from repro.network.topologies import triangulated_grid
+
+    net = repro.network_for_average_degree(150, 10, seed=1)
+    graph, protected = net.graph, net.boundary_nodes
+    mesh = triangulated_grid(5, 5)
+    positions = [net.positions[v] for v in sorted(graph.vertices())]
+    return {
+        "dcc_schedule": lambda: repro.dcc_schedule(graph, protected, 4).removed,
+        "distributed_dcc_schedule": lambda: repro.distributed_dcc_schedule(
+            graph, protected, 4
+        ).removed,
+        "energy_aware_schedule": lambda: energy_aware_schedule(
+            graph, protected, 4, {v: 1.0 for v in graph}
+        ).removed,
+        "hgc_schedule": lambda: repro.hgc_schedule(
+            mesh.graph, [mesh.outer_boundary], mesh.outer_boundary
+        ).removed,
+        "QuasiUnitDiskRadio.build_graph": lambda: repro.QuasiUnitDiskRadio(
+            net.rc
+        ).build_graph(dict(enumerate(positions))).edges(),
+        # every fourth node, so the raster has holes to measure
+        "evaluate_coverage": lambda: repro.evaluate_coverage(
+            positions[::4], net.rs, net.target_area
+        ),
+    }
+
+
+class TestReproducibleByDefault:
+    """Without an explicit ``rng`` every entry point seeds its own, so two
+    calls with the defaults agree (no process-global or unseeded draw)."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "QuasiUnitDiskRadio.build_graph",
+            "dcc_schedule",
+            "distributed_dcc_schedule",
+            "energy_aware_schedule",
+            "evaluate_coverage",
+            "hgc_schedule",
+        ],
+    )
+    def test_two_default_calls_agree(self, name):
+        call = _default_seeded_calls()[name]
+        assert call() == call()

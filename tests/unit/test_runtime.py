@@ -205,6 +205,36 @@ class TestDistributedDCC:
         protocol._announce_deletions([2])
         assert protocol.sim.stats.messages_dropped == {"topology": 1}
 
+    def test_stray_message_in_discovery_and_mis_is_counted_dropped(self):
+        """The gossip and MIS inbox loops count foreign kinds too."""
+        g = NetworkGraph(range(3), [(0, 1), (1, 2)])
+        protocol = DistributedDCC(g, [], 3, rng=random.Random(0))
+        sim = protocol.sim
+        sim.send(Message(MessageKind.DELETE, src=0, payload=None))
+        protocol._discover_topology()
+        assert sim.stats.messages_dropped == {"delete": 1}
+        sim.send(Message(MessageKind.TOPOLOGY, src=0, payload=None))
+        distributed_mis(sim, [2], protocol.m, random.Random(0))
+        assert sim.stats.messages_dropped == {"delete": 1, "topology": 1}
+
+    def test_decisions_ignore_the_global_graph_after_discovery(self, trigrid6):
+        """After discovery no decision reads the simulator's graph: a
+        vertex wired into it then, which no node ever hears of, changes
+        no verdict, election or deletion."""
+        grid, boundary = trigrid6.graph, set(trigrid6.outer_boundary)
+        plain = DistributedDCC(grid, boundary, 4, rng=random.Random(0)).run()
+        haunted = DistributedDCC(grid, boundary, 4, rng=random.Random(0))
+        discover = haunted._discover_topology
+
+        def discover_then_haunt():
+            discover()
+            ghost = max(grid.vertices()) + 1
+            for v in grid.vertices():
+                haunted.sim.graph.add_edge(ghost, v)
+
+        haunted._discover_topology = discover_then_haunt
+        assert haunted.run().removed == plain.removed
+
 
 def _flood_sends(graph, origin, radius):
     """Broadcasts of a flood that must cover ``radius`` hops.
