@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import random
+import re
 
 import pytest
 
+from repro.knobs import knob_names
 from repro.network.graph import NetworkGraph
 from repro.network.topologies import (
     annulus_network,
@@ -68,3 +71,30 @@ def random_graph(n: int, p: float, seed: int) -> NetworkGraph:
             if rng.random() < p:
                 graph.add_edge(i, j)
     return graph
+
+
+_KNOB_TOKEN = re.compile(r"\bREPRO_[A-Z][A-Z_]*\b")
+
+
+def knob_env_offences(source: str) -> tuple[list[str], list[int]]:
+    """The undeclared ``REPRO_*`` names in ``source``, and the lines that
+    read a ``REPRO_*`` name from the environment directly.
+
+    Only :mod:`repro.knobs` may read one directly, so the registry holds
+    the one default; everything else goes through ``knobs.get_*``.
+    """
+    declared = set(knob_names())
+    undeclared = sorted(set(_KNOB_TOKEN.findall(source)) - declared)
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and node.args:
+            target, key = ast.unparse(node.func), node.args[0]
+            is_read = target.endswith(("environ.get", "getenv"))
+        elif isinstance(node, ast.Subscript):
+            target, key = ast.unparse(node.value), node.slice
+            is_read = target.endswith("environ") and isinstance(node.ctx, ast.Load)
+        else:
+            continue
+        if is_read and str(getattr(key, "value", "")).startswith("REPRO_"):
+            reads.append(node.lineno)
+    return undeclared, sorted(reads)

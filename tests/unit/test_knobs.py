@@ -8,13 +8,12 @@ keep both in sync with the source tree.
 
 from __future__ import annotations
 
-import ast
-import re
 from pathlib import Path
 
 import pytest
 
 from repro import knobs
+from tests.conftest import knob_env_offences
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -79,30 +78,15 @@ class TestDrift:
         """No REPRO_* env name appears in src/benchmarks undeclared, and
         only repro.knobs reads one from the environment, so the registry
         holds the one default."""
-        token = re.compile(r"\bREPRO_[A-Z][A-Z_]*\b")
-        declared = set(knobs.knob_names())
         undeclared = {}
         direct_reads = []
         for base in ("src", "benchmarks"):
             for path in sorted((REPO_ROOT / base).rglob("*.py")):
-                source = path.read_text()
-                for name in token.findall(source):
-                    if name not in declared:
-                        undeclared.setdefault(name, path.name)
-                if path == Path(knobs.__file__).resolve():
-                    continue
-                for node in ast.walk(ast.parse(source)):
-                    if isinstance(node, ast.Call) and node.args:
-                        target, key = ast.unparse(node.func), node.args[0]
-                        reads = target.endswith(("environ.get", "getenv"))
-                    elif isinstance(node, ast.Subscript):
-                        target, key = ast.unparse(node.value), node.slice
-                        reads = target.endswith("environ")
-                        reads = reads and isinstance(node.ctx, ast.Load)
-                    else:
-                        continue
-                    if reads and str(getattr(key, "value", "")).startswith("REPRO_"):
-                        direct_reads.append(f"{path.name}:{node.lineno}")
+                names, lines = knob_env_offences(path.read_text())
+                for name in names:
+                    undeclared.setdefault(name, path.name)
+                if path != Path(knobs.__file__).resolve():
+                    direct_reads += [f"{path.name}:{line}" for line in lines]
         assert not undeclared, f"undeclared knob tokens: {undeclared}"
         assert not direct_reads, (
             f"REPRO_* read outside repro.knobs (use knobs.get_*): {direct_reads}"

@@ -15,6 +15,7 @@ from pathlib import Path
 from repro.checks.concurrency import CONCURRENCY_RULES, concurrency_rules
 from repro.checks.engine import lint_paths
 from repro.checks.runner import main as check_main
+from tests.conftest import knob_env_offences
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -154,6 +155,64 @@ class TestRaceCli:
         assert payload["count"] == 1
         assert payload["findings"][0]["rule"] == "REPRO307"
 
+    def test_list_rules(self, capsys):
+        assert check_main(["--list-rules"]) == 0
+        out = capsys.readouterr().out
+        assert "REPRO307" in out and "fork-inherited-state" in out
+
+
+# ----------------------------------------------------------------------
+# Knob registry: the knob drift scan over fixture sources
+# ----------------------------------------------------------------------
+def knob_source(source: str):
+    return knob_env_offences(textwrap.dedent(source))
+
+
+class TestKnobRegistry:
+    def test_flags_undeclared_env_read(self):
+        undeclared, reads = knob_source(
+            """
+            import os
+
+            FLAG = os.environ.get("REPRO_UNDECLARED", "")
+            """
+        )
+        assert undeclared == ["REPRO_UNDECLARED"]
+        assert reads == [4]
+
+    def test_flags_undeclared_getenv_and_subscript(self):
+        undeclared, reads = knob_source(
+            """
+            import os
+
+            A = os.getenv("REPRO_ALSO_MISSING")
+            B = os.environ["REPRO_MISSING_TOO"]
+            """
+        )
+        assert undeclared == ["REPRO_ALSO_MISSING", "REPRO_MISSING_TOO"]
+        assert reads == [4, 5]
+
+    def test_flags_default_mismatch(self):
+        """A declared knob read past the registry may carry its own
+        default, so the read itself is the offence."""
+        undeclared, reads = knob_source(
+            """
+            import os
+
+            SEED = os.environ.get("REPRO_CHAOS_SEED", "7")
+            """
+        )
+        assert undeclared == []
+        assert reads == [4]
+
+    def test_non_repro_env_ignored(self):
+        assert knob_source(
+            """
+            import os
+
+            HOME = os.environ.get("HOME", "/")
+            """
+        ) == ([], [])
 
 
 class TestRepoSweep:

@@ -236,6 +236,13 @@ class TestLocalityRules:
 # The CLI
 # ----------------------------------------------------------------------
 class TestVerifyCli:
+    def test_list_rules(self, capsys):
+        assert check_main(["--list-rules"]) == 0
+        ids = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert ids == sorted(ids)
+        for rule_id in ("REPRO202", "REPRO205", "REPRO210", "REPRO211", "REPRO212"):
+            assert rule_id in ids
+
     def test_repo_verifies_clean(self, capsys):
         code = check_main(["src/repro/runtime", "--root", str(REPO_ROOT)])
         out = capsys.readouterr().out
