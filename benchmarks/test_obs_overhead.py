@@ -1,8 +1,9 @@
 """Disabled-tracer overhead guard for the sharded schedule path.
 
 The null-tracer contract promises that a disabled run pays one
-attribute probe per guarded site and nothing else (the REPRO114 lint
-rule keeps hot-path sites behind guards).  This bench turns the promise
+attribute probe per guarded site and nothing else
+(``tests/unit/test_obs.py::TestHotPathGuards`` keeps hot-path sites
+behind guards).  This bench turns the promise
 into a number: :func:`bench_tracer_overhead` bounds the total guard cost
 from above (guard probes x measured per-probe cost, against the
 disabled wall) and the bound must stay **under 2%** of the schedule's

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from repro.network.node import Position
@@ -62,26 +63,19 @@ def _circle_from_three(a: Position, b: Position, c: Position) -> Optional[Circle
     return Circle(center, radius)
 
 
-def _trivial_circle(support: Sequence[Position]) -> Circle:
-    if not support:
-        return Circle((0.0, 0.0), 0.0)
-    if len(support) == 1:
-        return Circle(support[0], 0.0)
-    if len(support) == 2:
-        return _circle_from_two(support[0], support[1])
-    # Three support points: take the smallest of the pairwise circles that
-    # covers everything, else the circumcircle.
-    for i in range(3):
-        for j in range(i + 1, 3):
-            circle = _circle_from_two(support[i], support[j])
-            if all(circle.contains(p) for p in support):
-                return circle
-    circumcircle = _circle_from_three(*support)
-    if circumcircle is None:
-        # Collinear support: the two extreme points define the circle.
-        pts = sorted(support)
-        return _circle_from_two(pts[0], pts[-1])
-    return circumcircle
+def _circle_through_three(a: Position, b: Position, c: Position) -> Circle:
+    """The circle with ``a``, ``b`` and ``c`` on its boundary.
+
+    Welzl's innermost step needs all three support points on the circle:
+    the smallest circle merely *covering* them can drop ``a`` or ``b``
+    and leave earlier points outside.  Collinear points have no
+    circumcircle; the circle on the widest pair covers them.
+    """
+    circle = _circle_from_three(a, b, c)
+    if circle is not None:
+        return circle
+    widest = max(combinations((a, b, c), 2), key=lambda ab: math.dist(*ab))
+    return _circle_from_two(*widest)
 
 
 def minimum_enclosing_circle(
@@ -107,7 +101,7 @@ def minimum_enclosing_circle(
                 r = pts[k]
                 if circle.contains(r):
                     continue
-                circle = _trivial_circle([p, q, r])
+                circle = _circle_through_three(p, q, r)
     return circle
 
 

@@ -161,8 +161,9 @@ class Tracer:
         # The wall-clock instant matching self._epoch: span start offsets
         # map onto one shared timeline as epoch_unix + start_s, which is
         # how cross-process payloads align at import time.  Wall clock is
-        # volatile by the determinism contract (this module is inside
-        # repro/obs/, the REPRO103-exempt zone).
+        # volatile by the determinism contract: only repro/obs/ reads it,
+        # and CI's byte-diff of two example runs shows no output
+        # depends on it.
         self._epoch_unix = time.time()
 
     # ------------------------------------------------------------------
@@ -343,7 +344,7 @@ def reset_ambient() -> None:
 
     Worker bootstraps call this so forked pool workers never observe
     through a tracer/metrics pair inherited from the coordinator
-    (fork-inheritance hygiene, REPRO307): workers capture through
+    (fork-inheritance hygiene): workers capture through
     explicit task-local observers whose payloads merge back in
     submission order.
     """

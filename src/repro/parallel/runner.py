@@ -281,7 +281,7 @@ def _shard_worker_main(conn, inits, tau: int, capture: bool) -> None:
     """
     from repro.shard.runtime import LocalShard
 
-    # Fork-inheritance hygiene (REPRO307): shard workers never observe
+    # Fork-inheritance hygiene: shard workers never observe
     # through the coordinator's ambient tracer.
     reset_ambient()
     chaos = current_chaos()

@@ -160,9 +160,9 @@ class DistributedDCC:
             self.metrics.inc("protocol.deletions", len(removed))
             self.metrics.absorb_runtime(self.sim.stats)
         return DistributedResult(
-            # The surviving topology is collected for the caller *after*
-            # the protocol fixpoint — no node decision reads it.
-            # repro: allow[global-graph-read] result assembly, post-fixpoint
+            # Result assembly: the surviving topology is collected for the
+            # caller *after* the protocol fixpoint — no node decision
+            # reads the global graph.
             active=self.sim.graph.copy(),
             removed=removed,
             iterations=iterations,
@@ -182,7 +182,7 @@ class DistributedDCC:
             for node in sim.active:
                 view = _LocalView(self.tau, counters=self.counters)
                 # A radio hears its one-hop neighbours for free; this seeds
-                # repro: allow[global-graph-read] bootstrap, round-0 gossip only
+                # the bootstrap (a global-graph read, round-0 gossip only)
                 view.merge(((node, frozenset(sim.graph.neighbors(node))),))
                 self.views[node] = view
         for __ in range(self.k):

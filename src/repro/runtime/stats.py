@@ -18,8 +18,9 @@ class RuntimeStats:
     messages_by_kind: Dict[str, int] = field(default_factory=dict)
     #: delivered messages a protocol phase received but did not handle
     #: (e.g. a non-DELETE kind arriving during the deletion flood),
-    #: partitioned by kind.  Handler totality (REPRO205) requires every
-    #: kind-filtered inbox loop to account for what it skips here.
+    #: partitioned by kind.  Handler totality requires every
+    #: kind-filtered inbox loop to account for what it skips here
+    #: (guarded by ``test_runtime.py``'s stray-message tests).
     messages_dropped: Dict[str, int] = field(default_factory=dict)
     deletion_iterations: int = 0
     #: aggregated local-topology work across every node's engine

@@ -10,8 +10,8 @@ This package owns that decomposition:
 * :mod:`repro.shard.plan` — the deterministic partitioner and
   :class:`ShardPlan` (owned regions, halo bands, routing tables);
 * :mod:`repro.shard.runtime` — :class:`LocalShard`, the shard-local
-  partition engine and MIS state (REPRO113-linted: it never reads
-  coordinator state);
+  partition engine and MIS state (it never reads coordinator state;
+  ``test_shard.py::TestOwnedRegionGuard`` guards its verdicts);
 * :mod:`repro.shard.halo` — :class:`HaloExchange`, the round-synchronous
   boundary-band row router with traffic metering;
 * :mod:`repro.shard.scheduler` — the coordinator producing schedules

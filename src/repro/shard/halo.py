@@ -1,8 +1,8 @@
 """Round-synchronous halo exchange between shards.
 
 The coordinator is the only party that knows the routing tables; shards
-never see the plan (that discipline is linted by REPRO113).  Everything
-a shard learns about the outside world arrives as *rows* — plain
+are built from their own partition blob and never see the plan.
+Everything a shard learns about the outside world arrives as *rows* — plain
 ``(vertex, payload)`` tuples — and only for vertices inside its halo
 band:
 

@@ -5,11 +5,12 @@ of a per-region process on real hardware.  A :class:`LocalShard` is
 constructed from a partition blob (its own owned/halo membership and
 induced edges — never the plan or the global graph) and afterwards
 communicates exclusively through rows handed to / returned from its
-methods.  The REPRO113 lint rule enforces that discipline statically
-(no reads of coordinator-scope state), and the partition engine's
-``owned`` guard enforces the verdict half dynamically: asking for a
-deletability verdict outside the owned region raises
-:class:`~repro.topology.OwnedRegionError`.
+methods.  The partition engine's ``owned`` guard enforces the verdict
+half of that discipline: asking for a deletability verdict outside the
+owned region raises :class:`~repro.topology.OwnedRegionError`
+(``test_shard.py::TestOwnedRegionGuard``), and
+``test_shard_properties.py`` pins sharded schedules to the unsharded
+ones at every shard count.
 
 The MIS the shards compute together is the wave formulation of the
 scheduler's greedy draw (:class:`~repro.topology.mis.WaveMIS`): each
@@ -127,7 +128,7 @@ class LocalShard:
         ``shard.subround`` span (attrs ``shard``/``round``/``subround``)
         — the per-shard busy interval the attribution analysis and the
         multi-lane timeline consume; hot-path tracing stays behind
-        ``tracer.enabled`` guards (REPRO114).
+        ``tracer.enabled`` guards (``test_obs.py::TestHotPathGuards``).
         """
         tracer = self.tracer
         subround = self._subround

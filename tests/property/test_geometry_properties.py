@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.boundary.geometric import winding_number
@@ -24,6 +24,9 @@ class TestWelzlProperties:
             assert circle.contains(p, slack=1e-6)
 
     @given(st.lists(points, min_size=2, max_size=25))
+    @example(
+        [(0, 0), (0, 0), (0, -49), (-30, 0), (0, 0), (2, 19), (1, -49), (-31, -1)]
+    )
     @settings(max_examples=60, deadline=None)
     def test_diameter_at_least_max_pairwise_distance(self, pts):
         circle = minimum_enclosing_circle(pts)

@@ -62,24 +62,30 @@ class TestMinimumEnclosingCircle:
             assert all(circle.contains(p) for p in pts)
 
     def test_minimality_versus_brute_force(self):
-        """Welzl's radius equals the best 2- or 3-point support circle."""
+        """Welzl's radius equals the best pair-diameter or circumcircle."""
         from itertools import combinations
 
-        from repro.geometry.holes import _circle_from_two, _trivial_circle
+        from repro.geometry.holes import _circle_from_three, _circle_from_two
 
         rng = random.Random(3)
         pts = [(rng.uniform(0, 4), rng.uniform(0, 4)) for __ in range(12)]
-        best = math.inf
-        for a, b in combinations(pts, 2):
-            circle = _circle_from_two(a, b)
-            if all(circle.contains(p) for p in pts):
-                best = min(best, circle.radius)
-        for a, b, c in combinations(pts, 3):
-            circle = _trivial_circle([a, b, c])
-            if all(circle.contains(p) for p in pts):
-                best = min(best, circle.radius)
+        candidates = [_circle_from_two(a, b) for a, b in combinations(pts, 2)]
+        candidates += [_circle_from_three(*abc) for abc in combinations(pts, 3)]
+        best = min(
+            circle.radius
+            for circle in candidates
+            if circle is not None and all(circle.contains(p) for p in pts)
+        )
         ours = minimum_enclosing_circle(pts).radius
         assert ours == pytest.approx(best, rel=1e-9)
+
+    def test_innermost_step_keeps_both_support_points(self):
+        """The three-point step must keep p and q on the circle; the
+        smallest circle merely covering p, q and r leaves (2, 19) out."""
+        pts = [(0, 0), (0, 0), (0, -49), (-30, 0), (0, 0), (2, 19), (1, -49), (-31, -1)]
+        circle = minimum_enclosing_circle(pts)
+        assert all(circle.contains(p) for p in pts)
+        assert circle.diameter >= math.dist((0, -49), (2, 19))
 
 
 class TestDiameter:

@@ -8,6 +8,7 @@ keep both in sync with the source tree.
 
 from __future__ import annotations
 
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -130,3 +131,57 @@ class TestDrift:
         assert knobs.main(["--check", str(target)]) == 1
         assert knobs.main(["--write", str(target)]) == 0
         assert knobs.main(["--check", str(target)]) == 0
+
+
+# ----------------------------------------------------------------------
+# Knob registry: the knob drift scan over fixture sources
+# ----------------------------------------------------------------------
+def knob_source(source: str):
+    return knob_env_offences(textwrap.dedent(source))
+
+
+class TestKnobRegistry:
+    def test_flags_undeclared_env_read(self):
+        undeclared, reads = knob_source(
+            """
+            import os
+
+            FLAG = os.environ.get("REPRO_UNDECLARED", "")
+            """
+        )
+        assert undeclared == ["REPRO_UNDECLARED"]
+        assert reads == [4]
+
+    def test_flags_undeclared_getenv_and_subscript(self):
+        undeclared, reads = knob_source(
+            """
+            import os
+
+            A = os.getenv("REPRO_ALSO_MISSING")
+            B = os.environ["REPRO_MISSING_TOO"]
+            """
+        )
+        assert undeclared == ["REPRO_ALSO_MISSING", "REPRO_MISSING_TOO"]
+        assert reads == [4, 5]
+
+    def test_flags_default_mismatch(self):
+        """A declared knob read past the registry may carry its own
+        default, so the read itself is the offence."""
+        undeclared, reads = knob_source(
+            """
+            import os
+
+            SEED = os.environ.get("REPRO_CHAOS_SEED", "7")
+            """
+        )
+        assert undeclared == []
+        assert reads == [4]
+
+    def test_non_repro_env_ignored(self):
+        assert knob_source(
+            """
+            import os
+
+            HOME = os.environ.get("HOME", "/")
+            """
+        ) == ([], [])

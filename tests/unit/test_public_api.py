@@ -2,10 +2,6 @@
 
 import functools
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -32,48 +28,6 @@ class TestTopLevelApi:
             "distributed_dcc_schedule",
         ):
             assert callable(getattr(repro, name))
-
-
-SRC = str(Path(__file__).resolve().parents[2] / "src")
-
-
-def _run_python(*args):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
-    )
-
-
-class TestImportCost:
-    LINTER = (
-        "repro.checks.rules",
-        "repro.checks.engine",
-        "repro.checks.concurrency",
-        "repro.checks.protocol",
-    )
-
-    def test_import_repro_leaves_the_linter_unloaded(self):
-        # A fresh interpreter: this process's sys.modules holds whatever
-        # earlier tests imported.
-        probe = "import sys, repro; print(' '.join(m for m in sys.modules if m.startswith('repro.checks')))"
-        result = _run_python("-c", probe)
-        assert result.returncode == 0, result.stderr
-        loaded = set(result.stdout.split())
-        assert "repro.checks.sanitizer" in loaded
-        assert not loaded & set(self.LINTER)
-
-    def test_checks_names_load_on_first_use(self):
-        probe = (
-            "import sys, repro.checks as c; c.LintEngine; c.DEFAULT_RULES; "
-            "print(all(m in sys.modules for m in %r))" % (self.LINTER[:2],)
-        )
-        result = _run_python("-c", probe)
-        assert result.stdout.strip() == "True", result.stderr
-
-    def test_module_entry_point_still_runs(self):
-        result = _run_python("-m", "repro.checks", "--list-rules")
-        assert result.returncode == 0, result.stderr
-        assert "REPRO" in result.stdout
 
 
 SUBPACKAGES = [
