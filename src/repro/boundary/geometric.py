@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
+from repro.checks.sanitizer import current_sanitizer
+from repro.geometry.delaunay import delaunay_triangles
 from repro.network.deployment import Network
-from repro.network.graph import NetworkGraph
+from repro.network.graph import Edge, NetworkGraph, canonical_edge
 from repro.network.node import Position
 
 
@@ -189,26 +191,26 @@ def planar_backbone(
 
     Face tracing is only well-defined on planar drawings; crossing
     communication links make the raw graph's rotation system wander.  The
-    Delaunay triangulation of the node positions is planar and spans every
-    node, so its intersection with the communication graph is a planar
-    spanning subgraph whose outer face hugs the deployment rim.
+    exact Delaunay triangulation of the node positions
+    (:mod:`repro.geometry.delaunay`) is planar and spans every node, so its
+    intersection with the communication graph is a planar spanning
+    subgraph whose outer face hugs the deployment rim.  Of nodes sharing
+    one position, all but the lowest id are left isolated.  Raises
+    ``RuntimeError`` when the positions span no triangle.
     """
-    from scipy.spatial import Delaunay  # deferred: scipy is a dev extra
-
     ids = sorted(graph.vertices())
-    if len(ids) < 3:
-        raise RuntimeError("planar backbone needs at least three nodes")
-    import numpy as np
-
-    points = np.array([positions[v] for v in ids])
-    triangulation = Delaunay(points)
-    backbone = NetworkGraph(ids)
-    for simplex in triangulation.simplices:
-        a, b, c = (ids[int(i)] for i in simplex)
+    points = [positions[v] for v in ids]
+    triangles = delaunay_triangles(points)
+    sanitizer = current_sanitizer()
+    if sanitizer is not None:
+        sanitizer.check_delaunay(points, triangles)
+    links: Set[Edge] = set()
+    for triangle in triangles:
+        a, b, c = (ids[i] for i in triangle)
         for u, v in ((a, b), (a, c), (b, c)):
             if graph.has_edge(u, v):
-                backbone.add_edge(u, v)
-    return backbone
+                links.add(canonical_edge(u, v))
+    return NetworkGraph(ids, sorted(links))
 
 
 def outer_boundary_cycle(

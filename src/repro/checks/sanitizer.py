@@ -18,6 +18,8 @@ the env var so parallel worker processes sanitize too.  When active:
 * after each fresh verdict and criterion answer, the mirror's collapse
   scratch (``_bit``, ``_closed``) must be zero in every cell
   (``kernel-scratch-dirty``);
+* every **planar-backbone Delaunay triangulation** is checked with
+  Lawson's local test under the exact predicates (``delaunay``);
 * every **parallel metrics merge** of three or more worker payloads is
   re-associated — ``merge(a, merge(b, c))`` against
   ``merge(merge(a, b), c)`` — and the resulting registries compared.
@@ -39,10 +41,12 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro import knobs
 from repro.cycles.horton import ShortCycleSpan
+from repro.geometry.delaunay import Triangle, incircle_exact, orient2d_exact
+from repro.network.node import Position
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import current_metrics, current_tracer
 
@@ -271,6 +275,39 @@ class Sanitizer:
                 edges=len(edges),
                 kernel=answer,
                 oracle=expected,
+            )
+
+    def check_delaunay(
+        self, points: Sequence[Position], triangles: Sequence[Triangle]
+    ) -> None:
+        """A planar-backbone triangulation against Lawson's local test.
+
+        Under the exact (unfiltered) predicates every triangle must be
+        strictly counter-clockwise and every interior edge locally
+        Delaunay: the apex across it lies on or outside the triangle's
+        circumcircle.  A triangulation of all n distinct positions has
+        2n - 2 - h triangles (h hull vertices); with that count the local
+        test makes the whole triangulation Delaunay.
+        """
+        self._count("delaunay")
+        apex: Dict[Tuple[int, int], int] = {}
+        for a, b, c in triangles:
+            if orient2d_exact(points[a], points[b], points[c]) <= 0:
+                self._violate("delaunay-not-ccw", triangle=(a, b, c))
+            apex[(a, b)], apex[(b, c)], apex[(c, a)] = c, a, b
+        hull = 0
+        for (u, v), w in apex.items():
+            x = apex.get((v, u))
+            if x is None:
+                hull += 1
+            elif u < v and incircle_exact(points[u], points[v], points[w], points[x]) > 0:
+                self._violate("delaunay-not-local", edge=(u, v), apexes=(w, x))
+        distinct = len({(float(x), float(y)) for x, y in points})
+        if len(triangles) != 2 * distinct - 2 - hull:
+            self._violate(
+                "delaunay-count",
+                triangles=len(triangles),
+                expected=2 * distinct - 2 - hull,
             )
 
     def check_merge(self, payloads: Sequence[Sequence[Any]]) -> None:
