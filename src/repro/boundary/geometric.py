@@ -26,6 +26,9 @@ from repro.network.deployment import Network
 from repro.network.graph import Edge, NetworkGraph, canonical_edge
 from repro.network.node import Position
 
+#: perimeter rotations the stitching fallback tries before giving up
+_STITCH_ROTATIONS = 8
+
 
 def winding_number(polygon: Sequence[Position], point: Position) -> float:
     """Winding number of a closed polygon around a point (in turns)."""
@@ -119,17 +122,15 @@ def _extract_enclosing_cycle(
 
 
 def trace_outer_face(
-    graph: NetworkGraph,
-    positions: Dict[int, Position],
-    probes: Optional[Sequence[Position]] = None,
+    graph: NetworkGraph, positions: Dict[int, Position]
 ) -> List[int]:
     """Trace the outer face of an embedded graph (right-hand rule).
 
     Starting from the bottom-most vertex, repeatedly take the next edge in
     clockwise rotational order after the reversed incoming edge.  For a
     planar drawing this walks the outer rim; the closed walk is then
-    reduced to the simple cycle enclosing most of the ``probes`` (default:
-    a deterministic sample of the node positions themselves).
+    reduced to the simple cycle enclosing most of a deterministic sample
+    of the node positions themselves.
     """
     if len(graph) < 3:
         raise RuntimeError("graph too small to have an outer face")
@@ -151,13 +152,12 @@ def trace_outer_face(
         key=lambda w: ((angle(start, w) - south) % (2 * math.pi))
         or 2 * math.pi,
     )
-    if probes is None:
-        # A deterministic spread of actual node positions: unlike the
-        # centroid these are guaranteed to lie in occupied space, not in a
-        # notch of a non-convex rim.
-        sample = sorted(graph.vertices())
-        stride = max(1, len(sample) // 24)
-        probes = [positions[v] for v in sample[::stride]]
+    # A deterministic spread of actual node positions: unlike the
+    # centroid these are guaranteed to lie in occupied space, not in a
+    # notch of a non-convex rim.
+    sample = sorted(graph.vertices())
+    stride = max(1, len(sample) // 24)
+    probes = [positions[v] for v in sample[::stride]]
 
     walk = [start]
     edge = (start, first)
@@ -213,10 +213,7 @@ def planar_backbone(
     return NetworkGraph(ids, sorted(links))
 
 
-def outer_boundary_cycle(
-    network: Network,
-    max_rotations: int = 8,
-) -> List[int]:
+def outer_boundary_cycle(network: Network) -> List[int]:
     """An outer boundary cycle through the periphery band.
 
     Returns the cycle as a vertex list (closing edge implicit).  The
@@ -253,8 +250,8 @@ def outer_boundary_cycle(
         key=lambda v: region.perimeter_parameter(network.positions[v]),
     )
 
-    for rotation in range(max_rotations):
-        shift = (rotation * len(ordered)) // max_rotations
+    for rotation in range(_STITCH_ROTATIONS):
+        shift = (rotation * len(ordered)) // _STITCH_ROTATIONS
         sequence = ordered[shift:] + ordered[:shift]
         cycle = _stitch_cycle(band_graph, sequence)
         if cycle is None or len(cycle) < 3:

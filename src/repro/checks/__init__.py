@@ -9,14 +9,15 @@ and reproducible-defaults tests, the recorded schedule pins, the
 exact-k-ball and stray-message tests of the runtime and the sanitizer
 below.  Mutable defaults and bare excepts are ruff's (B006, E722).
 
-:mod:`repro.checks.sanitizer` shadow-checks live runs
-(``REPRO_SANITIZE=1`` or ``repro-coverage --sanitize``): every fresh
-CSR-kernel verdict is recomputed on the dict oracle, engine cache hits
-are compared against fresh recomputes, and parallel metric merges are
-re-associated and compared.  Violations surface through the obs tracer
-and raise by default.  Its pool-side counterpart is the ``REPRO_CHAOS``
-order sanitizer in :mod:`repro.parallel.runner`, which adversarially
-permutes completion/consumption order while CI asserts schedules stay
+:mod:`repro.checks.sanitizer` shadow-checks live runs under
+``REPRO_SANITIZE=1`` (for example ``REPRO_SANITIZE=1 repro-coverage
+fig2``): every fresh CSR-kernel verdict is recomputed on the dict
+oracle, engine cache hits are compared against fresh recomputes, and
+parallel metric merges are re-associated and compared.  Violations
+surface through the obs tracer and raise by default.  Its pool-side
+counterpart is the ``REPRO_CHAOS`` order sanitizer in
+:mod:`repro.parallel.runner`, which adversarially permutes
+completion/consumption order while CI asserts schedules stay
 byte-identical.
 """
 

@@ -1,9 +1,9 @@
 """Runtime shadow-oracle sanitizer for live runs.
 
 Enabled via ``REPRO_SANITIZE=1`` (any truthy value; ``warn`` records
-without raising) or programmatically with :func:`enable_sanitizer` —
-the ``repro-coverage --sanitize`` flag does the latter and also exports
-the env var so parallel worker processes sanitize too.  When active:
+without raising), the one switch for every entry point, or
+programmatically with :func:`enable_sanitizer`, which also exports the
+env var so parallel worker processes sanitize too.  When active:
 
 * every **fresh CSR-kernel verdict** the topology engine computes is
   recomputed on the dict oracle (pure-Python BFS over the adjacency

@@ -22,7 +22,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.checks.sanitizer import current_sanitizer, enable_sanitizer
+from repro.checks.sanitizer import current_sanitizer
 from repro.parallel.runner import chaos_summary
 from repro.analysis.experiments import (
     run_fig1_mobius,
@@ -39,10 +39,10 @@ from repro.obs import (
     attribution_from_tracer,
     attribution_summary,
     build_run_report,
-    lane_timeline_from_tracer,
     observe,
     profile_summary,
-    timeline_from_tracer,
+    render_lane_timeline,
+    render_timeline,
     validate_run_report,
     write_run_report,
     write_trace_jsonl,
@@ -178,15 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the paper's full experiment sizes (slow in pure Python)",
     )
     parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help=(
-            "shadow-check kernel verdicts, cached verdicts, k-balls and "
-            "parallel metrics merges against dict oracles (slower; "
-            "schedules stay byte-identical); equivalent to REPRO_SANITIZE=1"
-        ),
-    )
-    parser.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
@@ -231,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     names = sorted(_COMMANDS) if args.experiment == "all" else [args.experiment]
-    sanitizer = enable_sanitizer() if args.sanitize else current_sanitizer()
+    sanitizer = current_sanitizer()
     tracer = Tracer()
     metrics = MetricsRegistry()
     with observe(tracer, metrics):
@@ -289,12 +280,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             for span in spans
         )
         if distributed:
-            canvas = lane_timeline_from_tracer(
-                tracer, title=f"repro-coverage {args.experiment} (lanes)"
+            canvas = render_lane_timeline(
+                spans, title=f"repro-coverage {args.experiment} (lanes)"
             )
         else:
-            canvas = timeline_from_tracer(
-                tracer, title=f"repro-coverage {args.experiment}"
+            canvas = render_timeline(
+                spans, title=f"repro-coverage {args.experiment}"
             )
         canvas.save(args.timeline)
         print(f"timeline -> {args.timeline}")

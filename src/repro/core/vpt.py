@@ -20,12 +20,8 @@ from typing import List, Optional, Set, Tuple
 from repro.checks.sanitizer import oracle_deletable
 from repro.cycles.horton import ShortCycleSpan
 from repro.network.graph import NetworkGraph
-from repro.topology import LocalTopologyEngine, neighborhood_radius
-
-
-def deletion_radius(tau: int) -> int:
-    """The neighbourhood radius ``k = ceil(tau / 2)`` of Definition 5."""
-    return neighborhood_radius(tau)
+from repro.topology import LocalTopologyEngine
+from repro.topology.radii import deletion_radius
 
 
 def vertex_deletable(graph: NetworkGraph, v: int, tau: int) -> bool:

@@ -5,7 +5,6 @@ from repro.homology.boundary_ops import (
     boundary_1_columns,
     boundary_2_columns,
     edge_chain_basis,
-    gf2_column_rank,
     vertex_chain_basis,
 )
 from repro.homology.hgc import (
@@ -44,7 +43,6 @@ __all__ = [
     "edge_chain_basis",
     "enumerate_triangles",
     "first_homology_trivial",
-    "gf2_column_rank",
     "hgc_schedule",
     "hgc_verify",
     "relative_betti_1",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.cycles.gf2 import GF2Basis
 from repro.homology.simplicial import RipsComplex
 from repro.network.graph import Edge, NetworkGraph
 
@@ -87,10 +86,3 @@ def boundary_1_columns(
             mask ^= 1 << bit
         columns.append(mask)
     return columns
-
-
-def gf2_column_rank(columns: Sequence[int]) -> int:
-    basis = GF2Basis()
-    for column in columns:
-        basis.add(column)
-    return basis.rank

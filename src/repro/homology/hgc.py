@@ -60,19 +60,16 @@ def hgc_verify(
     Figure 1 Möbius-band network is fully covered yet fails this test,
     while the cycle-partition criterion accepts it.
     """
-    from repro.homology.boundary_ops import (
-        boundary_2_columns,
-        edge_chain_basis,
-        gf2_column_rank,
-    )
+    from repro.cycles.gf2 import gf2_rank
+    from repro.homology.boundary_ops import boundary_2_columns, edge_chain_basis
 
     complex_ = RipsComplex.from_graph(graph)
     fence = FenceSubcomplex.from_cycles(boundary_cycles)
     b1 = relative_betti_1(complex_, fence)
-    full_rank = gf2_column_rank(
+    full_rank = gf2_rank(
         boundary_2_columns(complex_, edge_chain_basis(graph))
     )
-    rel_rank = gf2_column_rank(
+    rel_rank = gf2_rank(
         boundary_2_columns(complex_, edge_chain_basis(graph, set(fence.edges)))
     )
     return HGCVerification(

@@ -20,11 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cycles.cycle_space import cycle_space_dimension
-from repro.homology.boundary_ops import (
-    boundary_2_columns,
-    edge_chain_basis,
-    gf2_column_rank,
-)
+from repro.cycles.gf2 import gf2_rank
+from repro.homology.boundary_ops import boundary_2_columns, edge_chain_basis
 from repro.homology.simplicial import FenceSubcomplex, RipsComplex
 
 
@@ -49,7 +46,7 @@ def betti_numbers(complex_: RipsComplex) -> BettiNumbers:
     components = len(graph.connected_components())
     z1 = cycle_space_dimension(graph)
     edge_basis = edge_chain_basis(graph)
-    rank_d2 = gf2_column_rank(boundary_2_columns(complex_, edge_basis))
+    rank_d2 = gf2_rank(boundary_2_columns(complex_, edge_basis))
     return BettiNumbers(
         b0=components,
         b1=z1 - rank_d2,
@@ -84,7 +81,7 @@ def relative_betti_1(
     )
     rank_d1_rel = num_rel_vertices - free_components
 
-    rank_d2_rel = gf2_column_rank(boundary_2_columns(complex_, edge_basis))
+    rank_d2_rel = gf2_rank(boundary_2_columns(complex_, edge_basis))
     return (num_rel_edges - rank_d1_rel) - rank_d2_rel
 
 

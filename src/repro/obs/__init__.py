@@ -45,12 +45,7 @@ from repro.obs.export import (
     write_trace_jsonl,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.timeline import (
-    lane_timeline_from_tracer,
-    render_lane_timeline,
-    render_timeline,
-    timeline_from_tracer,
-)
+from repro.obs.timeline import render_lane_timeline, render_timeline
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -82,7 +77,6 @@ __all__ = [
     "build_run_report",
     "current_metrics",
     "current_tracer",
-    "lane_timeline_from_tracer",
     "load_run_report",
     "observe",
     "phase_aggregates",
@@ -91,7 +85,6 @@ __all__ = [
     "render_lane_timeline",
     "render_timeline",
     "strip_volatile",
-    "timeline_from_tracer",
     "traced",
     "validate_run_report",
     "write_run_report",

@@ -48,6 +48,9 @@ ATTRIBUTION_SCHEMA = "repro.attribution/v1"
 #: lane keys of one attributed round, in presentation order
 LANES = ("compute_s", "barrier_wait_s", "halo_s", "merge_s")
 
+#: rounds per run that ``attribution_summary`` lists before eliding
+_SUMMARY_MAX_ROUNDS = 40
+
 
 def _new_lanes() -> Dict[str, float]:
     return {lane: 0.0 for lane in LANES}
@@ -297,9 +300,7 @@ def _pct(part: float, whole: float) -> str:
     return f"{100.0 * part / whole:5.1f}%"
 
 
-def attribution_summary(
-    attribution: Dict[str, Any], max_rounds: int = 40
-) -> str:
+def attribution_summary(attribution: Dict[str, Any]) -> str:
     """Human-readable attribution table (the ``--attribute`` output)."""
     lines: List[str] = []
     totals = attribution["totals"]
@@ -335,7 +336,7 @@ def attribution_summary(
             "sub   spread  halo rows/bytes"
         )
         lines.append(header)
-        shown = run["rounds"][:max_rounds]
+        shown = run["rounds"][:_SUMMARY_MAX_ROUNDS]
         for row in shown:
             lines.append(
                 "    %5d %8.4f %8.4f %8.4f %8.4f %8.4f  %3d %8.4f  %d/%d"

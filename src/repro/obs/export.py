@@ -36,6 +36,10 @@ VOLATILE_META_KEYS = frozenset(
     {"wall_s", "cpu_s", "workers", "cpu_count", "hostname", "created", "python"}
 )
 
+#: ``profile_summary``: phase-tree depth shown, and hottest spans listed
+_PROFILE_MAX_DEPTH = 6
+_PROFILE_TOP = 10
+
 
 class SchemaError(ValueError):
     """A run-report failed schema validation."""
@@ -317,7 +321,7 @@ def _aggregate_children(nodes: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]
     return out
 
 
-def profile_summary(tracer: Tracer, top: int = 10, max_depth: int = 6) -> str:
+def profile_summary(tracer: Tracer) -> str:
     """The ``--profile`` rendering: phase tree + hottest individual spans."""
     spans = tracer.spans()
     if not spans:
@@ -325,7 +329,7 @@ def profile_summary(tracer: Tracer, top: int = 10, max_depth: int = 6) -> str:
     lines: List[str] = ["profile (inclusive / exclusive wall seconds):"]
 
     def render(entries: List[Dict[str, Any]], indent: int) -> None:
-        if indent >= max_depth:
+        if indent >= _PROFILE_MAX_DEPTH:
             return
         for entry in entries:
             exclusive = max(0.0, entry["wall_s"] - entry["child_s"])
@@ -337,7 +341,7 @@ def profile_summary(tracer: Tracer, top: int = 10, max_depth: int = 6) -> str:
             render(entry["children"], indent + 1)
 
     render(_aggregate_children(_build_tree(spans)), 0)
-    hottest = sorted(spans, key=lambda s: -s.wall_s)[:top]
+    hottest = sorted(spans, key=lambda s: -s.wall_s)[:_PROFILE_TOP]
     lines.append(f"top {len(hottest)} spans by wall time:")
     for span in hottest:
         attrs = ""

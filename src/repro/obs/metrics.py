@@ -124,6 +124,11 @@ class Histogram:
 
 _METRIC_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
+#: name prefixes of the counters the ``absorb_*`` methods fold in
+_TOPOLOGY = "topology."
+_RUNTIME = "runtime."
+_ATTRIBUTION = "attribution."
+
 
 class MetricsRegistry:
     """Named metrics with get-or-create accessors and associative merge."""
@@ -183,35 +188,33 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Absorption of the pre-existing accounting objects
     # ------------------------------------------------------------------
-    def absorb_topology(self, counters: Any, prefix: str = "topology.") -> None:
-        """Fold a :class:`TopologyCounters` delta into prefixed counters."""
+    def absorb_topology(self, counters: Any) -> None:
+        """Fold a :class:`TopologyCounters` delta into ``topology.*`` counters."""
         for name, value in counters.as_dict().items():
             if value:
-                self.inc(prefix + name, value)
+                self.inc(_TOPOLOGY + name, value)
 
-    def absorb_runtime(self, stats: Any, prefix: str = "runtime.") -> None:
-        """Fold a :class:`RuntimeStats` delta into prefixed counters.
+    def absorb_runtime(self, stats: Any) -> None:
+        """Fold a :class:`RuntimeStats` delta into ``runtime.*`` counters.
 
         The embedded topology counters land under ``topology.`` so the
         registry aggregates engine work identically whether it arrives
         via a schedule result or a runtime run.
         """
-        self.inc(prefix + "rounds", stats.rounds)
-        self.inc(prefix + "messages_sent", stats.messages_sent)
-        self.inc(prefix + "messages_delivered", stats.messages_delivered)
-        self.inc(prefix + "deletion_iterations", stats.deletion_iterations)
+        self.inc(_RUNTIME + "rounds", stats.rounds)
+        self.inc(_RUNTIME + "messages_sent", stats.messages_sent)
+        self.inc(_RUNTIME + "messages_delivered", stats.messages_delivered)
+        self.inc(_RUNTIME + "deletion_iterations", stats.deletion_iterations)
         for kind, count in sorted(stats.messages_by_kind.items()):
-            self.inc(f"{prefix}messages_by_kind.{kind}", count)
+            self.inc(f"{_RUNTIME}messages_by_kind.{kind}", count)
         # Dropped-message counters only materialise when non-zero, so a
         # clean run's report is byte-identical to the pre-counter era.
         for kind, count in sorted(stats.messages_dropped.items()):
             if count:
-                self.inc(f"{prefix}messages_dropped.{kind}", count)
+                self.inc(f"{_RUNTIME}messages_dropped.{kind}", count)
         self.absorb_topology(stats.topology)
 
-    def absorb_attribution(
-        self, attribution: Dict[str, Any], prefix: str = "attribution."
-    ) -> None:
+    def absorb_attribution(self, attribution: Dict[str, Any]) -> None:
         """Fold an attribution document's lane totals into the registry.
 
         Lane seconds land as volatile histograms (one observation per
@@ -221,8 +224,8 @@ class MetricsRegistry:
         """
         totals = attribution["totals"]
         for lane in ("wall_s", "compute_s", "barrier_wait_s", "halo_s", "merge_s"):
-            self.observe(prefix + lane, totals[lane], volatile=True)
-        self.inc(prefix + "rounds", totals["rounds"])
+            self.observe(_ATTRIBUTION + lane, totals[lane], volatile=True)
+        self.inc(_ATTRIBUTION + "rounds", totals["rounds"])
 
     # ------------------------------------------------------------------
     # Merge / wire format

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Span
 from repro.viz.svg import SvgCanvas
 
 #: attribute names that count message traffic in a round span
@@ -47,11 +47,7 @@ def _message_count(attrs: Dict[str, Any]) -> Optional[float]:
     return None
 
 
-def render_timeline(
-    spans: Sequence[Span],
-    title: str = "",
-    canvas: Optional[SvgCanvas] = None,
-) -> SvgCanvas:
+def render_timeline(spans: Sequence[Span], title: str = "") -> SvgCanvas:
     """Draw the rounds-x-phases grid for every span with a ``round`` attr.
 
     Rows are phases in first-appearance order; columns are round
@@ -60,7 +56,7 @@ def render_timeline(
     readable side by side.  Rounds with recorded message counts add an
     overlay band at the top.
     """
-    canvas = canvas or SvgCanvas(width=960, height=480)
+    canvas = SvgCanvas(width=960, height=480)
     rounds: List[int] = []
     phases: List[str] = []
     cells: Dict[str, Dict[int, float]] = {}
@@ -140,13 +136,6 @@ def render_timeline(
     return canvas
 
 
-def timeline_from_tracer(
-    tracer: Tracer, title: str = "", canvas: Optional[SvgCanvas] = None
-) -> SvgCanvas:
-    """Convenience wrapper: render every round-attributed span recorded."""
-    return render_timeline(tracer.spans(), title=title, canvas=canvas)
-
-
 # ----------------------------------------------------------------------
 # Multi-lane (per-process) timeline
 # ----------------------------------------------------------------------
@@ -176,11 +165,7 @@ def _coalesce(intervals: List[tuple], gap: float) -> List[tuple]:
     return merged
 
 
-def render_lane_timeline(
-    spans: Sequence[Span],
-    title: str = "",
-    canvas: Optional[SvgCanvas] = None,
-) -> SvgCanvas:
+def render_lane_timeline(spans: Sequence[Span], title: str = "") -> SvgCanvas:
     """One lane per process on the aligned timeline, barrier-wait shaded.
 
     The coordinator lane holds the round structure (``halo.route``
@@ -195,7 +180,7 @@ def render_lane_timeline(
     wait.  A rows-per-route polyline above the lanes plots the halo
     traffic recorded on the ``halo.route`` spans.
     """
-    canvas = canvas or SvgCanvas(width=1200, height=520)
+    canvas = SvgCanvas(width=1200, height=520)
 
     barriers: List[tuple] = []  # (start, end)
     rounds: List[tuple] = []  # (round, start)
@@ -323,10 +308,3 @@ def render_lane_timeline(
         height = top + (2.4 if halo_points else 0.6)
         canvas.label((0.0, height), title, size_px=14)
     return canvas
-
-
-def lane_timeline_from_tracer(
-    tracer: Tracer, title: str = "", canvas: Optional[SvgCanvas] = None
-) -> SvgCanvas:
-    """Convenience wrapper over :func:`render_lane_timeline`."""
-    return render_lane_timeline(tracer.spans(), title=title, canvas=canvas)

@@ -107,14 +107,15 @@ def current_chaos() -> Optional[ChaosSchedule]:
 
     Gated at call time so tests flip it per case; the harness itself is
     created once per process (the perturbation counter spans the run)
-    from the env-exported seed, so pool workers — which inherit the
-    environment — build their own worker-local stream.
+    with seed 0, so pool workers — which inherit the environment — build
+    their own worker-local stream.  Tests that need another stream
+    construct :class:`ChaosSchedule` directly.
     """
     global _CHAOS
     if not knobs.get_flag("REPRO_CHAOS"):
         return None
     if _CHAOS is None:
-        _CHAOS = ChaosSchedule(knobs.get_int("REPRO_CHAOS_SEED"))
+        _CHAOS = ChaosSchedule(0)
     return _CHAOS
 
 

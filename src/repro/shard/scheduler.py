@@ -128,7 +128,6 @@ def sharded_dcc_schedule(
     rng: random.Random,
     shards: int,
     workers: int = 1,
-    plan_seed: int = 0,
     plan: Optional[ShardPlan] = None,
 ):
     """Parallel-mode DCC scheduling over region shards.
@@ -141,7 +140,7 @@ def sharded_dcc_schedule(
     persistent worker processes via
     :class:`~repro.parallel.runner.ShardWorkerPool`.  ``plan`` overrides
     the partition (for tests); otherwise one is built from
-    ``(graph, tau, shards, plan_seed)``.  The run is observed by the
+    ``(graph, tau, shards)`` with plan seed 0.  The run is observed by the
     ambient tracer and metrics registry (:func:`repro.obs.tracer.observe`).
     """
     from repro.core.scheduler import ScheduleResult
@@ -155,7 +154,7 @@ def sharded_dcc_schedule(
     tracer = current_tracer()
     metrics = current_metrics()
     if plan is None:
-        plan = build_shard_plan(graph, tau, shards, seed=plan_seed)
+        plan = build_shard_plan(graph, tau, shards)
     elif plan.tau != tau:
         raise ValueError("shard plan was built for a different tau")
     work = graph.copy()

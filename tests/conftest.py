@@ -80,7 +80,7 @@ def knob_env_offences(source: str) -> tuple[list[str], list[int]]:
     """The undeclared ``REPRO_*`` names in ``source``, and the lines that
     read a ``REPRO_*`` name from the environment directly.
 
-    Only :mod:`repro.knobs` may read one directly, so the registry holds
+    Only :mod:`repro.knobs` may read one directly, so its table holds
     the one default; everything else goes through ``knobs.get_*``.
     """
     declared = set(knob_names())

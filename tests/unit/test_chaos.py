@@ -35,7 +35,6 @@ from repro.shard import build_shard_plan, sharded_dcc_schedule
 def _fresh_chaos(monkeypatch):
     """Each case starts with chaos off and no harness carried over."""
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
-    monkeypatch.delenv("REPRO_CHAOS_SEED", raising=False)
     monkeypatch.setattr(runner, "_CHAOS", None)
 
 
@@ -80,12 +79,6 @@ class TestChaosSchedule:
         # One harness per process: the counter spans the run.
         assert current_chaos() is chaos
 
-    def test_seed_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "1")
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "42")
-        chaos = current_chaos()
-        assert chaos is not None and chaos.seed == 42
-
     def test_summary_line(self, monkeypatch):
         assert chaos_summary() is None
         monkeypatch.setenv("REPRO_CHAOS", "1")
@@ -120,7 +113,6 @@ class TestChaosInvariance:
             graph, protected, 4, rng=random.Random(5), workers=1
         )
         monkeypatch.setenv("REPRO_CHAOS", "1")
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "3")
         chaotic = sharded_dcc_schedule(
             graph, protected, 4, random.Random(5), shards=2, workers=2
         )
@@ -132,7 +124,7 @@ class TestChaosInvariance:
         chaos = runner._CHAOS
         assert chaos is not None and chaos.permutations > 0
         assert chaos_summary() == (
-            f"chaos: {chaos.permutations} perturbed orders (seed 3)"
+            f"chaos: {chaos.permutations} perturbed orders (seed 0)"
         )
 
 

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.cycles.gf2 import gf2_rank
 from repro.homology.boundary_ops import (
     boundary_1_columns,
     boundary_2_columns,
     edge_chain_basis,
-    gf2_column_rank,
     vertex_chain_basis,
 )
 from repro.homology.homology import (
@@ -24,14 +24,14 @@ class TestBoundaryOperators:
         edge_basis = edge_chain_basis(wheel8)
         vertex_basis = vertex_chain_basis(wheel8)
         columns = boundary_1_columns(wheel8, edge_basis, vertex_basis)
-        assert gf2_column_rank(columns) == len(wheel8) - 1
+        assert gf2_rank(columns) == len(wheel8) - 1
 
     def test_partial2_of_wheel(self, wheel8):
         complex_ = RipsComplex.from_graph(wheel8)
         edge_basis = edge_chain_basis(wheel8)
         columns = boundary_2_columns(complex_, edge_basis)
         # 8 triangles, cycle space dim 8: triangles span it fully
-        assert gf2_column_rank(columns) == 8
+        assert gf2_rank(columns) == 8
 
     def test_excluded_edges_are_dropped(self, wheel8):
         complex_ = RipsComplex.from_graph(wheel8)

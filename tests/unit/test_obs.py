@@ -31,7 +31,6 @@ from repro.obs import (
     build_run_report,
     current_metrics,
     current_tracer,
-    lane_timeline_from_tracer,
     load_run_report,
     observe,
     phase_aggregates,
@@ -40,7 +39,6 @@ from repro.obs import (
     render_lane_timeline,
     render_timeline,
     strip_volatile,
-    timeline_from_tracer,
     traced,
     validate_run_report,
     write_run_report,
@@ -668,7 +666,7 @@ class TestTimeline:
             tracer.add_span(
                 "runtime.round", 0.05, round=rnd, messages=10 * (rnd + 1)
             )
-        canvas = timeline_from_tracer(tracer, title="unit")
+        canvas = render_timeline(tracer.spans(), title="unit")
         svg = canvas.render()
         assert svg.startswith("<?xml") or "<svg" in svg
         assert "scheduler.round" in svg
@@ -940,12 +938,6 @@ class TestLaneTimeline:
     def test_no_distributed_spans_message(self):
         canvas = render_lane_timeline([])
         assert "no distributed spans" in canvas.render()
-
-    def test_from_tracer_wrapper(self):
-        tracer = Tracer()
-        tracer.add_span("halo.route", 0.1, round=0, kind="status", rows=3, bytes=30)
-        svg = lane_timeline_from_tracer(tracer, title="t").render()
-        assert "coordinator" in svg
 
     def test_many_spans_coalesce(self):
         spans = [

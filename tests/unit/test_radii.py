@@ -23,6 +23,11 @@ def test_radii_match_the_paper(tau):
     assert mis_separation(tau) == k + 1
 
 
+def test_public_deletion_radius_is_the_radii_function():
+    """``repro.core.vpt`` re-exports the one definition, not a copy."""
+    assert public_deletion_radius is deletion_radius
+
+
 @pytest.mark.parametrize(
     "radius", [neighborhood_radius, deletion_radius, halo_radius, mis_separation]
 )
