@@ -8,9 +8,8 @@ The package implements the paper's primary contribution — **confine
 coverage** with the cycle-partition criterion and the distributed **DCC**
 scheduler — together with every substrate it relies on: a GF(2) cycle-space
 toolkit with Horton minimum cycle bases, the simplicial-homology **HGC**
-baseline, network deployment and radio models, geometric coverage
-evaluation, location-free boundary recognition, a message-passing runtime,
-and a synthetic GreenOrbs RSSI trace generator.
+baseline, unit-disk network deployment, geometric coverage evaluation,
+a message-passing runtime, and a synthetic GreenOrbs RSSI trace generator.
 
 Quickstart::
 
@@ -31,11 +30,7 @@ See DESIGN.md for the subsystem inventory and EXPERIMENTS.md for the
 figure-by-figure reproduction record.
 """
 
-from repro.boundary import (
-    detect_boundary_nodes,
-    enclosure_fraction,
-    outer_boundary_cycle,
-)
+from repro.boundary import outer_boundary_cycle
 from repro.core import (
     ConfineRequirement,
     ScheduleResult,
@@ -72,11 +67,6 @@ from repro.network.deployment import (
     build_network,
     network_for_average_degree,
 )
-from repro.network.radio import (
-    LogNormalShadowingRadio,
-    QuasiUnitDiskRadio,
-    UnitDiskRadio,
-)
 from repro.runtime import DistributedDCC, distributed_dcc_schedule
 from repro.topology import LocalTopologyEngine, TopologyCounters
 from repro.traces import GreenOrbsConfig, generate_greenorbs_trace
@@ -90,24 +80,19 @@ __all__ = [
     "EdgeIndex",
     "GreenOrbsConfig",
     "LocalTopologyEngine",
-    "LogNormalShadowingRadio",
     "Network",
     "NetworkGraph",
-    "QuasiUnitDiskRadio",
     "Rectangle",
     "RipsComplex",
     "ScheduleResult",
     "ShortCycleSpan",
     "TopologyCounters",
-    "UnitDiskRadio",
     "betti_numbers",
     "blanket_sensing_ratio_threshold",
     "build_network",
     "dcc_schedule",
     "deletion_radius",
-    "detect_boundary_nodes",
     "distributed_dcc_schedule",
-    "enclosure_fraction",
     "evaluate_coverage",
     "find_cycle_partition",
     "generate_greenorbs_trace",

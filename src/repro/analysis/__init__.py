@@ -1,4 +1,4 @@
-"""Experiment drivers and metrics for the paper's evaluation figures."""
+"""Experiment drivers for the paper's evaluation figures."""
 
 from repro.analysis.experiments import (
     Fig1Result,
@@ -16,17 +16,6 @@ from repro.analysis.experiments import (
     run_fig7_trace,
     run_trace_confine,
 )
-from repro.analysis.sweeps import (
-    SweepResult,
-    parameter_grid,
-    run_sweep,
-)
-from repro.analysis.metrics import (
-    QualityOfCoverage,
-    mean,
-    normalized_sizes,
-    saved_node_ratio,
-)
 
 __all__ = [
     "Fig1Result",
@@ -34,11 +23,7 @@ __all__ = [
     "Fig3Result",
     "Fig4Result",
     "Fig5Result",
-    "QualityOfCoverage",
-    "SweepResult",
     "TraceConfineResult",
-    "mean",
-    "normalized_sizes",
     "run_fig1_mobius",
     "run_fig2_vertex_deletion",
     "run_fig3_confine_size",
@@ -46,8 +31,5 @@ __all__ = [
     "run_fig5_rssi_cdf",
     "run_fig6_trace",
     "run_fig7_trace",
-    "parameter_grid",
-    "run_sweep",
     "run_trace_confine",
-    "saved_node_ratio",
 ]

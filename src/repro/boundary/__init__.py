@@ -1,24 +1,12 @@
-"""Boundary recognition: geometric ground truth and a location-free heuristic."""
+"""Boundary recognition from the simulator's geometric ground truth."""
 
 from repro.boundary.geometric import (
-    enclosure_fraction,
     outer_boundary_cycle,
     polygon_encloses,
     winding_number,
 )
-from repro.boundary.topological import (
-    boundary_agreement,
-    boundary_candidates_by_neighborhood,
-    detect_boundary_nodes,
-    neighborhood_sizes,
-)
 
 __all__ = [
-    "boundary_agreement",
-    "boundary_candidates_by_neighborhood",
-    "detect_boundary_nodes",
-    "enclosure_fraction",
-    "neighborhood_sizes",
     "outer_boundary_cycle",
     "polygon_encloses",
     "winding_number",

@@ -17,7 +17,6 @@ the winding number that the cycle actually encloses the target area.
 from __future__ import annotations
 
 import math
-import random
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.checks.sanitizer import current_sanitizer
@@ -281,22 +280,3 @@ def _stitch_cycle(
         if not band_graph.has_edge(a, b):
             return None
     return cycle
-
-
-def enclosure_fraction(
-    network: Network, cycle: Sequence[int], sample: int = 200, seed: int = 0
-) -> float:
-    """Fraction of internal nodes enclosed by the cycle (verification aid)."""
-    polygon = [network.positions[v] for v in cycle]
-    internal = sorted(network.internal_nodes)
-    if not internal:
-        return 1.0
-    rng = random.Random(seed)
-    if len(internal) > sample:
-        internal = rng.sample(internal, sample)
-    enclosed = sum(
-        1
-        for v in internal
-        if polygon_encloses(polygon, network.positions[v])
-    )
-    return enclosed / len(internal)

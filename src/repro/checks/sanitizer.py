@@ -321,6 +321,39 @@ class Sanitizer:
                 "merge-associativity", parts=len(payloads), mismatch=mismatch
             )
 
+    # -- pool workers -------------------------------------------------
+    def mark(self) -> Tuple[Dict[str, int], int]:
+        """A snapshot of the account, for :meth:`since`."""
+        return dict(self.checks), len(self.violations)
+
+    def since(
+        self, mark: Tuple[Dict[str, int], int]
+    ) -> Tuple[Dict[str, int], List[Violation]]:
+        """The checks and violations recorded after ``mark``."""
+        checks, seen = mark
+        delta = {
+            kind: count - checks.get(kind, 0)
+            for kind, count in self.checks.items()
+            if count != checks.get(kind, 0)
+        }
+        return delta, self.violations[seen:]
+
+    def absorb(
+        self, checks: Dict[str, int], violations: Sequence[Violation]
+    ) -> None:
+        """Fold in a pool task's account (:meth:`since` in the worker).
+
+        Only the counts and the violation list move: the task's spans and
+        ``sanitizer.*`` metrics already ship with its observation, so
+        nothing is recorded twice.  A violation raises here in ``raise``
+        mode, as it would have in the worker.
+        """
+        for kind, count in checks.items():
+            self.checks[kind] = self.checks.get(kind, 0) + count
+        self.violations.extend(violations)
+        if violations and self.mode == "raise":
+            raise SanitizerError(repr(violations[0]))
+
     def assert_clean(self) -> None:
         """Raise (even in ``warn`` mode) if any violation was recorded."""
         if self.violations:

@@ -28,13 +28,6 @@ from repro.core.lifetime import (
     energy_aware_schedule,
     rotation_simulation,
 )
-from repro.core.repair import (
-    FailureAssessment,
-    RepairResult,
-    assess_failures,
-    inject_random_failures,
-    repair_coverage,
-)
 from repro.core.criterion import (
     CoverageVerdict,
     boundary_edge_sum,
@@ -64,16 +57,13 @@ __all__ = [
     "MIN_CONFINE_SIZE",
     "ConfineRequirement",
     "CoverageVerdict",
-    "FailureAssessment",
     "LifetimeReport",
-    "RepairResult",
     "RepairedNetwork",
     "ScheduleResult",
     "VoidPreservingTransformation",
     "blanket_sensing_ratio_threshold",
     "boundary_edge_sum",
     "cycle_edges",
-    "assess_failures",
     "barrier_exists",
     "barrier_strength",
     "dcc_schedule",
@@ -87,10 +77,8 @@ __all__ = [
     "guarantees_blanket",
     "hole_diameter_bound",
     "is_non_redundant",
-    "inject_random_failures",
     "is_tau_partitionable",
     "max_blanket_tau",
-    "repair_coverage",
     "rotation_simulation",
     "ShiftRecord",
     "partition_is_valid",

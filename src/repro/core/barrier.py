@@ -58,6 +58,7 @@ def barrier_exists(
 ) -> bool:
     """Is there at least one sensing barrier across the belt?
 
+    Oracle of Section III-C's barrier instance of confine coverage.
     ``left_anchor`` / ``right_anchor`` are the nodes touching the belt's
     short sides (the analogue of the boundary-role assumption).  Uses only
     connectivity.

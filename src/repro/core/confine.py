@@ -62,9 +62,10 @@ def guarantees_blanket(tau: int, gamma: float) -> bool:
 def max_blanket_tau(gamma: float, tau_cap: int = 64) -> Optional[int]:
     """Largest tau whose confine coverage is blanket at sensing ratio gamma.
 
-    Returns ``None`` when even triangles cannot guarantee blanket coverage
-    (``gamma > sqrt(3)``).  The threshold ``2 sin(pi / tau)`` decreases in
-    ``tau``, so the feasible set is a prefix ``{3, ..., tau_max}``.
+    Oracle of Proposition 1's blanket threshold.  Returns ``None`` when
+    even triangles cannot guarantee blanket coverage (``gamma >
+    sqrt(3)``).  The threshold ``2 sin(pi / tau)`` decreases in ``tau``,
+    so the feasible set is a prefix ``{3, ..., tau_max}``.
     """
     if gamma <= 0:
         raise ValueError("sensing ratio must be positive")
@@ -134,6 +135,8 @@ def ghrist_max_hole_diameter(rc: float = 1.0) -> float:
 
     Ghrist et al.'s method always uses triangles as the coverage unit, which
     forces the maximum hole diameter down to ``Rc / sqrt(3)`` even when the
-    application would tolerate much larger holes (Section III-C).
+    application would tolerate much larger holes (Section III-C).  This is
+    Proposition 1's hole bound at tau = 3, the baseline it is checked
+    against.
     """
     return rc / math.sqrt(3.0)

@@ -97,7 +97,12 @@ def verify_confine_coverage(
     boundary_cycles: Sequence[VertexCycle],
     tau: int,
 ) -> CoverageVerdict:
-    """Check the cycle-partition criterion and report diagnostics."""
+    """Check the cycle-partition criterion and report diagnostics.
+
+    Oracle of Propositions 2 and 3 with its rank diagnostics: the verdict
+    is :func:`is_tau_partitionable`, and the ranks are those of the whole
+    cycle space and of the span of cycles of length at most ``tau``.
+    """
     span = ShortCycleSpan(graph, tau)
     return CoverageVerdict(
         tau=tau,

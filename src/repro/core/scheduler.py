@@ -65,7 +65,6 @@ def dcc_schedule(
     tau: int,
     rng: Optional[random.Random] = None,
     seed: int = 0,
-    engine: Optional[LocalTopologyEngine] = None,
     workers: Optional[int] = 1,
     shards: Optional[int] = None,
 ) -> ScheduleResult:
@@ -84,28 +83,23 @@ def dcc_schedule(
     built with its vertices in another order gives another schedule.  The
     order its edges were added in does not matter, and neither do the
     label values under an order-preserving relabelling.  ``graph`` is
-    never mutated unless a prebuilt ``engine`` is supplied, in which case
-    the engine's graph is consumed in place (that is the point: callers
-    like boundary repair share one engine across criterion checks and
-    scheduling).
+    never mutated.
 
     ``shards`` partitions the deployment into halo-exchange region
     shards (see :mod:`repro.shard`) and runs the round-synchronous
     sharded coordinator instead of the monolithic loop; the schedule is
-    vertex-identical either way.  Sharded runs take no prebuilt
-    ``engine``.  ``workers`` counts persistent shard workers (``1``
-    hosts every shard in-process, ``0``/``None`` auto-detects) and is
-    only meaningful with ``shards=``: an unsharded run is always a
-    single in-process loop, so any ``workers`` other than ``1`` without
-    ``shards=`` raises :class:`ValueError`.
+    vertex-identical either way.  ``workers`` counts persistent shard
+    workers (``1`` hosts every shard in-process, ``0``/``None``
+    auto-detects) and is only meaningful with ``shards=``: an unsharded
+    run is always a single in-process loop, so any ``workers`` other
+    than ``1`` without ``shards=`` raises :class:`ValueError`.
 
     The run is observed by the ambient pair
     (:func:`repro.obs.tracer.observe`); a run with both disabled pays
     only the null-tracer guards.  When observed, every round records a
     ``scheduler.round`` span with nested candidate-discovery, MIS-draw
     and deletion phases, and the engine's counter delta is absorbed into
-    the registry under ``topology.*``.  A prebuilt ``engine`` re-captures
-    the ambient pair, so it is observed exactly as a fresh one would be.
+    the registry under ``topology.*``.
     """
     rng = rng if rng is not None else random.Random(seed)
     if shards is None and workers != 1:
@@ -114,8 +108,6 @@ def dcc_schedule(
             "in-process (pass shards=N to schedule on N region shards)"
         )
     if shards is not None:
-        if engine is not None:
-            raise ValueError("sharded scheduling cannot reuse a prebuilt engine")
         from repro.shard.scheduler import sharded_dcc_schedule
 
         return sharded_dcc_schedule(
@@ -126,12 +118,7 @@ def dcc_schedule(
             shards,
             workers=workers if workers is not None else 0,
         )
-    if engine is None:
-        engine = LocalTopologyEngine(graph.copy(), tau)
-    elif engine.tau != tau:
-        raise ValueError("engine was built for a different tau")
-    else:
-        engine._capture_ambient()
+    engine = LocalTopologyEngine(graph.copy(), tau)
     work = engine.graph
     protected_set = set(protected)
     missing = protected_set - work.vertex_set()
@@ -232,11 +219,12 @@ def is_non_redundant(
     tau: int,
     protected: Iterable[int],
 ) -> bool:
-    """Definition 6 check: no single internal node can be spared.
+    """Oracle of Theorem 6: no single internal node can be spared.
 
-    ``graph`` should be the *reduced* graph returned by the scheduler.  The
-    check recomputes the global criterion once per internal node, so use it
-    on small graphs (tests, examples).
+    Checks Definition 6 (non-redundancy) directly, the property Theorem 6
+    promises for the scheduler's output.  ``graph`` should be the
+    *reduced* graph returned by the scheduler.  The check recomputes the
+    global criterion once per internal node, so use it on small graphs.
     """
     protected_set = set(protected)
     if not is_tau_partitionable(graph, boundary_cycles, tau):

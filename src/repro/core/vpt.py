@@ -40,11 +40,13 @@ def vertex_deletable(graph: NetworkGraph, v: int, tau: int) -> bool:
 def edge_deletable(graph: NetworkGraph, u: int, v: int, tau: int) -> bool:
     """Can edge ``(u, v)`` be removed by a tau-void-preserving transformation?
 
-    The local graph is the induced subgraph on the union of the endpoints'
-    k-hop balls with the edge itself removed; the edge is deletable when its
-    endpoints stay connected there and every irreducible cycle of the local
-    graph is bounded by ``tau`` — then any short cycle through the edge can
-    be re-expressed with cycles that avoid it.
+    Oracle of Definition 5's edge case (the scheduler deletes vertices
+    only).  The local graph is the induced subgraph on the union of the
+    endpoints' k-hop balls with the edge itself removed; the edge is
+    deletable when its endpoints stay connected there and every
+    irreducible cycle of the local graph is bounded by ``tau`` — then any
+    short cycle through the edge can be re-expressed with cycles that
+    avoid it.
     """
     if not graph.has_edge(u, v):
         raise KeyError(f"edge ({u}, {v}) not in graph")
@@ -70,12 +72,12 @@ class TransformationStep:
 class VoidPreservingTransformation:
     """A checked, replayable sequence of void-preserving deletions.
 
-    Wraps a working copy of the input graph behind a
-    :class:`LocalTopologyEngine`; every requested deletion is validated
-    against Definition 5 before it is applied, so any reachable state of
-    :attr:`graph` preserves boundary tau-partitionability.  Deletability
-    caches survive between steps and only the dirty region of each
-    deletion is re-examined.
+    Oracle of Definition 5 as a sequence of steps.  Wraps a working copy
+    of the input graph behind a :class:`LocalTopologyEngine`; every
+    requested deletion is validated against Definition 5 before it is
+    applied, so any reachable state of :attr:`graph` preserves boundary
+    tau-partitionability.  Deletability caches survive between steps and
+    only the dirty region of each deletion is re-examined.
     """
 
     graph: NetworkGraph

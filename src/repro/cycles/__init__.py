@@ -4,24 +4,17 @@ from repro.cycles.cycle_space import (
     Cycle,
     EdgeIndex,
     cycle_space_dimension,
-    cycle_sum,
-    decompose_mask_into_cycles,
-    fundamental_cycle_basis,
-    is_cycle_mask,
 )
-from repro.cycles.gf2 import GF2Basis, gf2_in_span, gf2_rank, gf2_solve
+from repro.cycles.gf2 import GF2Basis, gf2_rank, gf2_solve
 from repro.cycles.horton import (
     IrreducibleCycleBounds,
     ShortCycleSpan,
     horton_candidate_cycles,
     irreducible_cycle_bounds,
-    max_irreducible_cycle_bounded,
     minimum_cycle_basis,
 )
 from repro.cycles.relevant import (
     is_relevant_cycle,
-    relevant_cycle_lengths,
-    relevant_cycles,
     relevant_cycles_exact,
 )
 from repro.cycles.shortest_paths import ShortestPathTree
@@ -34,19 +27,11 @@ __all__ = [
     "ShortCycleSpan",
     "ShortestPathTree",
     "cycle_space_dimension",
-    "cycle_sum",
-    "decompose_mask_into_cycles",
-    "fundamental_cycle_basis",
-    "gf2_in_span",
     "gf2_rank",
     "gf2_solve",
     "horton_candidate_cycles",
     "irreducible_cycle_bounds",
-    "is_cycle_mask",
     "is_relevant_cycle",
-    "relevant_cycle_lengths",
-    "relevant_cycles",
     "relevant_cycles_exact",
-    "max_irreducible_cycle_bounded",
     "minimum_cycle_basis",
 ]

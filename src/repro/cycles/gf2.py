@@ -78,11 +78,6 @@ def gf2_rank(vectors: Iterable[int]) -> int:
     return GF2Basis(vectors).rank
 
 
-def gf2_in_span(vector: int, vectors: Iterable[int]) -> bool:
-    """Is ``vector`` a GF(2) linear combination of ``vectors``?"""
-    return GF2Basis(vectors).contains(vector)
-
-
 def gf2_solve(target: int, vectors: List[int]) -> Optional[List[int]]:
     """Express ``target`` as a XOR of a subset of ``vectors``.
 
@@ -112,8 +107,3 @@ def gf2_solve(target: int, vectors: List[int]) -> Optional[List[int]]:
         residue_target ^= pivots[lead]
         target_combo ^= combos[lead]
     return [i for i in range(len(vectors)) if (target_combo >> i) & 1]
-
-
-def popcount(vector: int) -> int:
-    """Number of set bits (hamming weight) of ``vector``."""
-    return vector.bit_count()

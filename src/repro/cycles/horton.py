@@ -267,11 +267,6 @@ class ShortCycleSpan:
         return self.contains_edges(edges)
 
 
-def max_irreducible_cycle_bounded(graph: NetworkGraph, tau: int) -> bool:
-    """Early-exit test: is the largest irreducible cycle at most ``tau``?"""
-    return ShortCycleSpan(graph, tau).spans_cycle_space()
-
-
 def minimum_cycle_basis(
     graph: NetworkGraph, index: Optional[EdgeIndex] = None
 ) -> List[Cycle]:

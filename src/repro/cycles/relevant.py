@@ -6,68 +6,21 @@ chemical structure search, where Vismara [21] characterised these as the
 *relevant* cycles: exactly the cycles that appear in at least one minimum
 cycle basis.
 
-This module materialises the relevant cycles of a graph (the paper's
-Algorithm 1 only needs their extreme lengths, which
-:func:`repro.cycles.horton.irreducible_cycle_bounds` computes much more
-cheaply).  The test used here is the definition itself: a cycle ``C`` is
-relevant iff it does not lie in the span of the cycles shorter than it.
+The paper's Algorithm 1 only needs their extreme lengths, which
+:func:`repro.cycles.horton.irreducible_cycle_bounds` computes from the
+Horton candidates.  This module holds the reference oracles for it, each
+testing Definition 4 itself: a cycle ``C`` is relevant iff it does not
+lie in the span of the cycles shorter than it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cycles.cycle_space import Cycle, EdgeIndex, cycle_space_dimension
+from repro.cycles.cycle_space import Cycle, EdgeIndex
 from repro.cycles.gf2 import GF2Basis
 from repro.cycles.horton import _ChordSpace, horton_candidate_cycles
 from repro.network.graph import NetworkGraph
-
-
-def relevant_cycles(
-    graph: NetworkGraph,
-    max_length: Optional[int] = None,
-    index: Optional[EdgeIndex] = None,
-) -> List[Cycle]:
-    """Relevant (irreducible) cycles drawn from the Horton candidates.
-
-    A candidate of length ``L`` is kept iff it is independent of the span
-    of *all* cycles shorter than ``L`` (within one length class the test
-    is against the shorter classes only — two equal-length candidates may
-    be sums of each other plus shorter cycles and still both be relevant,
-    substituting for one another across different MCBs).
-
-    The result always contains a full minimum cycle basis and therefore
-    realises the exact extreme lengths that Algorithm 1 reports.  It can
-    however *miss* relevant cycles that only arise under alternative
-    shortest-path tie-breakings (Vismara's complete enumeration tracks all
-    shortest paths); use :func:`relevant_cycles_exact` when the exhaustive
-    set matters and the graph is small.
-    """
-    if index is None:
-        index = EdgeIndex.from_graph(graph)
-    if cycle_space_dimension(graph) == 0:
-        return []
-    chords = _ChordSpace(graph)
-    candidates = horton_candidate_cycles(graph, max_length=max_length)
-    by_length: Dict[int, List[Tuple[int, ...]]] = {}
-    for vertices in candidates:
-        by_length.setdefault(len(vertices), []).append(vertices)
-
-    shorter_span = GF2Basis()
-    out: List[Cycle] = []
-    for length in sorted(by_length):
-        group = by_length[length]
-        projections = [
-            (vertices, chords.project_vertex_cycle(vertices))
-            for vertices in group
-        ]
-        for vertices, projection in projections:
-            if not shorter_span.contains(projection):
-                out.append(Cycle.from_vertices(vertices, index))
-        # only now absorb this length class into the "shorter" span
-        for __, projection in projections:
-            shorter_span.add(projection)
-    return out
 
 
 def is_relevant_cycle(graph: NetworkGraph, vertices: List[int]) -> bool:
@@ -93,9 +46,12 @@ def relevant_cycles_exact(
 ) -> List[Cycle]:
     """The exact relevant-cycle set, by exhaustive cycle enumeration.
 
-    Enumerates every simple cycle (exponential — small graphs only) and
-    applies the definition verbatim: a cycle is relevant iff it is not a
-    GF(2) sum of strictly shorter cycles.
+    Oracle of Definition 4: enumerates every simple cycle (exponential —
+    small graphs only) and applies the definition verbatim: a cycle is
+    relevant iff it is not a GF(2) sum of strictly shorter cycles.  It
+    shares no candidate generation with
+    :func:`repro.cycles.horton.irreducible_cycle_bounds`, so the tests
+    check Algorithm 1's extreme lengths against it.
     """
     import networkx as nx
 
@@ -126,7 +82,3 @@ def relevant_cycles_exact(
             shorter_span.add(projection)
     return out
 
-
-def relevant_cycle_lengths(graph: NetworkGraph) -> List[int]:
-    """Sorted lengths of the candidate-relevant cycles (multiset)."""
-    return sorted(cycle.length for cycle in relevant_cycles(graph))

@@ -3,24 +3,18 @@
 from repro.geometry.coverage_eval import (
     CoverageHole,
     CoverageReport,
-    coverage_fraction,
     coverage_grid,
     evaluate_coverage,
 )
 from repro.geometry.disks import (
-    disks_cover_point,
-    disks_cover_segment,
     polygon_inradius,
     regular_polygon,
     regular_polygon_with_side,
-    two_disks_cover_segment,
     worst_case_uncovered_radius,
 )
 from repro.geometry.embedding import (
     edges_within_range,
-    is_valid_quasi_udg_embedding,
     is_valid_udg_embedding,
-    max_edge_length,
 )
 from repro.geometry.holes import (
     Circle,
@@ -32,20 +26,14 @@ __all__ = [
     "Circle",
     "CoverageHole",
     "CoverageReport",
-    "coverage_fraction",
     "coverage_grid",
-    "disks_cover_point",
-    "disks_cover_segment",
     "edges_within_range",
     "evaluate_coverage",
-    "is_valid_quasi_udg_embedding",
     "is_valid_udg_embedding",
-    "max_edge_length",
     "minimum_enclosing_circle",
     "point_set_diameter",
     "polygon_inradius",
     "regular_polygon",
     "regular_polygon_with_side",
-    "two_disks_cover_segment",
     "worst_case_uncovered_radius",
 ]

@@ -132,13 +132,3 @@ def evaluate_coverage(
         for component in _uncovered_components(covered)
     ]
     return CoverageReport(covered_fraction=covered_fraction, holes=holes)
-
-
-def coverage_fraction(
-    active_positions: Sequence[Position],
-    rs: float,
-    target: Rectangle,
-    resolution: int = 120,
-) -> float:
-    covered, __, __ = coverage_grid(active_positions, rs, target, resolution)
-    return float(covered.sum()) / covered.size

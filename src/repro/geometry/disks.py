@@ -1,52 +1,17 @@
-"""Sensing-disk primitives.
+"""Sensing-disk primitives: regular polygons and the worst-case tau-cycle.
 
-Small geometric helpers about unions and intersections of sensing disks,
-used by tests and by the Proposition 1 validation benches: a connectivity
-cycle of ``tau`` hops whose links are all at most ``Rc`` long encloses a
-region, and the sensing disks of the cycle nodes leave no hole when
-``gamma <= 2 sin(pi / tau)``.
+Geometric helpers used by tests and by the Proposition 1 validation
+benches: a connectivity cycle of ``tau`` hops whose links are all at most
+``Rc`` long encloses a region, and the sensing disks of the cycle nodes
+leave no hole when ``gamma <= 2 sin(pi / tau)``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List
 
-from repro.network.node import Position, distance
-
-
-def disks_cover_point(
-    point: Position, centers: Sequence[Position], rs: float
-) -> bool:
-    """Is ``point`` inside the union of disks of radius ``rs``?"""
-    return any(distance(point, c) <= rs + 1e-12 for c in centers)
-
-
-def disks_cover_segment(
-    a: Position,
-    b: Position,
-    centers: Sequence[Position],
-    rs: float,
-    samples: int = 64,
-) -> bool:
-    """Sampled check that a segment lies in the union of sensing disks."""
-    for i in range(samples + 1):
-        t = i / samples
-        point = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-        if not disks_cover_point(point, centers, rs):
-            return False
-    return True
-
-
-def two_disks_cover_segment(a: Position, b: Position, rs: float) -> bool:
-    """Do disks of radius ``rs`` at the segment endpoints cover the segment?
-
-    True exactly when ``|ab| <= 2 rs``: the two disks overlap on the
-    segment's midpoint.  This is the geometric heart of the blanket
-    threshold ``gamma <= 2 sin(pi / tau)`` — the chord of a tau-gon whose
-    edges are at most ``Rc`` stays within the sensing disks.
-    """
-    return distance(a, b) <= 2.0 * rs + 1e-12
+from repro.network.node import Position
 
 
 def regular_polygon(
@@ -79,7 +44,8 @@ def polygon_inradius(n: int, side: float) -> float:
 def worst_case_uncovered_radius(tau: int, rc: float, rs: float) -> float:
     """Distance from a worst-case tau-cycle's centre to coverage.
 
-    For a regular tau-gon with side ``Rc`` the centre is at circumradius
+    Oracle of Proposition 1's blanket threshold, from the geometry.  For
+    a regular tau-gon with side ``Rc`` the centre is at circumradius
     ``Rc / (2 sin(pi/tau))`` from every node; the uncovered slack is that
     minus ``Rs``.  Non-positive means the centre is covered — the boundary
     case of Proposition 1.

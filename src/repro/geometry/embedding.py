@@ -42,33 +42,3 @@ def is_valid_udg_embedding(
             if close and not graph.has_edge(u, v):
                 return False
     return True
-
-
-def is_valid_quasi_udg_embedding(
-    graph: NetworkGraph,
-    positions: Dict[int, Position],
-    rc: float,
-    alpha: float,
-) -> bool:
-    """Quasi-UDG validity: links below ``alpha * Rc`` mandatory, above Rc forbidden."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    if not edges_within_range(graph, positions, rc):
-        return False
-    nodes = sorted(graph.vertices())
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1:]:
-            close = distance(positions[u], positions[v]) <= alpha * rc - 1e-9
-            if close and not graph.has_edge(u, v):
-                return False
-    return True
-
-
-def max_edge_length(
-    graph: NetworkGraph, positions: Dict[int, Position]
-) -> float:
-    """Length of the longest communication link in the embedding."""
-    return max(
-        (distance(positions[u], positions[v]) for u, v in graph.edges()),
-        default=0.0,
-    )

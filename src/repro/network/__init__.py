@@ -1,4 +1,4 @@
-"""Network substrate: graphs, deployments, radio models."""
+"""Network substrate: graphs, unit-disk deployments, energy."""
 
 from repro.network.energy import EnergyModel, EnergyState
 from repro.network.graph import Edge, NetworkGraph, SubgraphView, canonical_edge

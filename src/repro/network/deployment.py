@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.network.graph import NetworkGraph
 from repro.network.node import Node, Position
-from repro.network.radio import RadioModel, UnitDiskRadio
+from repro.network.topologies import geometric_graph
 
 
 @dataclass(frozen=True)
@@ -104,53 +104,6 @@ def deploy_uniform(
     return {i: region.sample(rng) for i in range(count)}
 
 
-def deploy_poisson(
-    intensity: float, region: Rectangle, rng: random.Random
-) -> Dict[int, Position]:
-    """A Poisson point process with the given intensity (nodes per unit area)."""
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
-    mean = intensity * region.area
-    count = _sample_poisson(mean, rng)
-    return {i: region.sample(rng) for i in range(count)}
-
-
-def _sample_poisson(mean: float, rng: random.Random) -> int:
-    """Knuth for small means, normal approximation for large ones."""
-    if mean < 30:
-        threshold = math.exp(-mean)
-        k, p = 0, 1.0
-        while True:
-            p *= rng.random()
-            if p <= threshold:
-                return k
-            k += 1
-    return max(0, round(rng.gauss(mean, math.sqrt(mean))))
-
-
-def deploy_grid(
-    columns: int,
-    rows: int,
-    region: Rectangle,
-    rng: random.Random,
-    jitter: float = 0.0,
-) -> Dict[int, Position]:
-    """A ``columns x rows`` grid, optionally perturbed by uniform jitter."""
-    if columns < 2 or rows < 2:
-        raise ValueError("grid needs at least 2x2 nodes")
-    dx = region.width / (columns - 1)
-    dy = region.height / (rows - 1)
-    out: Dict[int, Position] = {}
-    for r in range(rows):
-        for c in range(columns):
-            x = region.x0 + c * dx + rng.uniform(-jitter, jitter)
-            y = region.y0 + r * dy + rng.uniform(-jitter, jitter)
-            x = min(max(x, region.x0), region.x1)
-            y = min(max(y, region.y0), region.y1)
-            out[r * columns + c] = (x, y)
-    return out
-
-
 @dataclass
 class Network:
     """A deployed, connected sensor network instance.
@@ -203,23 +156,22 @@ def build_network(
     rc: float,
     rs: float,
     seed: int = 0,
-    radio: Optional[RadioModel] = None,
     boundary_band: Optional[float] = None,
     require_connected: bool = True,
     max_attempts: int = 50,
 ) -> Network:
-    """Deploy a random network and keep its giant component.
+    """Deploy a random unit-disk network and keep its giant component.
 
-    Redeploys (up to ``max_attempts`` times) until the giant component
-    contains at least 95% of the nodes when ``require_connected`` is set,
-    mirroring the dense deployments used in the paper's simulations.
+    Links join every node pair at most ``rc`` apart.  Redeploys (up to
+    ``max_attempts`` times) until the giant component contains at least
+    95% of the nodes when ``require_connected`` is set, mirroring the
+    dense deployments used in the paper's simulations.
     """
     rng = random.Random(seed)
-    radio = radio or UnitDiskRadio(rc)
     band = boundary_band if boundary_band is not None else rc
     for __ in range(max_attempts):
         positions = deploy_uniform(count, region, rng)
-        graph = radio.build_graph(positions, rng)
+        graph = geometric_graph(positions, rc)
         components = graph.connected_components()
         giant = max(components, key=len)
         if not require_connected or len(giant) >= 0.95 * count:
@@ -247,7 +199,6 @@ def network_for_average_degree(
     rc: float = 1.0,
     rs: float = 1.0,
     seed: int = 0,
-    radio: Optional[RadioModel] = None,
 ) -> Network:
     """A square-region network sized so the UDG average degree matches.
 
@@ -259,4 +210,4 @@ def network_for_average_degree(
         raise ValueError("average degree must be positive")
     side = math.sqrt(count * math.pi * rc * rc / average_degree)
     region = Rectangle(0.0, 0.0, side, side)
-    return build_network(count, region, rc, rs, seed=seed, radio=radio)
+    return build_network(count, region, rc, rs, seed=seed)

@@ -60,10 +60,8 @@ def geometric_graph(
 ) -> NetworkGraph:
     """The unit-disk connectivity graph of a positioned deployment.
 
-    The scale-friendly constructor for deterministic (UDG) geometric
-    graphs — stochastic radio models go through
-    :meth:`repro.network.radio.RadioModel.build_graph`, whose rng
-    consumption order is part of the seeded contract.
+    A link joins every node pair at most ``radius`` apart; edges are
+    added in sorted pair order.
     """
     graph = NetworkGraph(positions.keys())
     for u, v in grid_neighbor_pairs(positions, radius):

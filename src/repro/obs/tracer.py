@@ -10,12 +10,12 @@ The default tracer everywhere is :data:`NULL_TRACER`, whose
 ``enabled`` attribute is ``False``: hot paths guard their timing with a
 single attribute lookup (``if tracer.enabled:``) and pay nothing else
 when tracing is off.  Coarse sites (one span per scheduling round, per
-figure, per sweep) may call :meth:`Tracer.trace` unconditionally — the
+figure) may call :meth:`Tracer.trace` unconditionally — the
 null tracer hands back a shared no-op context manager.
 
 An *ambient* tracer/metrics pair can be installed with :func:`observe`;
 :func:`current_tracer` / :func:`current_metrics` are the only way any
-layer (the engine, the schedulers, the simulator, the sweep runner)
+layer (the engine, the schedulers, the simulator, the fan-out runner)
 picks one up.  The ambient slot is process-global: worker
 processes of the parallel layer start with the null tracer and install
 their own capture-local observers (see :mod:`repro.parallel.runner`).

@@ -1,11 +1,10 @@
 """Process-parallel execution layer for independent-by-construction work.
 
-Two sites in the stack are embarrassingly parallel *by construction*:
-sweep cells (each cell builds its own deployment from its own seed) and
-repeated figure trials, which run through :func:`parallel_starmap`.
-Sharded scheduling runs on :class:`ShardWorkerPool`, whose persistent
-workers each own a fixed set of region shards.  Both follow one
-determinism contract:
+The figure drivers' cells (independent seeds or taus, each building its
+own state) are embarrassingly parallel *by construction* and run
+through :func:`parallel_starmap`.  Sharded scheduling runs on
+:class:`ShardWorkerPool`, whose persistent workers each own a fixed set
+of region shards.  Both follow one determinism contract:
 
 * **Work is chunked deterministically.**  Tasks are submitted in a fixed
   order derived from the caller's (already seeded) ordering and results
@@ -30,7 +29,10 @@ determinism contract:
   with the result and merge in *submission order* — in both the
   worker-pool path and the serial inline path, so a serial run and a
   fanned-out run produce identical run-reports once the volatile
-  wall-clock fields are stripped (DESIGN.md section 6).
+  wall-clock fields are stripped (DESIGN.md section 6).  A pool task's
+  sanitizer checks and violations ship back too and fold into the
+  caller's sanitizer in submission order, so ``REPRO_SANITIZE`` reports
+  the same account at any worker count.
 """
 
 from __future__ import annotations
@@ -176,29 +178,41 @@ def chunk_evenly(items: Sequence[Any], chunks: int) -> List[Sequence[Any]]:
 
 
 def _observed_call(
-    label: str, func: Callable[..., Any], *args: Any
-) -> Tuple[Any, Any, Any]:
-    """Run one task under a fresh capture-local observation.
+    label: str, capture: bool, func: Callable[..., Any], *args: Any
+) -> Tuple[Any, Any, Any, Any]:
+    """Run one task and return its result with what observed it.
 
-    Installs a per-task :class:`Tracer` / :class:`MetricsRegistry` pair
-    as the ambient observers for the duration of the call and returns
-    their picklable exports with the result.  Used identically by the
-    worker-pool and serial-inline paths of :func:`parallel_starmap`, so
-    what gets captured does not depend on where the task ran.  The spans
-    ship as an aligned v2 payload labelled ``label`` (the submission
-    index, e.g. ``task3``), so merged spans carry a deterministic
-    ``proc`` attribute and true timeline positions.
+    With ``capture``, installs a per-task :class:`Tracer` /
+    :class:`MetricsRegistry` pair as the ambient observers for the
+    duration of the call and returns their picklable exports (``None``
+    each otherwise).  Used identically by the worker-pool and
+    serial-inline paths of :func:`parallel_starmap`, so what gets
+    captured does not depend on where the task ran.  The spans ship as
+    an aligned v2 payload labelled ``label`` (the submission index, e.g.
+    ``task3``), so merged spans carry a deterministic ``proc`` attribute
+    and true timeline positions.  The last element is the task's
+    sanitizer account (:meth:`Sanitizer.since`), ``None`` when no
+    sanitizer is active.
     """
     chaos = current_chaos()
     if chaos is not None:
         # Seeded jitter (pool workers inherit REPRO_CHAOS through the
         # environment): perturbs completion order, never results.
         chaos.delay()
-    tracer = Tracer()
-    metrics = MetricsRegistry()
-    with observe(tracer, metrics):
+    sanitizer = current_sanitizer()
+    mark = sanitizer.mark() if sanitizer is not None else None
+    if not capture:
         result = func(*args)
-    return result, tracer.export_payload(process=label), metrics.to_payload()
+        spans = rows = None
+    else:
+        tracer = Tracer()
+        metrics = MetricsRegistry()
+        with observe(tracer, metrics):
+            result = func(*args)
+        spans = tracer.export_payload(process=label)
+        rows = metrics.to_payload()
+    account = sanitizer.since(mark) if sanitizer is not None else None
+    return result, spans, rows, account
 
 
 def parallel_starmap(
@@ -220,27 +234,35 @@ def parallel_starmap(
     span and its metrics merge into the ambient registry, always in
     submission order.  The serial inline path performs the identical
     capture-and-merge, which is what makes run-reports worker-count
-    invariant modulo wall-clock fields.
+    invariant modulo wall-clock fields.  Under an active sanitizer, each
+    pool task's checks and violations fold into this process's
+    sanitizer in submission order; inline tasks count here directly.
     """
     count = resolve_workers(workers)
     tracer = current_tracer()
     metrics = current_metrics()
+    sanitizer = current_sanitizer()
     capture = tracer.enabled or metrics is not None
     merged_rows: List[Any] = []
 
-    def consume(index: int, observed: Tuple[Any, Any, Any]) -> Any:
-        result, spans, rows = observed
-        with tracer.trace("fanout.task", task=index):
-            tracer.import_spans(spans)
-        if metrics is not None:
-            metrics.merge_payload(rows)
-            merged_rows.append(rows)
+    def consume(
+        index: int, observed: Tuple[Any, Any, Any, Any], pooled: bool
+    ) -> Any:
+        result, spans, rows, account = observed
+        if capture:
+            with tracer.trace("fanout.task", task=index):
+                tracer.import_spans(spans)
+            if metrics is not None:
+                metrics.merge_payload(rows)
+                merged_rows.append(rows)
+        if pooled and sanitizer is not None and account is not None:
+            # An inline task already counted in this process's sanitizer.
+            sanitizer.absorb(*account)
         return result
 
     def check_merge() -> None:
         # Shadow-oracle: re-associate the submission-order metrics merge
         # and require the re-grouped registries to agree.
-        sanitizer = current_sanitizer()
         if sanitizer is not None:
             sanitizer.check_merge(merged_rows)
 
@@ -248,23 +270,20 @@ def parallel_starmap(
         if not capture:
             return [func(*task) for task in tasks]
         results = [
-            consume(i, _observed_call(f"task{i}", func, *task))
+            consume(i, _observed_call(f"task{i}", True, func, *task), False)
             for i, task in enumerate(tasks)
         ]
         check_merge()
         return results
     with ProcessPoolExecutor(max_workers=count) as pool:
-        if not capture:
-            futures = [pool.submit(func, *task) for task in tasks]
-            _chaos_wait(futures)
-            return [future.result() for future in futures]
         futures = [
-            pool.submit(_observed_call, f"task{i}", func, *task)
+            pool.submit(_observed_call, f"task{i}", capture, func, *task)
             for i, task in enumerate(tasks)
         ]
         _chaos_wait(futures)
         results = [
-            consume(i, future.result()) for i, future in enumerate(futures)
+            consume(i, future.result(), True)
+            for i, future in enumerate(futures)
         ]
         check_merge()
         return results

@@ -2,14 +2,12 @@
 
 from repro.viz.svg import (
     SvgCanvas,
-    render_coverage_report,
     render_network,
     render_schedule,
 )
 
 __all__ = [
     "SvgCanvas",
-    "render_coverage_report",
     "render_network",
     "render_schedule",
 ]

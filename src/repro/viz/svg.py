@@ -9,7 +9,7 @@ holes.  The output opens in any browser.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.network.graph import NetworkGraph
 from repro.network.node import Position
@@ -210,25 +210,5 @@ def render_schedule(
     if title:
         xs = [p[0] for p in positions.values()]
         ys = [p[1] for p in positions.values()]
-        canvas.label((min(xs), max(ys)), title, size_px=14)
-    return canvas
-
-
-def render_coverage_report(
-    positions: Sequence[Position],
-    rs: float,
-    holes: Sequence[Sequence[Position]],
-    title: str = "",
-) -> SvgCanvas:
-    """Draw active sensing nodes and the cells of detected coverage holes."""
-    canvas = SvgCanvas()
-    for center in positions:
-        canvas.circle(center, radius_px=3.0, fill="#2ca02c")
-    for hole in holes:
-        for cell in hole:
-            canvas.square(cell, half_px=2.0, fill="#ff7f0e")
-    if title and positions:
-        xs = [p[0] for p in positions]
-        ys = [p[1] for p in positions]
         canvas.label((min(xs), max(ys)), title, size_px=14)
     return canvas

@@ -1,7 +1,6 @@
 """Integration tests for the extension subsystems.
 
-Barrier scheduling, lifetime rotation and failure repair all compose with
-the same deployment/boundary/criterion pipeline as the core scheduler.
+Barrier scheduling and lifetime rotation compose with the same deployment/boundary/criterion pipeline as the core scheduler.
 """
 
 import random
@@ -9,13 +8,9 @@ import random
 import pytest
 
 from repro.core.barrier import barrier_strength, schedule_barrier
-from repro.core.criterion import is_tau_partitionable
 from repro.core.lifetime import rotation_simulation
-from repro.core.repair import inject_random_failures, repair_coverage
-from repro.core.scheduler import dcc_schedule
 from repro.network.deployment import Rectangle, build_network
 from repro.network.energy import EnergyModel
-from repro.boundary.geometric import outer_boundary_cycle
 from repro.network.topologies import triangulated_grid
 
 
@@ -78,34 +73,3 @@ class TestLifetimeOnDeployment:
         assert report.shifts_survived >= model.always_on_shifts
         assert all(record.criterion_holds for record in report.records)
 
-
-class TestRepairOnDeployment:
-    @pytest.mark.slow
-    def test_schedule_fail_repair_roundtrip(self):
-        network = build_network(
-            250, Rectangle(0, 0, 6, 6), rc=1.0, rs=1.0, seed=20
-        )
-        boundary = outer_boundary_cycle(network)
-        protected = set(network.boundary_nodes) | set(boundary)
-        tau = 4
-        if not is_tau_partitionable(network.graph, [boundary], tau):
-            pytest.skip("deployment fails the criterion initially")
-        schedule = dcc_schedule(
-            network.graph, protected, tau, rng=random.Random(0)
-        )
-        rng = random.Random(1)
-        victims = inject_random_failures(
-            schedule.coverage_set, 2, rng, spare=protected
-        )
-        repaired = repair_coverage(
-            network.graph,
-            schedule.coverage_set,
-            [boundary],
-            protected,
-            tau,
-            victims,
-            rng=rng,
-        )
-        assert repaired.restored
-        assert is_tau_partitionable(repaired.active, [boundary], tau)
-        assert victims.isdisjoint(repaired.active.vertex_set())

@@ -7,12 +7,15 @@ recomputes on the dict oracles must agree (zero violations), and turning
 it on must not perturb the schedule in any way.
 """
 
-from repro.analysis.experiments import run_fig2_vertex_deletion
+import pytest
+
+from repro.analysis.experiments import run_fig2_vertex_deletion, run_fig3_confine_size
 from repro.checks.sanitizer import (
     current_sanitizer,
     disable_sanitizer,
     enable_sanitizer,
 )
+from repro.obs import MetricsRegistry, Tracer, observe
 
 
 class TestSanitizedFig2:
@@ -46,3 +49,29 @@ class TestSanitizedFig2:
         finally:
             disable_sanitizer()
         assert fanned.format_table() == serial.format_table()
+
+
+def _sanitized_fig3_summary(workers, observed):
+    sanitizer = enable_sanitizer()
+    try:
+        if observed:
+            with observe(Tracer(), MetricsRegistry()):
+                result = run_fig3_confine_size(
+                    count=60, degree=10.0, taus=(3, 4), runs=2, workers=workers
+                )
+        else:
+            result = run_fig3_confine_size(
+                count=60, degree=10.0, taus=(3, 4), runs=2, workers=workers
+            )
+    finally:
+        disable_sanitizer()
+    return result.format_table(), sanitizer.summary()
+
+
+class TestSanitizedPool:
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_summary_line_is_worker_count_invariant(self, observed):
+        """Pool workers' checks fold into the caller's account."""
+        serial = _sanitized_fig3_summary(1, observed)
+        assert "fresh_verdict=" in serial[1]
+        assert _sanitized_fig3_summary(2, observed) == serial

@@ -4,18 +4,11 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cycles.cycle_space import (
-    EdgeIndex,
-    cycle_space_dimension,
-    fundamental_cycle_basis,
-    is_cycle_mask,
-    decompose_mask_into_cycles,
-)
+from repro.cycles.cycle_space import EdgeIndex, cycle_space_dimension
 from repro.cycles.gf2 import GF2Basis
 from repro.cycles.horton import (
     ShortCycleSpan,
     horton_candidate_cycles,
-    max_irreducible_cycle_bounded,
     minimum_cycle_basis,
 )
 from repro.network.graph import NetworkGraph
@@ -30,46 +23,6 @@ def random_graphs(draw, max_nodes=10):
             if draw(st.booleans()):
                 edges.append((i, j))
     return NetworkGraph(range(n), edges)
-
-
-class TestCycleSpaceProperties:
-    @given(random_graphs())
-    @settings(max_examples=40, deadline=None)
-    def test_fundamental_basis_has_full_rank(self, graph):
-        __, masks = fundamental_cycle_basis(graph)
-        assert GF2Basis(masks).rank == len(masks) == cycle_space_dimension(graph)
-
-    @given(random_graphs())
-    @settings(max_examples=40, deadline=None)
-    def test_fundamental_masks_are_simple_cycles(self, graph):
-        index, masks = fundamental_cycle_basis(graph)
-        for mask in masks:
-            assert is_cycle_mask(mask, index)
-
-    @given(random_graphs(), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_xor_of_cycles_decomposes_into_cycles(self, graph, data):
-        index, masks = fundamental_cycle_basis(graph)
-        if not masks:
-            return
-        picks = data.draw(
-            st.lists(
-                st.integers(min_value=0, max_value=len(masks) - 1),
-                max_size=len(masks),
-                unique=True,
-            )
-        )
-        total = 0
-        for i in picks:
-            total ^= masks[i]
-        if total == 0:
-            return
-        cycles = decompose_mask_into_cycles(total, index)
-        rebuilt = 0
-        for cycle in cycles:
-            assert is_cycle_mask(cycle.mask, index)
-            rebuilt ^= cycle.mask
-        assert rebuilt == total
 
 
 class TestHortonProperties:
@@ -108,10 +61,10 @@ class TestHortonProperties:
     def test_span_test_matches_mcb(self, graph, tau):
         basis = minimum_cycle_basis(graph)
         if not basis:
-            assert max_irreducible_cycle_bounded(graph, tau)
+            assert ShortCycleSpan(graph, tau).spans_cycle_space()
             return
         maximum = max(c.length for c in basis)
-        assert max_irreducible_cycle_bounded(graph, tau) == (maximum <= tau)
+        assert ShortCycleSpan(graph, tau).spans_cycle_space() == (maximum <= tau)
 
     @given(random_graphs(), st.integers(min_value=3, max_value=8))
     @settings(max_examples=30, deadline=None)
@@ -124,6 +77,6 @@ class TestHortonProperties:
     @settings(max_examples=30, deadline=None)
     def test_bounded_is_monotone_in_tau(self, graph):
         results = [
-            max_irreducible_cycle_bounded(graph, tau) for tau in range(3, 11)
+            ShortCycleSpan(graph, tau).spans_cycle_space() for tau in range(3, 11)
         ]
         assert results == sorted(results)

@@ -1,6 +1,6 @@
 """Property tests for the observability layer's determinism contract.
 
-The headline guarantee (DESIGN.md section 6): at a fixed seed, a sweep's
+The headline guarantee (DESIGN.md section 6): at a fixed seed, a fan-out's
 or a figure driver's run-report is identical at any worker count once
 :func:`repro.obs.export.strip_volatile` removes the wall-clock fields —
 span structure, call counts, merged counters and histogram contents all
@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import run_trace_confine
-from repro.analysis.sweeps import parameter_grid, run_sweep
 from repro.core.scheduler import dcc_schedule
 from repro.network.deployment import Rectangle, build_network
+from repro.parallel import parallel_starmap
 from repro.traces.greenorbs import GreenOrbsConfig
 from repro.obs import (
     MetricsRegistry,
@@ -25,11 +25,12 @@ from repro.obs import (
     observe,
     strip_volatile,
     validate_run_report,
+    write_run_report,
 )
 
 
 def _schedule_cell(count, seed):
-    """Module-level (picklable) sweep cell: one small DCC schedule."""
+    """Module-level (picklable) cell: one small DCC schedule."""
     net = build_network(count, Rectangle(0, 0, 4.2, 4.2), 1.0, 1.0, seed=seed)
     result = dcc_schedule(
         net.graph, set(net.boundary_nodes), 4, rng=random.Random(seed)
@@ -38,16 +39,17 @@ def _schedule_cell(count, seed):
 
 
 def _report_for(workers, counts, seeds, tmp_path):
-    out = tmp_path / f"workers{workers}"
-    run_sweep(
-        _schedule_cell,
-        parameter_grid(count=counts),
-        seeds=seeds,
-        workers=workers,
-        report_dir=str(out),
-        report_name="cells",
+    """Run-report of ``parallel_starmap`` over a count x seed grid."""
+    tracer, metrics = Tracer(), MetricsRegistry()
+    tasks = [(count, seed) for count in counts for seed in seeds]
+    with observe(tracer, metrics):
+        parallel_starmap(_schedule_cell, tasks, workers=workers)
+    report = build_run_report(
+        "cells", tracer, metrics, meta={"cells": len(tasks)}
     )
-    report = load_run_report(str(out / "cells.json"))
+    path = tmp_path / f"workers{workers}.json"
+    write_run_report(report, str(path))
+    report = load_run_report(str(path))
     validate_run_report(report)
     return report
 
@@ -109,23 +111,19 @@ class TestReportWorkerInvariance:
         _assert_reports_agree(serial, _trace_driver_report(2))
         assert serial["metrics"]["scheduler.runs"]["value"] == 3
 
-    def test_ambient_merge_preserves_structure(self, tmp_path):
-        """A reported sweep inside an observation leaves its spans behind."""
-        tracer, metrics = Tracer(), MetricsRegistry()
-        with observe(tracer, metrics):
-            run_sweep(
-                _schedule_cell,
-                parameter_grid(count=(30,)),
-                seeds=(0,),
-                workers=1,
-                report_dir=str(tmp_path),
-                report_name="ambient",
-            )
-        names = {span.name for span in tracer.spans()}
-        assert "sweep.run" in names
-        assert "fanout.task" in names
-        assert "scheduler.round" in names
-        assert metrics.counter("scheduler.runs").value == 1
+    def test_ambient_merge_preserves_structure(self):
+        """A fan-out inside an observation leaves its tasks' spans behind."""
+        for workers in (1, 2):
+            tracer, metrics = Tracer(), MetricsRegistry()
+            with observe(tracer, metrics):
+                parallel_starmap(
+                    _schedule_cell, [(30, 0), (30, 1)], workers=workers
+                )
+            spans = tracer.spans()
+            tasks = [span for span in spans if span.name == "fanout.task"]
+            assert [span.attrs["task"] for span in tasks] == [0, 1]
+            assert "scheduler.round" in {span.name for span in spans}
+            assert metrics.counter("scheduler.runs").value == 2
 
 
 class TestSpanStreamProperties:

@@ -4,7 +4,6 @@
 import pytest
 
 from repro.geometry.coverage_eval import (
-    coverage_fraction,
     coverage_grid,
     evaluate_coverage,
 )
@@ -66,7 +65,7 @@ class TestEvaluateCoverage:
     def test_covered_fraction_monotone_in_rs(self, unit_target):
         nodes = [(1.0, 1.0), (3.0, 3.0)]
         fractions = [
-            coverage_fraction(nodes, rs, unit_target, 50)
+            evaluate_coverage(nodes, rs, unit_target, 50).covered_fraction
             for rs in (0.5, 1.0, 2.0, 4.0)
         ]
         assert fractions == sorted(fractions)

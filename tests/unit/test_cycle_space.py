@@ -1,4 +1,4 @@
-"""Unit tests for cycles, incidence masks and cycle-space helpers."""
+"""Unit tests for cycles, incidence masks and the cycle-space dimension."""
 
 import pytest
 
@@ -6,13 +6,7 @@ from repro.cycles.cycle_space import (
     Cycle,
     EdgeIndex,
     cycle_space_dimension,
-    cycle_sum,
-    decompose_mask_into_cycles,
-    fundamental_cycle_basis,
-    is_cycle_mask,
-    mask_vertex_degrees,
 )
-from repro.cycles.gf2 import GF2Basis
 from repro.network.graph import NetworkGraph
 
 
@@ -34,7 +28,7 @@ class TestEdgeIndex:
 
     def test_mask_roundtrip(self, k4_index):
         mask = k4_index.mask_of_edges([(0, 1), (2, 3)])
-        assert sorted(k4_index.edges_of_mask(mask)) == [(0, 1), (2, 3)]
+        assert mask == (1 << k4_index.bit(0, 1)) | (1 << k4_index.bit(3, 2))
 
     def test_mask_of_edges_is_xor(self, k4_index):
         # listing an edge twice cancels it
@@ -42,7 +36,7 @@ class TestEdgeIndex:
 
     def test_vertex_cycle_mask(self, k4_index):
         mask = k4_index.mask_of_vertex_cycle([0, 1, 2])
-        assert sorted(k4_index.edges_of_mask(mask)) == [(0, 1), (0, 2), (1, 2)]
+        assert mask == k4_index.mask_of_edges([(0, 1), (1, 2), (2, 0)])
 
     def test_short_cycle_rejected(self, k4_index):
         with pytest.raises(ValueError):
@@ -63,86 +57,12 @@ class TestCycle:
         assert a != b
 
 
-class TestMaskPredicates:
-    def test_cycle_sum_is_xor(self, k4_index):
-        a = k4_index.mask_of_vertex_cycle([0, 1, 2])
-        b = k4_index.mask_of_vertex_cycle([0, 2, 3])
-        # triangles sharing edge (0,2): sum is the 4-cycle 0-1-2-3
-        expected = k4_index.mask_of_vertex_cycle([0, 1, 2, 3])
-        assert cycle_sum([a, b]) == expected
+class TestCycleSpaceDimension:
+    def test_k4_has_three_independent_cycles(self, k4):
+        assert cycle_space_dimension(k4) == 3
 
-    def test_is_cycle_mask_true_for_simple_cycle(self, k4_index):
-        assert is_cycle_mask(k4_index.mask_of_vertex_cycle([0, 1, 2]), k4_index)
-
-    def test_is_cycle_mask_false_for_two_cycles(self):
-        g = NetworkGraph(range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        index = EdgeIndex.from_graph(g)
-        two = index.mask_of_vertex_cycle([0, 1, 2]) ^ index.mask_of_vertex_cycle(
-            [3, 4, 5]
-        )
-        assert not is_cycle_mask(two, index)
-
-    def test_is_cycle_mask_false_for_path(self, k4_index):
-        path = k4_index.mask_of_edges([(0, 1), (1, 2)])
-        assert not is_cycle_mask(path, k4_index)
-        assert not is_cycle_mask(0, k4_index)
-
-    def test_mask_vertex_degrees(self, k4_index):
-        mask = k4_index.mask_of_vertex_cycle([0, 1, 2])
-        assert mask_vertex_degrees(mask, k4_index) == {0: 2, 1: 2, 2: 2}
-
-
-class TestDecomposition:
-    def test_single_cycle(self, k4_index):
-        mask = k4_index.mask_of_vertex_cycle([0, 1, 2])
-        cycles = decompose_mask_into_cycles(mask, k4_index)
-        assert len(cycles) == 1
-        assert cycles[0].length == 3
-
-    def test_disjoint_cycles(self):
-        g = NetworkGraph(range(7), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
-        index = EdgeIndex.from_graph(g)
-        mask = index.mask_of_vertex_cycle([0, 1, 2]) ^ index.mask_of_vertex_cycle(
-            [3, 4, 5, 6]
-        )
-        cycles = decompose_mask_into_cycles(mask, index)
-        assert sorted(c.length for c in cycles) == [3, 4]
-        total = 0
-        for c in cycles:
-            total ^= c.mask
-        assert total == mask
-
-    def test_figure_eight(self):
-        """Two triangles sharing a vertex decompose at the shared vertex."""
-        g = NetworkGraph(range(5), [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
-        index = EdgeIndex.from_graph(g)
-        mask = index.mask_of_vertex_cycle([0, 1, 2]) ^ index.mask_of_vertex_cycle(
-            [0, 3, 4]
-        )
-        cycles = decompose_mask_into_cycles(mask, index)
-        assert sorted(c.length for c in cycles) == [3, 3]
-
-    def test_odd_degree_rejected(self, k4_index):
-        with pytest.raises(ValueError):
-            decompose_mask_into_cycles(k4_index.mask_of_edges([(0, 1)]), k4_index)
-
-
-class TestFundamentalBasis:
-    def test_rank_equals_dimension(self, k4):
-        index, masks = fundamental_cycle_basis(k4)
-        assert len(masks) == cycle_space_dimension(k4) == 3
-        basis = GF2Basis(masks)
-        assert basis.rank == 3
-
-    def test_every_mask_is_a_cycle(self, trigrid6):
-        index, masks = fundamental_cycle_basis(trigrid6.graph)
-        for mask in masks:
-            assert is_cycle_mask(mask, index)
-
-    def test_forest_has_empty_basis(self):
+    def test_forest_has_empty_cycle_space(self):
         g = NetworkGraph(range(4), [(0, 1), (1, 2), (2, 3)])
-        __, masks = fundamental_cycle_basis(g)
-        assert masks == []
         assert cycle_space_dimension(g) == 0
 
     def test_dimension_counts_components(self):

@@ -6,8 +6,6 @@ import pytest
 from repro.network.deployment import (
     Rectangle,
     build_network,
-    deploy_grid,
-    deploy_poisson,
     deploy_uniform,
     network_for_average_degree,
 )
@@ -71,27 +69,6 @@ class TestDeployments:
     def test_uniform_rejects_nonpositive(self, rng):
         with pytest.raises(ValueError):
             deploy_uniform(0, Rectangle(0, 0, 1, 1), rng)
-
-    def test_poisson_mean(self, rng):
-        rect = Rectangle(0, 0, 10, 10)
-        counts = [len(deploy_poisson(0.5, rect, rng)) for __ in range(30)]
-        assert 35 <= sum(counts) / len(counts) <= 65  # mean 50
-
-    def test_grid_layout(self, rng):
-        rect = Rectangle(0, 0, 3, 3)
-        positions = deploy_grid(4, 4, rect, rng)
-        assert len(positions) == 16
-        assert positions[0] == (0, 0)
-        assert positions[15] == (3, 3)
-
-    def test_grid_jitter_stays_in_region(self, rng):
-        rect = Rectangle(0, 0, 3, 3)
-        positions = deploy_grid(4, 4, rect, rng, jitter=0.5)
-        assert all(rect.contains(p) for p in positions.values())
-
-    def test_grid_too_small(self, rng):
-        with pytest.raises(ValueError):
-            deploy_grid(1, 4, Rectangle(0, 0, 1, 1), rng)
 
 
 class TestNetworkConstruction:

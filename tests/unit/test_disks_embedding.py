@@ -5,37 +5,16 @@ import math
 import pytest
 
 from repro.geometry.disks import (
-    disks_cover_point,
-    disks_cover_segment,
     polygon_inradius,
     regular_polygon,
     regular_polygon_with_side,
-    two_disks_cover_segment,
     worst_case_uncovered_radius,
 )
-from repro.geometry.embedding import (
-    edges_within_range,
-    is_valid_quasi_udg_embedding,
-    is_valid_udg_embedding,
-    max_edge_length,
-)
+from repro.geometry.embedding import edges_within_range, is_valid_udg_embedding
 from repro.network.graph import NetworkGraph
 
 
 class TestDisks:
-    def test_point_coverage(self):
-        assert disks_cover_point((0.5, 0), [(0, 0)], 1.0)
-        assert not disks_cover_point((2, 0), [(0, 0)], 1.0)
-
-    def test_segment_coverage(self):
-        centers = [(0, 0), (1, 0), (2, 0)]
-        assert disks_cover_segment((0, 0), (2, 0), centers, 0.6)
-        assert not disks_cover_segment((0, 0), (2, 0), [(0, 0)], 0.6)
-
-    def test_two_disk_rule(self):
-        assert two_disks_cover_segment((0, 0), (2, 0), 1.0)
-        assert not two_disks_cover_segment((0, 0), (2.1, 0), 1.0)
-
     def test_regular_polygon_geometry(self):
         square = regular_polygon(4, 1.0)
         assert len(square) == 4
@@ -85,26 +64,3 @@ class TestEmbeddings:
         positions = {0: (0, 0), 1: (1, 0), 2: (1.5, 0)}
         # nodes 1 and 2 are within range but not linked
         assert not is_valid_udg_embedding(g, positions, 1.0)
-
-    def test_quasi_udg_tolerates_grey_zone(self):
-        g = NetworkGraph(range(3), [(0, 1)])
-        positions = {0: (0, 0), 1: (0.4, 0), 2: (0.9, 0)}
-        # missing link (1,2) at distance 0.5 > alpha*rc = 0.5? use alpha 0.45
-        assert is_valid_quasi_udg_embedding(g, positions, 1.0, alpha=0.45)
-        assert not is_valid_udg_embedding(g, positions, 1.0)
-
-    def test_quasi_udg_rejects_missing_certain_link(self):
-        g = NetworkGraph(range(2), [])
-        positions = {0: (0, 0), 1: (0.2, 0)}
-        assert not is_valid_quasi_udg_embedding(g, positions, 1.0, alpha=0.5)
-
-    def test_quasi_udg_alpha_validation(self):
-        g = NetworkGraph(range(2), [(0, 1)])
-        with pytest.raises(ValueError):
-            is_valid_quasi_udg_embedding(g, {0: (0, 0), 1: (1, 0)}, 1.0, alpha=0)
-
-    def test_max_edge_length(self):
-        g = NetworkGraph(range(3), [(0, 1), (1, 2)])
-        positions = {0: (0, 0), 1: (1, 0), 2: (1, 2)}
-        assert max_edge_length(g, positions) == pytest.approx(2.0)
-        assert max_edge_length(NetworkGraph([0]), {0: (0, 0)}) == 0.0

@@ -1,7 +1,7 @@
 """Unit tests for GF(2) linear algebra on bitmask integers."""
 
 
-from repro.cycles.gf2 import GF2Basis, gf2_in_span, gf2_rank, gf2_solve, popcount
+from repro.cycles.gf2 import GF2Basis, gf2_rank, gf2_solve
 
 
 class TestGF2Basis:
@@ -56,13 +56,6 @@ class TestHelpers:
         assert gf2_rank([0b1, 0b10, 0b11]) == 2
         assert gf2_rank([]) == 0
 
-    def test_gf2_in_span(self):
-        assert gf2_in_span(0b11, [0b01, 0b10])
-        assert not gf2_in_span(0b100, [0b01, 0b10])
-
-    def test_popcount(self):
-        assert popcount(0) == 0
-        assert popcount(0b1011) == 3
 
 
 class TestSolve:

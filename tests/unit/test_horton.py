@@ -9,7 +9,6 @@ from repro.cycles.horton import (
     ShortCycleSpan,
     horton_candidate_cycles,
     irreducible_cycle_bounds,
-    max_irreducible_cycle_bounded,
     minimum_cycle_basis,
 )
 from repro.network.graph import NetworkGraph
@@ -128,12 +127,12 @@ class TestShortCycleSpan:
             ShortCycleSpan(k4, 2)
 
     def test_spans_matches_mcb_bound(self, grid5):
-        assert not max_irreducible_cycle_bounded(grid5.graph, 3)
-        assert max_irreducible_cycle_bounded(grid5.graph, 4)
+        assert not ShortCycleSpan(grid5.graph, 3).spans_cycle_space()
+        assert ShortCycleSpan(grid5.graph, 4).spans_cycle_space()
 
     def test_forest_trivially_bounded(self):
         g = NetworkGraph(range(4), [(0, 1), (2, 3)])
-        assert max_irreducible_cycle_bounded(g, 3)
+        assert ShortCycleSpan(g, 3).spans_cycle_space()
 
     def test_contains_edges_accepts_boundary(self, grid5):
         span = ShortCycleSpan(grid5.graph, 4)
@@ -164,4 +163,4 @@ class TestShortCycleSpan:
         if nu == 0:
             pytest.skip("acyclic sample")
         maximum = max(c.length for c in minimum_cycle_basis(graph))
-        assert max_irreducible_cycle_bounded(graph, tau) == (maximum <= tau)
+        assert ShortCycleSpan(graph, tau).spans_cycle_space() == (maximum <= tau)

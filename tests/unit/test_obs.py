@@ -328,26 +328,6 @@ class TestAmbientObservation:
         with observe(Tracer()):
             assert engine.fork().tracer is tracer
 
-    def test_prebuilt_engine_recaptures_ambient_observers(self):
-        import random
-
-        from repro.core.scheduler import dcc_schedule
-        from repro.network.topologies import triangulated_grid
-        from repro.topology import LocalTopologyEngine
-
-        mesh = triangulated_grid(5, 5)
-        engine = LocalTopologyEngine(mesh.graph.copy(), 4)
-        assert engine.tracer is NULL_TRACER and engine.metrics is None
-        tracer, metrics = Tracer(), MetricsRegistry()
-        with observe(tracer, metrics):
-            dcc_schedule(
-                engine.graph, set(mesh.outer_boundary), 4,
-                rng=random.Random(0), engine=engine,
-            )
-        assert engine.tracer is tracer and engine.metrics is metrics
-        assert "engine.verdict" in {span.name for span in tracer.spans()}
-        assert metrics.counter("scheduler.runs").value == 1
-
     def test_protocol_views_receive_the_metrics_registry(self):
         import random
 

@@ -9,9 +9,15 @@ import random
 
 import pytest
 
-from repro.analysis.sweeps import parameter_grid, run_sweep
+from repro.checks.sanitizer import (
+    SanitizerError,
+    current_sanitizer,
+    disable_sanitizer,
+    enable_sanitizer,
+)
 from repro.core.scheduler import dcc_schedule
 from repro.network.deployment import Rectangle, build_network
+from repro.network.graph import NetworkGraph
 from repro.parallel import chunk_evenly, parallel_starmap, resolve_workers
 
 
@@ -49,24 +55,57 @@ def test_parallel_starmap_matches_inline():
 
 def _sweep_probe(count, bias, seed):
     if count == 13:
-        raise ValueError("unlucky cell")
+        raise ValueError(f"unlucky cell {bias}")
     rng = random.Random(seed)
     return {"value": count * bias + rng.randrange(100)}
 
 
-def test_run_sweep_parallel_rows_identical_to_serial():
-    grid = parameter_grid(count=(5, 9), bias=(2, 3))
-    serial = run_sweep(_sweep_probe, grid, seeds=(0, 1), workers=1)
-    fanned = run_sweep(_sweep_probe, grid, seeds=(0, 1), workers=2)
-    assert fanned.rows == serial.rows
+def test_parallel_starmap_seeded_cells_identical_to_serial():
+    tasks = [
+        (count, bias, seed)
+        for count in (5, 9)
+        for bias in (2, 3)
+        for seed in (0, 1)
+    ]
+    serial = parallel_starmap(_sweep_probe, tasks, workers=1)
+    assert parallel_starmap(_sweep_probe, tasks, workers=2) == serial
 
 
-def test_run_sweep_parallel_error_rows_identical_to_serial():
-    grid = parameter_grid(count=(5, 13), bias=(2,))
-    serial = run_sweep(_sweep_probe, grid, seeds=(0,), on_error="skip", workers=1)
-    fanned = run_sweep(_sweep_probe, grid, seeds=(0,), on_error="skip", workers=2)
-    assert serial.rows[1]["error"] == "ValueError('unlucky cell')"
-    assert fanned.rows == serial.rows
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parallel_starmap_raises_first_failure_in_submission_order(workers):
+    # Both cells with count 13 fail; the first in submission order wins.
+    tasks = [(5, 2, 0), (13, 2, 0), (9, 2, 0), (13, 3, 1)]
+    with pytest.raises(ValueError) as caught:
+        parallel_starmap(_sweep_probe, tasks, workers=workers)
+    assert caught.value.args == ("unlucky cell 2",)
+
+
+def _wrong_ball(index):
+    """A task whose one sanitizer check diverges: the ball misses a
+    neighbour, as a broken kernel BFS would."""
+    graph = NetworkGraph(range(3), [(0, 1), (1, 2)])
+    current_sanitizer().check_ball(graph, 0, 1, {0})
+    return index
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_sanitizer_violation_reaches_the_caller(workers):
+    sanitizer = enable_sanitizer("warn")
+    try:
+        assert parallel_starmap(_wrong_ball, [(0,), (1,)], workers=workers) == [0, 1]
+    finally:
+        disable_sanitizer()
+    assert sanitizer.checks == {"ball": 2}
+    assert [v.kind for v in sanitizer.violations] == ["kernel-ball-divergence"] * 2
+
+
+def test_worker_sanitizer_violation_raises_in_raise_mode():
+    enable_sanitizer()
+    try:
+        with pytest.raises(SanitizerError, match="kernel-ball-divergence"):
+            parallel_starmap(_wrong_ball, [(0,), (1,)], workers=2)
+    finally:
+        disable_sanitizer()
 
 
 @pytest.mark.parametrize("workers", [2, 0, None])

@@ -91,9 +91,6 @@ def _default_seeded_calls():
         "hgc_schedule": lambda: repro.hgc_schedule(
             mesh.graph, [mesh.outer_boundary], mesh.outer_boundary
         ).removed,
-        "QuasiUnitDiskRadio.build_graph": lambda: repro.QuasiUnitDiskRadio(
-            net.rc
-        ).build_graph(dict(enumerate(positions))).edges(),
         # every fourth node, so the raster has holes to measure
         "evaluate_coverage": lambda: repro.evaluate_coverage(
             positions[::4], net.rs, net.target_area
@@ -108,7 +105,6 @@ class TestReproducibleByDefault:
     @pytest.mark.parametrize(
         "name",
         [
-            "QuasiUnitDiskRadio.build_graph",
             "dcc_schedule",
             "distributed_dcc_schedule",
             "energy_aware_schedule",

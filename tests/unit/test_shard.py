@@ -236,11 +236,8 @@ class TestShardedSchedule:
         assert via_api.shard_stats is not None
         assert plain.shard_stats is None
 
-    def test_shards_require_parallel_mode_without_prebuilt_engine(self):
+    def test_shards_reject_a_plan_for_another_tau(self):
         graph = _random_graph(43, nodes=12, density=0.3)
-        engine = LocalTopologyEngine(graph.copy(), 3)
-        with pytest.raises(ValueError):
-            dcc_schedule(graph, set(), 3, engine=engine, shards=2)
         with pytest.raises(ValueError):
             sharded_dcc_schedule(
                 graph,

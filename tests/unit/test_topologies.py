@@ -147,10 +147,11 @@ class TestGridNeighborPairs:
             grid_neighbor_pairs({0: (0.0, 0.0)}, 0.0)
 
     def test_geometric_graph_edges(self):
-        positions = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (5.0, 0.0)}
+        # A link iff the distance is at most the radius, inclusive.
+        positions = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (5.0, 0.0), 3: (6.5, 0.0)}
         graph = geometric_graph(positions, 1.5)
-        assert sorted(graph.vertices()) == [0, 1, 2]
-        assert sorted(graph.edges()) == [(0, 1)]
+        assert sorted(graph.vertices()) == [0, 1, 2, 3]
+        assert sorted(graph.edges()) == [(0, 1), (2, 3)]
 
     def test_scales_to_twenty_thousand_nodes(self):
         # The point of the spatial index: an all-pairs scan at this size

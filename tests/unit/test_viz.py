@@ -7,7 +7,6 @@ import pytest
 from repro.network.topologies import triangulated_grid
 from repro.viz.svg import (
     SvgCanvas,
-    render_coverage_report,
     render_network,
     render_schedule,
 )
@@ -87,12 +86,3 @@ class TestRenderers:
         ]
         interior = len(mesh.graph) - len(set(mesh.outer_boundary))
         assert len(faded) == interior
-
-    def test_render_coverage_report(self):
-        svg = render_coverage_report(
-            [(0, 0), (1, 1)], 0.5, [[(0.5, 0.5)], [(2, 2), (2.1, 2)]],
-            title="holes",
-        ).render()
-        root = parse(svg)
-        squares = [r for r in root.iter(f"{SVG_NS}rect")][1:]
-        assert len(squares) == 3
