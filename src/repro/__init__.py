@@ -15,16 +15,18 @@ Quickstart::
 
     import random
     from repro import (
-        network_for_average_degree, outer_boundary_cycle,
+        network_for_average_degree, outer_boundary_cycle, max_blanket_tau,
         dcc_schedule, is_tau_partitionable,
     )
 
-    net = network_for_average_degree(220, 20.0, seed=1)
+    net = network_for_average_degree(300, 22.0, rc=1.0, rs=1.0, seed=7)
     boundary = outer_boundary_cycle(net)
     protected = set(net.boundary_nodes) | set(boundary)
-    result = dcc_schedule(net.graph, protected, tau=4,
-                          rng=random.Random(1))
-    assert is_tau_partitionable(result.active, [boundary], 4)
+    tau = max_blanket_tau(net.gamma)  # 6 at gamma = 1 (Proposition 1)
+    assert is_tau_partitionable(net.graph, [boundary], tau)
+    result = dcc_schedule(net.graph, protected, tau,
+                          rng=random.Random(7))
+    assert is_tau_partitionable(result.active, [boundary], tau)
 
 See DESIGN.md for the subsystem inventory and EXPERIMENTS.md for the
 figure-by-figure reproduction record.

@@ -1,4 +1,4 @@
-"""Geometric ground truth: coverage rasters, holes, embeddings, disks."""
+"""Geometric ground truth: coverage rasters, holes, disks."""
 
 from repro.geometry.coverage_eval import (
     CoverageHole,
@@ -12,10 +12,6 @@ from repro.geometry.disks import (
     regular_polygon_with_side,
     worst_case_uncovered_radius,
 )
-from repro.geometry.embedding import (
-    edges_within_range,
-    is_valid_udg_embedding,
-)
 from repro.geometry.holes import (
     Circle,
     minimum_enclosing_circle,
@@ -27,9 +23,7 @@ __all__ = [
     "CoverageHole",
     "CoverageReport",
     "coverage_grid",
-    "edges_within_range",
     "evaluate_coverage",
-    "is_valid_udg_embedding",
     "minimum_enclosing_circle",
     "point_set_diameter",
     "polygon_inradius",

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.geometry.holes import minimum_enclosing_circle
 from repro.network.deployment import Rectangle
 from repro.network.node import Position
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -73,6 +74,8 @@ def coverage_grid(
     Returns ``(covered, xs, ys)`` where ``covered[i, j]`` tells whether the
     cell centre ``(xs[j], ys[i])`` lies within ``rs`` of an active node.
     """
+    import numpy as np
+
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     xs = np.linspace(target.x0, target.x1, resolution)

@@ -39,6 +39,9 @@ from repro.network.graph import NetworkGraph
 from repro.obs.tracer import current_metrics, current_tracer
 from repro.shard.halo import HaloExchange
 from repro.shard.plan import ShardPlan, build_shard_plan, partition_parts
+# Loaded in the coordinator, so forked shard workers inherit it (and the
+# numpy that topology/mis.py imports) instead of importing it mid-schedule.
+from repro.shard.runtime import LocalShard
 from repro.topology import TopologyCounters
 
 
@@ -82,8 +85,6 @@ class _InlineBackend:
     def __init__(
         self, sources: List[Any], tau: int, capture: bool
     ) -> None:
-        from repro.shard.runtime import LocalShard
-
         self._shards = [
             LocalShard(index, tau, source, capture=capture)
             for index, source in enumerate(sources)

@@ -23,9 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.network.deployment import Network, Rectangle
 from repro.network.graph import NetworkGraph
@@ -37,6 +35,9 @@ from repro.traces.rssi import (
     graph_from_trace,
     threshold_for_fraction,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 _TWOPI = 2.0 * math.pi  # random.TWOPI
@@ -124,6 +125,8 @@ def random_bulk(rng: random.Random, n: int) -> np.ndarray:
     so its little-endian bytes are the stream in draw order.  Every step
     is exact in float64, and the generator ends in the same state.
     """
+    import numpy as np
+
     words = np.frombuffer(
         rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4"
     ).reshape(n, 2)
@@ -141,6 +144,8 @@ def gauss_bulk(rng: random.Random, n: int, sigma: float) -> np.ndarray:
     log, cos and sin are libm's, called through ``math`` as ``gauss``
     calls them, because NumPy's own may differ in the last bit.
     """
+    import numpy as np
+
     out = np.empty(n)
     fresh = n
     if n and rng.gauss_next is not None:
@@ -170,6 +175,8 @@ def generate_greenorbs_trace(
     config: Optional[GreenOrbsConfig] = None, seed: int = 0
 ) -> GreenOrbsTrace:
     """Synthesize the deployment, run the epochs, threshold the edges."""
+    import numpy as np
+
     config = config or GreenOrbsConfig()
     rng = random.Random(seed)
     positions = _cluster_positions(config, rng)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.network.graph import NetworkGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DirectedEdge = Tuple[int, int]
 
@@ -55,6 +56,8 @@ class RssiTrace:
         self, receiver: Sequence[int], sender: Sequence[int], rssi: Sequence[float]
     ) -> None:
         """Append records given column-wise (equal-length sequences)."""
+        import numpy as np
+
         chunk = (
             np.asarray(receiver, dtype=np.int64),
             np.asarray(sender, dtype=np.int64),
@@ -68,6 +71,8 @@ class RssiTrace:
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``(receiver, sender, rssi)`` columns in record order."""
+        import numpy as np
+
         if len(self._chunks) > 1:
             self._chunks = [tuple(np.concatenate(c) for c in zip(*self._chunks))]
         if not self._chunks:
@@ -130,6 +135,8 @@ def _link_means(
     applies its updates in index order — so it is the same float a
     running ``totals[key] += rssi`` over the records gives.
     """
+    import numpy as np
+
     if not len(rssi):
         return {}
     order = np.lexsort((sender, receiver))
@@ -187,6 +194,8 @@ def graph_from_trace(
     trace: RssiTrace, threshold_dbm: float
 ) -> NetworkGraph:
     """The trace topology: undirected links with average RSSI >= threshold."""
+    import numpy as np
+
     graph = NetworkGraph()
     receiver, sender, __ = trace.columns()
     # Receiver and sender interleaved, as the records name them.

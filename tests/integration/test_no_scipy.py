@@ -1,8 +1,14 @@
-"""Positioned runs need only the runtime dependencies (numpy, networkx).
+"""Runs load only the dependencies they compute with.
 
 scipy is a development extra.  The outer boundary cycle and a whole
 ``repro-coverage fig2`` run must succeed in a fresh interpreter where
 importing scipy fails, and must not import it where it is installed.
+
+numpy is a runtime dependency, but only the GreenOrbs trace generator
+and the coverage raster compute with it, and they import it when called.
+Importing the package and the CLI, deploying, extracting the boundary,
+checking the criterion and scheduling at ``workers=1`` must neither load
+numpy nor need it.
 """
 
 import os
@@ -29,13 +35,42 @@ assert not loaded, loaded[:5]
 print("no scipy:", len(cycle))
 """
 
+_SCHEDULE_RUN = """
+import random
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import repro
+import repro.cli
+from repro import (
+    dcc_schedule,
+    is_tau_partitionable,
+    network_for_average_degree,
+    outer_boundary_cycle,
+)
 
-def _run(mode):
+net = network_for_average_degree(300, 22.0, seed=7)
+boundary = outer_boundary_cycle(net)
+protected = set(net.boundary_nodes) | set(boundary)
+before = is_tau_partitionable(net.graph, [boundary], 6)
+result = dcc_schedule(net.graph, protected, 6, rng=random.Random(7), workers=1)
+after = is_tau_partitionable(result.active, [boundary], 6)
+assert before and after, (before, after)
+loaded = sorted(
+    name for name, module in sys.modules.items()
+    if name.split(".")[0] == "numpy" and module is not None
+)
+assert not loaded, loaded[:5]
+print("no numpy:", result.num_active)
+"""
+
+
+def _run(mode, script=_POSITIONED_RUN):
     src = str(Path(__file__).resolve().parents[2] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", _POSITIONED_RUN, mode],
+        [sys.executable, "-c", script, mode],
         env=env,
         capture_output=True,
         text=True,
@@ -53,3 +88,15 @@ class TestNoScipy:
         run = _run("available")
         assert run.returncode == 0, run.stderr
         assert "no scipy:" in run.stdout
+
+
+class TestNumpyOffTheSchedulePath:
+    def test_schedule_run_never_imports_numpy(self):
+        run = _run("available", _SCHEDULE_RUN)
+        assert run.returncode == 0, run.stderr
+        assert "no numpy:" in run.stdout
+
+    def test_schedule_run_succeeds_with_numpy_unimportable(self):
+        run = _run("blocked", _SCHEDULE_RUN)
+        assert run.returncode == 0, run.stderr
+        assert "no numpy:" in run.stdout

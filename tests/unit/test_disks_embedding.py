@@ -1,4 +1,4 @@
-"""Unit tests for disk primitives and embedding validity checks."""
+"""Unit tests for disk primitives."""
 
 import math
 
@@ -10,8 +10,6 @@ from repro.geometry.disks import (
     regular_polygon_with_side,
     worst_case_uncovered_radius,
 )
-from repro.geometry.embedding import edges_within_range, is_valid_udg_embedding
-from repro.network.graph import NetworkGraph
 
 
 class TestDisks:
@@ -46,21 +44,3 @@ class TestDisks:
             assert worst_case_uncovered_radius(tau, 1.0, rs * 0.95) > 0
             assert worst_case_uncovered_radius(tau, 1.0, rs * 1.05) < 0
 
-
-class TestEmbeddings:
-    def test_edges_within_range(self):
-        g = NetworkGraph(range(2), [(0, 1)])
-        positions = {0: (0.0, 0.0), 1: (0.9, 0.0)}
-        assert edges_within_range(g, positions, 1.0)
-        assert not edges_within_range(g, positions, 0.5)
-
-    def test_valid_udg(self):
-        g = NetworkGraph(range(3), [(0, 1), (1, 2)])
-        positions = {0: (0, 0), 1: (1, 0), 2: (2, 0)}
-        assert is_valid_udg_embedding(g, positions, 1.0)
-
-    def test_udg_missing_short_edge_invalid(self):
-        g = NetworkGraph(range(3), [(0, 1)])
-        positions = {0: (0, 0), 1: (1, 0), 2: (1.5, 0)}
-        # nodes 1 and 2 are within range but not linked
-        assert not is_valid_udg_embedding(g, positions, 1.0)

@@ -2,6 +2,7 @@
 
 import functools
 import importlib
+import textwrap
 
 import pytest
 
@@ -28,6 +29,17 @@ class TestTopLevelApi:
             "distributed_dcc_schedule",
         ):
             assert callable(getattr(repro, name))
+
+    def test_docstring_quickstart_runs(self):
+        """The package docstring's quickstart block runs as written."""
+        doc = repro.__doc__
+        block = doc[doc.index("Quickstart::") + len("Quickstart::") :]
+        block = block[: block.index("\n\nSee ")]
+        code = textwrap.dedent(block).strip("\n")
+        assert "assert is_tau_partitionable(result.active" in code
+        namespace = {}
+        exec(code, namespace)
+        assert namespace["tau"] == 6
 
 
 SUBPACKAGES = [
