@@ -22,9 +22,9 @@ so the numbers are interpretable.  End-to-end timing lives in
 ``pipebench/`` (``sparse10k_serial`` vs ``sparse10k_sharded``).
 
 The fast bench runs 1 500 nodes on 2 shards.  The ``slow``-marked bench
-is the 100k-node fig2-style curve on 4 shards (``criterion=False``
-skips the whole-graph GF(2) span, which is the scaling bottleneck — the
-schedule itself is local work).
+is the 100k-node fig2-style curve on the serial schedule
+(``criterion=False`` skips the whole-graph GF(2) span, which is the
+scaling bottleneck — the schedule itself is local work).
 """
 
 import json
@@ -43,7 +43,6 @@ from repro.shard import sharded_dcc_schedule
 TAU = 4
 NODES = 1_500
 SHARDS = 2
-SHARDS_100K = 4
 TARGET_DEGREE = 9.0
 
 
@@ -142,7 +141,6 @@ def test_fig2_style_curve_at_100k():
         taus=(4,),
         seed=0,
         workers=1,
-        shards=SHARDS_100K,
         criterion=False,
     )
     wall = time.perf_counter() - start
@@ -151,7 +149,6 @@ def test_fig2_style_curve_at_100k():
         "nodes": count,
         "degree": TARGET_DEGREE,
         "tau": tau,
-        "shards": SHARDS_100K,
         "cpu_count": os.cpu_count(),
         "criterion": False,
         "wall_s": round(wall, 1),

@@ -134,16 +134,11 @@ def _fig2_cell(
     protected: Set[int],
     seed: int,
     tau: int,
-    shards: Optional[int],
-    workers: Optional[int],
     criterion: bool,
 ) -> Tuple[int, Optional[bool], Optional[bool]]:
     """One confine size of Figure 2 on the prepared deployment (picklable)."""
     initially = is_tau_partitionable(graph, [cycle], tau) if criterion else None
-    result = dcc_schedule(
-        graph, protected, tau, rng=random.Random(seed + tau),
-        shards=shards, workers=workers,
-    )
+    result = dcc_schedule(graph, protected, tau, rng=random.Random(seed + tau))
     finally_ = (
         is_tau_partitionable(result.active, [cycle], tau) if criterion else None
     )
@@ -156,7 +151,6 @@ def run_fig2_vertex_deletion(
     taus: Sequence[int] = (3, 4, 5, 6),
     seed: int = 0,
     workers: Optional[int] = 1,
-    shards: Optional[int] = None,
     criterion: bool = True,
 ) -> Fig2Result:
     """One network thinned for each confine size, as in Figure 2 (b-e).
@@ -168,30 +162,21 @@ def run_fig2_vertex_deletion(
     any worker count, and so are run-reports once
     :func:`~repro.obs.export.strip_volatile` drops the wall-clock fields.
 
-    ``shards`` runs every cell's schedule over halo-exchange region
-    shards (vertex-identical results — see :mod:`repro.shard`).  A
-    sharded run keeps the cells in this process and spends ``workers``
-    on the schedule instead: each cell's shards are hosted by a
-    coordinator-driven worker pool
-    (:class:`~repro.parallel.runner.ShardWorkerPool`), which keeps the
-    chaos/attribution accounting in this process.
     ``criterion=False`` skips the full-graph partitionability checks,
     which are the scaling bottleneck past ~10k nodes (the schedule
     itself is local work; the criterion is a whole-graph GF(2) span).
-    The 100k fig2-style run uses both together.
+    The 100k fig2-style run uses it.
     """
     from repro.parallel import parallel_starmap
 
     network, cycle, protected = _prepare_network(count, degree, seed)
-    cell_workers, shard_workers = (workers, 1) if shards is None else (1, workers)
     cells = parallel_starmap(
         _fig2_cell,
         [
-            (network.graph, cycle, protected, seed, tau, shards,
-             shard_workers, criterion)
+            (network.graph, cycle, protected, seed, tau, criterion)
             for tau in taus
         ],
-        workers=cell_workers,
+        workers=workers,
     )
     active_by_tau: Dict[int, int] = {}
     initially: Dict[int, Optional[bool]] = {}

@@ -72,7 +72,6 @@ def _workers(args: argparse.Namespace) -> int:
 def _cmd_fig2(args: argparse.Namespace) -> str:
     result = run_fig2_vertex_deletion(
         workers=_workers(args),
-        shards=args.shards,
         criterion=not args.no_criterion,
         **_overrides(args, "nodes", "degree", "seed"),
     )
@@ -155,16 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "partition each schedule into this many halo-exchange region "
-            "shards (fig2 only; results are vertex-identical to the "
-            "unsharded run — see DESIGN.md section 9)"
-        ),
-    )
-    parser.add_argument(
         "--no-criterion",
         action="store_true",
         help=(
@@ -202,18 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help=(
-            "render the SVG timeline of the traced run (multi-lane "
-            "per-shard/worker view when the run recorded distributed "
-            "spans, rounds-x-phases grid otherwise)"
+            "render the SVG timeline of the traced run (one lane per "
+            "pool task when the figure maps its cells through the pool "
+            "runner, rounds-x-phases grid otherwise)"
         ),
     )
     parser.add_argument(
         "--attribute",
         action="store_true",
         help=(
-            "print the distributed wall-clock attribution (per-round "
-            "compute / barrier-wait / halo / merge lanes, straggler "
-            "spread, critical path) and embed it in --report"
+            "print the per-round wall-clock attribution of the "
+            "schedules (compute and merge lanes) and embed it in --report"
         ),
     )
     return parser
@@ -273,13 +261,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"run-report -> {args.report}")
     if args.timeline:
         # The multi-lane view only says something when the trace carries
-        # distributed spans (proc-tagged imports / barrier windows).
+        # pool-task spans (imported with a proc tag).
         spans = tracer.spans()
-        distributed = any(
-            "proc" in span.attrs or span.name == "shard.barrier"
-            for span in spans
-        )
-        if distributed:
+        if any("proc" in span.attrs for span in spans):
             canvas = render_lane_timeline(
                 spans, title=f"repro-coverage {args.experiment} (lanes)"
             )

@@ -5,9 +5,8 @@ this subpackage records *when and where* that work happens and exports
 it machine-readably:
 
 * :mod:`repro.obs.tracer` — ring-buffered span tracer with a no-op null
-  tracer as the universal default, an ambient-observer context
-  (:func:`observe` / :func:`current_tracer`) and a ``@traced``
-  decorator.
+  tracer as the universal default and an ambient-observer context
+  (:func:`observe` / :func:`current_tracer`).
 * :mod:`repro.obs.metrics` — named counters/gauges/histograms that
   absorb the existing accounting objects and merge associatively.
 * :mod:`repro.obs.export` — JSONL traces, schema-versioned deterministic
@@ -16,7 +15,7 @@ it machine-readably:
   (``repro.attribution/v1``): per-round compute / barrier-wait / halo /
   merge lanes over the aligned cross-process span timeline.
 * :mod:`repro.obs.timeline` — SVG per-round timelines and multi-lane
-  shard/worker timelines through :mod:`repro.viz.svg`.
+  per-worker timelines through :mod:`repro.viz.svg`.
 
 See DESIGN.md sections 6 and 11 for the null-tracer contract, the
 clock-alignment rules for merged worker observations and the
@@ -54,7 +53,6 @@ from repro.obs.tracer import (
     current_metrics,
     current_tracer,
     observe,
-    traced,
 )
 
 __all__ = [
@@ -85,7 +83,6 @@ __all__ = [
     "render_lane_timeline",
     "render_timeline",
     "strip_volatile",
-    "traced",
     "validate_run_report",
     "write_run_report",
     "write_trace_jsonl",

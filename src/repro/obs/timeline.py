@@ -8,12 +8,9 @@ simulator's round spans) contribute a message-volume polyline across the
 top band.  The output opens in any browser next to the Figure 2/7
 snapshots.
 
-:func:`render_lane_timeline` is the distributed view: one horizontal
-lane per process (the coordinator plus every ``proc``-tagged shard or
-fan-out worker from the aligned v2 span payloads), busy intervals drawn
-at their true aligned times, coordinator barrier windows shaded across
-all lanes (uncovered shading *is* barrier wait), and the halo exchange's
-rows/bytes overlaid from the ``halo.route`` span attributes.
+:func:`render_lane_timeline` is the pooled view: one horizontal lane
+per ``proc``-tagged pool task from the aligned v2 span payloads, busy
+intervals drawn at their true aligned times.
 """
 
 from __future__ import annotations
@@ -139,14 +136,6 @@ def render_timeline(spans: Sequence[Span], title: str = "") -> SvgCanvas:
 # ----------------------------------------------------------------------
 # Multi-lane (per-process) timeline
 # ----------------------------------------------------------------------
-_LANE_SPAN_COLORS = {
-    "shard.subround": "#1f77b4",
-    "shard.apply": "#2ca02c",
-    "shard.verdicts": "#aec7e8",
-    "halo.route": "#ff7f0e",
-    "shard.merge": "#8c564b",
-}
-_BARRIER_SHADE = "#e8e8e8"
 _BUSY_COALESCED = "#1f77b4"
 _LANE_GAP = 1.4
 _LANE_BAR = 1.0
@@ -166,88 +155,36 @@ def _coalesce(intervals: List[tuple], gap: float) -> List[tuple]:
 
 
 def render_lane_timeline(spans: Sequence[Span], title: str = "") -> SvgCanvas:
-    """One lane per process on the aligned timeline, barrier-wait shaded.
-
-    The coordinator lane holds the round structure (``halo.route``
-    blocks, ``shard.merge``); each ``proc``-tagged process (shards,
-    pool tasks) gets its own lane of top-level busy intervals.  The
-    process that waits at the ``shard.barrier`` windows is the
-    coordinator whatever its ``proc`` tag, so a sharded schedule run as
-    a pool task (a sharded Figure 2 cell) still draws its round
-    structure on the coordinator lane.  ``shard.barrier`` windows are
-    shaded behind every lane — shard busy bars covering the shading show
-    parallel compute, the uncovered remainder is coordinator barrier
-    wait.  A rows-per-route polyline above the lanes plots the halo
-    traffic recorded on the ``halo.route`` spans.
+    """One lane per ``proc``-tagged process (a pool task) on the aligned
+    timeline, each drawing that process's top-level busy intervals.
     """
     canvas = SvgCanvas(width=1200, height=520)
 
-    barriers: List[tuple] = []  # (start, end)
-    rounds: List[tuple] = []  # (round, start)
-    halo_points: List[tuple] = []  # (mid_time, rows, bytes)
-    coordinator: List[Span] = []
     lanes: Dict[str, List[Span]] = {}
-    coordinator_procs = {
-        span.attrs.get("proc") for span in spans if span.name == "shard.barrier"
-    }
     for span in spans:
         proc = span.attrs.get("proc")
-        if proc is not None and proc not in coordinator_procs:
+        if proc is not None:
             lanes.setdefault(str(proc), []).append(span)
-            continue
-        if span.name == "shard.barrier":
-            barriers.append((span.start_s, span.start_s + span.wall_s))
-        elif span.name == "scheduler.round":
-            rounds.append((span.attrs.get("round"), span.start_s))
-        elif span.name == "halo.route":
-            halo_points.append(
-                (
-                    span.start_s + span.wall_s / 2.0,
-                    span.attrs.get("rows", 0),
-                    span.attrs.get("bytes", 0),
-                )
-            )
-        if span.name in _LANE_SPAN_COLORS:
-            coordinator.append(span)
-    if not coordinator and not lanes:
+    if not lanes:
         canvas.label((0.0, 0.0), "lane timeline: no distributed spans")
         return canvas
 
-    lane_names = ["coordinator"] + sorted(lanes)
-    lane_spans: Dict[str, List[Span]] = dict(lanes)
-    lane_spans["coordinator"] = coordinator
+    lane_names = sorted(lanes)
     n_lanes = len(lane_names)
-
-    extent = 0.0
-    for entries in lane_spans.values():
-        for span in entries:
-            extent = max(extent, span.start_s + span.wall_s)
-    for _, end in barriers:
-        extent = max(extent, end)
-    extent = extent or 1.0
-
-    def lane_base(index: int) -> float:
-        # Lane 0 (coordinator) on top; the y-axis points up.
-        return (n_lanes - 1 - index) * _LANE_GAP
-
-    # Barrier windows shade the full lane stack first (background).
-    top = (n_lanes - 1) * _LANE_GAP + _LANE_BAR
-    for start, end in _coalesce(barriers, 0.0):
-        canvas.rect((start, -0.1), max(end - start, extent * 5e-4), top + 0.2, fill=_BARRIER_SHADE)
+    extent = max(
+        span.start_s + span.wall_s for entries in lanes.values() for span in entries
+    ) or 1.0
 
     for index, lane in enumerate(lane_names):
-        base = lane_base(index)
+        # The first lane on top; the y-axis points up.
+        base = (n_lanes - 1 - index) * _LANE_GAP
         canvas.line((0.0, base), (extent, base), color="#bbbbbb", width=0.6)
         canvas.label((extent * 1.01, base + 0.2), lane, size_px=11)
-        entries = lane_spans[lane]
-        if not entries:
-            continue
-        if lane != "coordinator":
-            # Keep only each process's top-level spans; nested detail
-            # (e.g. shard.verdicts inside shard.subround) stays out of
-            # the lane so busy intervals read as solid blocks.
-            min_depth = min(span.depth for span in entries)
-            entries = [span for span in entries if span.depth == min_depth]
+        entries = lanes[lane]
+        # Keep only each process's top-level spans; nested detail stays
+        # out of the lane so busy intervals read as solid blocks.
+        min_depth = min(span.depth for span in entries)
+        entries = [span for span in entries if span.depth == min_depth]
         if len(entries) > _COALESCE_LIMIT:
             blocks = _coalesce(
                 [(s.start_s, s.start_s + s.wall_s) for s in entries],
@@ -262,13 +199,10 @@ def render_lane_timeline(spans: Sequence[Span], title: str = "") -> SvgCanvas:
                 )
             continue
         for span in entries:
-            color = _LANE_SPAN_COLORS.get(
-                span.name,
-                # Stable (hash-seed independent) palette assignment.
-                _PHASE_COLORS[
-                    sum(ord(c) for c in span.name) % len(_PHASE_COLORS)
-                ],
-            )
+            # Stable (hash-seed independent) palette assignment.
+            color = _PHASE_COLORS[
+                sum(ord(c) for c in span.name) % len(_PHASE_COLORS)
+            ]
             canvas.rect(
                 (span.start_s, base),
                 max(span.wall_s, extent * 5e-4),
@@ -276,35 +210,8 @@ def render_lane_timeline(spans: Sequence[Span], title: str = "") -> SvgCanvas:
                 fill=color,
             )
 
-    # Halo rows/bytes overlay above the lanes.
-    if halo_points:
-        base = top + 0.6
-        peak = max(rows for _, rows, _ in halo_points) or 1.0
-        canvas.line((0.0, base), (extent, base), color="#bbbbbb", width=0.5)
-        previous = None
-        for when, rows, _ in sorted(halo_points):
-            y = base + _LANE_BAR * (rows / peak)
-            if previous is not None:
-                canvas.line(previous, (when, y), color="#ff7f0e", width=1.2)
-            canvas.circle((when, y), radius_px=2.0, fill="#ff7f0e")
-            previous = (when, y)
-        total_rows = sum(rows for _, rows, _ in halo_points)
-        total_bytes = sum(nbytes for _, _, nbytes in halo_points)
-        canvas.label(
-            (extent * 1.01, base + 0.2),
-            f"halo rows/route (peak {peak:.0f}, "
-            f"total {total_rows} rows / {total_bytes} bytes)",
-            size_px=11,
-        )
-
-    # Round boundary ticks along the bottom.
-    step = max(1, len(rounds) // 16)
-    for i, (rnd, start) in enumerate(sorted(rounds, key=lambda r: r[1])):
-        if i % step == 0:
-            canvas.line((start, -0.5), (start, -0.15), color="#888888", width=0.6)
-            canvas.label((start, -0.85), str(rnd), size_px=9)
     canvas.label((0.0, -1.3), "aligned wall-clock seconds", size_px=11)
     if title:
-        height = top + (2.4 if halo_points else 0.6)
-        canvas.label((0.0, height), title, size_px=14)
+        top = (n_lanes - 1) * _LANE_GAP + _LANE_BAR
+        canvas.label((0.0, top + 0.6), title, size_px=14)
     return canvas

@@ -29,9 +29,8 @@ comparisons must strip the volatile fields (see
 
 from __future__ import annotations
 
-import functools
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: picklable wire format for a span: (name, depth, start_s, wall_s, cpu_s, attrs)
 SpanTuple = Tuple[str, int, float, float, float, Dict[str, Any]]
@@ -385,32 +384,3 @@ def observe(tracer: Any = None, metrics: Any = None) -> _Observation:
     """
     return _Observation(tracer, metrics)
 
-
-def traced(
-    name: Optional[str] = None, **attrs: Any
-) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Decorator: wrap each call of ``fn`` in a span on the ambient tracer.
-
-    ::
-
-        @traced("analysis.prepare", layer="analysis")
-        def prepare(...): ...
-
-    When the ambient tracer is disabled the wrapper costs one global
-    lookup and a branch.
-    """
-
-    def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-        span_name = name if name is not None else fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            tracer = _CURRENT_TRACER
-            if not tracer.enabled:
-                return fn(*args, **kwargs)
-            with tracer.trace(span_name, **attrs):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

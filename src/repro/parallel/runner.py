@@ -292,69 +292,32 @@ def parallel_starmap(
 # ----------------------------------------------------------------------
 # Sharded scheduling: persistent warm workers, one partition per shard
 # ----------------------------------------------------------------------
-def _shard_worker_main(conn, inits, tau: int, capture: bool) -> None:
-    """One worker process hosting a fixed set of :class:`LocalShard`\\ s.
+def _shard_worker_main(conn, parts, tau: int, capture: bool) -> None:
+    """One worker process serving a :class:`~repro.shard.runtime.ShardHost`.
 
-    ``inits`` is ``[(shard index, partition parts), ...]``; the
+    ``parts`` is ``[(shard index, partition parts), ...]``; the
     partitions (CSR mirrors, verdict caches) live for the whole schedule
-    and the per-round messages carry only rows.
+    and the per-round messages carry only rows.  Each message names the
+    host method to call and its arguments; the reply is its result.
     """
-    from repro.shard.runtime import LocalShard
+    from repro.shard.runtime import ShardHost
 
     # Fork-inheritance hygiene: shard workers never observe
     # through the coordinator's ambient tracer.
     reset_ambient()
     chaos = current_chaos()
-    hosted = {
-        index: LocalShard(index, tau, source, capture=capture)
-        for index, source in inits
-    }
-    indices = sorted(hosted)
+    host = ShardHost(parts, tau, capture)
     try:
         while True:
-            kind, payload = conn.recv()
-            if kind == "stop":
+            method, args = conn.recv()
+            if method == "stop":
                 break
             if chaos is not None:
                 # Seeded jitter: workers reply to the barrier in an
                 # adversarial order; the decisions are unchanged.
                 chaos.delay()
             try:
-                out = None
-                if kind == "begin":
-                    # Payload per shard: (deletion batch, owned rows,
-                    # halo rows).  The previous round's deletions ride
-                    # this message, and the reply is already the first
-                    # sub-round — two fewer roundtrips per round.
-                    for index in indices:
-                        batch, owned_rows, halo_rows = payload[index]
-                        if batch:
-                            hosted[index].apply_deletions(batch)
-                        hosted[index].begin_round(owned_rows, halo_rows)
-                    out = {
-                        index: hosted[index].mis_subround()
-                        for index in indices
-                    }
-                elif kind == "subround":
-                    for index in indices:
-                        rows = payload.get(index)
-                        if rows:
-                            hosted[index].apply_status(rows)
-                    out = {
-                        index: hosted[index].mis_subround()
-                        for index in indices
-                    }
-                elif kind == "finish":
-                    out = {
-                        index: (
-                            hosted[index].counters_snapshot(),
-                            hosted[index].spans_payload(),
-                        )
-                        for index in indices
-                    }
-                else:
-                    raise ValueError(f"unknown shard message {kind!r}")
-                conn.send(("ok", out))
+                conn.send(("ok", getattr(host, method)(*args)))
             except Exception:
                 conn.send(("error", traceback.format_exc()))
     except EOFError:  # coordinator went away; nothing left to serve
@@ -371,30 +334,25 @@ class ShardWorkerPool:
     parts, and every subsequent message is boundary-band rows.  Shards
     are assigned to workers contiguously by index (:func:`chunk_evenly`),
     and all merge points key on shard index, so results are identical
-    at any worker count — including the in-process backend at
-    ``workers=1``.
+    at any worker count — including the in-process
+    :class:`~repro.shard.runtime.ShardHost` at ``workers=1``, whose
+    ``begin_round`` / ``mis_subround`` / ``finish`` calls this pool
+    mirrors.
     """
 
     def __init__(
         self,
-        graph,
-        specs: Sequence[Any],
+        parts: Iterable[Any],
         tau: int,
         workers: int,
         capture: bool = False,
     ) -> None:
-        from repro.shard.plan import partition_parts
-
         if workers < 2:
             raise ValueError("ShardWorkerPool needs at least 2 workers")
         self._procs: List[multiprocessing.Process] = []
         self._conns: List[Any] = []
         try:
-            inits = [
-                (index, partition_parts(graph, spec))
-                for index, spec in enumerate(specs)
-            ]
-            assignments = chunk_evenly(inits, workers)
+            assignments = chunk_evenly(list(enumerate(parts)), workers)
             self._assigned: List[List[int]] = [
                 [index for index, __ in chunk] for chunk in assignments
             ]
@@ -456,48 +414,40 @@ class ShardWorkerPool:
             )
         return outs
 
-    def _merged(self, kind: str, payloads: List[Any]) -> Dict[int, Any]:
+    def _call(
+        self, method: str, per_shard: Optional[Dict[int, Any]]
+    ) -> Dict[int, Any]:
+        """Call ``method`` on every worker's host and merge the replies.
+
+        ``per_shard`` (keyed by shard index) is split by assignment, each
+        worker getting only its own shards' entries; ``None`` calls the
+        method without arguments.
+        """
+        payloads = [
+            ()
+            if per_shard is None
+            else (
+                {
+                    index: per_shard[index]
+                    for index in assigned
+                    if index in per_shard
+                },
+            )
+            for assigned in self._assigned
+        ]
         merged: Dict[int, Any] = {}
-        for out in self._roundtrip(kind, payloads):
+        for out in self._roundtrip(method, payloads):
             merged.update(out)
         return merged
 
-    def begin_round(
-        self,
-        batches: Dict[int, List[int]],
-        owned_rows: List[list],
-        halo_rows: List[list],
-    ) -> Dict[int, Any]:
-        return self._merged(
-            "begin",
-            [
-                {
-                    index: (
-                        batches.get(index),
-                        owned_rows[index],
-                        halo_rows[index],
-                    )
-                    for index in assigned
-                }
-                for assigned in self._assigned
-            ],
-        )
+    def begin_round(self, payload: Dict[int, Any]) -> Dict[int, Any]:
+        return self._call("begin_round", payload)
 
     def mis_subround(self, deliveries: Dict[int, list]) -> Dict[int, Any]:
-        return self._merged(
-            "subround",
-            [
-                {
-                    index: deliveries[index]
-                    for index in assigned
-                    if index in deliveries
-                }
-                for assigned in self._assigned
-            ],
-        )
+        return self._call("mis_subround", deliveries)
 
     def finish(self) -> Dict[int, Any]:
-        return self._merged("finish", [None] * len(self._conns))
+        return self._call("finish", None)
 
     def close(self) -> None:
         for conn in self._conns:
@@ -511,9 +461,3 @@ class ShardWorkerPool:
                 proc.terminate()
         for conn in self._conns:
             conn.close()
-
-    def __enter__(self) -> "ShardWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

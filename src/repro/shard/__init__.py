@@ -11,13 +11,16 @@ This package owns that decomposition:
   :class:`ShardPlan` (owned regions, halo bands, routing tables);
 * :mod:`repro.shard.runtime` — :class:`LocalShard`, the shard-local
   partition engine and MIS state (it never reads coordinator state;
-  ``test_shard.py::TestOwnedRegionGuard`` guards its verdicts);
+  ``test_shard.py::TestOwnedRegionGuard`` guards its verdicts), and
+  :class:`ShardHost`, the round loop over one process's shards;
 * :mod:`repro.shard.halo` — :class:`HaloExchange`, the round-synchronous
   boundary-band row router with traffic metering;
 * :mod:`repro.shard.scheduler` — the coordinator producing schedules
   vertex-identical to the unsharded engine's.
 
-Entry point: ``dcc_schedule(..., shards=N)``; see DESIGN.md section 9.
+Entry point: ``dcc_schedule(..., shards=N)``, reached only by
+pipebench's ``sparse10k_sharded`` workload and by tests; see DESIGN.md
+section 9.
 """
 
 from repro.shard.halo import HaloExchange
@@ -25,7 +28,6 @@ from repro.shard.plan import (
     ShardPlan,
     ShardSpec,
     build_shard_plan,
-    partition_blob,
     partition_parts,
 )
 from repro.shard.scheduler import ShardStats, sharded_dcc_schedule
@@ -36,7 +38,6 @@ __all__ = [
     "ShardSpec",
     "ShardStats",
     "build_shard_plan",
-    "partition_blob",
     "partition_parts",
     "sharded_dcc_schedule",
 ]

@@ -1,7 +1,7 @@
 """Round-synchronous halo exchange between shards.
 
 The coordinator is the only party that knows the routing tables; shards
-are built from their own partition blob and never see the plan.
+are built from their own partition parts and never see the plan.
 Everything a shard learns about the outside world arrives as *rows* — plain
 ``(vertex, payload)`` tuples — and only for vertices inside its halo
 band:
@@ -35,8 +35,6 @@ class HaloExchange:
         self._subscribers = subscribers
         self.rows_total = 0
         self.bytes_total = 0
-        self.rows_per_round: List[int] = []
-        self.bytes_per_round: List[int] = []
         self._round_rows = 0
         self._round_bytes = 0
 
@@ -107,8 +105,6 @@ class HaloExchange:
     def end_round(self) -> Tuple[int, int]:
         """Close the current round's meter; returns ``(rows, bytes)``."""
         rows, nbytes = self._round_rows, self._round_bytes
-        self.rows_per_round.append(rows)
-        self.bytes_per_round.append(nbytes)
         self.rows_total += rows
         self.bytes_total += nbytes
         self._round_rows = 0

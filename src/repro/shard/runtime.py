@@ -2,12 +2,15 @@
 
 This module is the *local* side of the shard abstraction, the analogue
 of a per-region process on real hardware.  A :class:`LocalShard` is
-constructed from a partition blob (its own owned/halo membership and
+constructed from its partition parts (its own owned/halo membership and
 induced edges — never the plan or the global graph) and afterwards
 communicates exclusively through rows handed to / returned from its
-methods.  The partition engine's ``owned`` guard enforces the verdict
-half of that discipline: asking for a deletability verdict outside the
-owned region raises :class:`~repro.topology.OwnedRegionError`
+methods.  :class:`ShardHost` is the round loop over the shards one
+process hosts: the coordinator drives it directly at ``workers=1``, and
+each pool worker drives its own over a pipe.  The partition engine's
+``owned`` guard enforces the verdict half of that discipline: asking
+for a deletability verdict outside the owned region raises
+:class:`~repro.topology.OwnedRegionError`
 (``test_shard.py::TestOwnedRegionGuard``), and
 ``test_shard_properties.py`` pins sharded schedules to the unsharded
 ones at every shard count.
@@ -29,8 +32,7 @@ priority draw.
 
 from __future__ import annotations
 
-import pickle
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.network.graph import NetworkGraph
 from repro.obs.tracer import NULL_TRACER, Tracer, observe
@@ -39,19 +41,22 @@ from repro.topology.mis import LOSER, WINNER, WaveMIS
 
 StatusRow = Tuple[int, int]  # (vertex, status)
 PriorityRow = Tuple[int, int]  # (vertex, priority index)
+#: (owned, halo, boundary, induced edges): :func:`~repro.shard.plan.partition_parts`
+PartitionParts = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple]
+#: one shard's reply to a sub-round: (winners, exported status rows,
+#: owned candidates still undecided)
+SubroundResult = Tuple[List[int], List[StatusRow], int]
 
 
 class LocalShard:
     """One shard's partition engine and per-round MIS state.
 
-    ``source`` is either partition transport, normalised here: a
-    pickled blob (:func:`~repro.shard.plan.partition_blob`) or a plain
-    parts tuple (:func:`~repro.shard.plan.partition_parts`, the inline
-    backend's zero-copy hand-off).
+    ``parts`` is the shard's partition as
+    :func:`~repro.shard.plan.partition_parts` builds it.
     """
 
     def __init__(
-        self, index: int, tau: int, source, capture: bool = False
+        self, index: int, tau: int, parts: PartitionParts, capture: bool = False
     ) -> None:
         self.index = index
         self.tracer = Tracer() if capture else NULL_TRACER
@@ -60,9 +65,7 @@ class LocalShard:
         # precedes the begin it rides with, so its spans belong to r + 1.
         self._round = -1
         self._subround = 0
-        if isinstance(source, (bytes, bytearray)):
-            source = pickle.loads(source)
-        owned, halo, boundary, edges = source
+        owned, halo, boundary, edges = parts
         partition = NetworkGraph(tuple(owned) + tuple(halo))
         for u, v in edges:
             partition.add_edge(u, v)
@@ -108,7 +111,7 @@ class LocalShard:
             self.engine.kernel, rows, self._radius, owned=self._owned_set
         )
 
-    def mis_subround(self) -> Tuple[List[int], List[StatusRow], int]:
+    def mis_subround(self) -> SubroundResult:
         """Run MIS waves until this shard needs foreign input.
 
         Each wave decides, against the statuses at its entry, every
@@ -143,7 +146,7 @@ class LocalShard:
                 return self._mis_waves(subround)
         return self._mis_waves(subround)
 
-    def _mis_waves(self, subround: int) -> Tuple[List[int], List[StatusRow], int]:
+    def _mis_waves(self, subround: int) -> SubroundResult:
         mis = self._mis
         boundary = self._boundary
         tracer = self.tracer
@@ -208,7 +211,7 @@ class LocalShard:
     # ------------------------------------------------------------------
     # End-of-run accounting
     # ------------------------------------------------------------------
-    def counters_snapshot(self) -> Dict[int, int]:
+    def counters_snapshot(self) -> Dict[str, int]:
         """The partition engine's counters as a plain dict."""
         return self.engine.counters.as_dict()
 
@@ -223,3 +226,67 @@ class LocalShard:
         if self.tracer is NULL_TRACER:
             return None
         return self.tracer.export_payload(process=f"shard{self.index}")
+
+
+class ShardHost:
+    """The round loop over the shards one process hosts, by shard index.
+
+    ``parts`` lists ``(shard index, partition parts)`` in ascending
+    index order.  Every call takes and returns dicts keyed by shard
+    index and visits the shards in that order.  The coordinator calls a
+    host of every shard directly at ``workers=1``; each
+    :class:`~repro.parallel.runner.ShardWorkerPool` worker serves its
+    chunk of shards by calling its own host with what arrives on its
+    pipe, so both paths run this one loop.
+    """
+
+    def __init__(
+        self,
+        parts: Iterable[Tuple[int, PartitionParts]],
+        tau: int,
+        capture: bool,
+    ) -> None:
+        self._shards = [
+            LocalShard(index, tau, shard_parts, capture=capture)
+            for index, shard_parts in parts
+        ]
+
+    def begin_round(
+        self,
+        payload: Dict[
+            int, Tuple[Optional[List[int]], List[PriorityRow], List[PriorityRow]]
+        ],
+    ) -> Dict[int, SubroundResult]:
+        """Open a round and run its first sub-round.
+
+        ``payload`` maps shard index to (the previous round's committed
+        deletions held by that shard, owned priority rows, halo priority
+        rows): the deletions ride the begin message and the reply is
+        already the first sub-round, two fewer roundtrips per round.
+        """
+        for shard in self._shards:
+            batch, owned_rows, halo_rows = payload[shard.index]
+            if batch:
+                shard.apply_deletions(batch)
+            shard.begin_round(owned_rows, halo_rows)
+        return {shard.index: shard.mis_subround() for shard in self._shards}
+
+    def mis_subround(
+        self, deliveries: Dict[int, List[StatusRow]]
+    ) -> Dict[int, SubroundResult]:
+        """Apply the barrier's foreign status rows, then run a sub-round."""
+        for shard in self._shards:
+            rows = deliveries.get(shard.index)
+            if rows:
+                shard.apply_status(rows)
+        return {shard.index: shard.mis_subround() for shard in self._shards}
+
+    def finish(self) -> Dict[int, Tuple[Dict[str, int], object]]:
+        """Each shard's engine counters and captured span payload."""
+        return {
+            shard.index: (shard.counters_snapshot(), shard.spans_payload())
+            for shard in self._shards
+        }
+
+    def close(self) -> None:
+        """Nothing to release: the shards live in this process."""

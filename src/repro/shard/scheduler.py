@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.network.graph import NetworkGraph
 from repro.obs.tracer import current_metrics, current_tracer
@@ -41,7 +41,7 @@ from repro.shard.halo import HaloExchange
 from repro.shard.plan import ShardPlan, build_shard_plan, partition_parts
 # Loaded in the coordinator, so forked shard workers inherit it (and the
 # numpy that topology/mis.py imports) instead of importing it mid-schedule.
-from repro.shard.runtime import LocalShard
+from repro.shard.runtime import ShardHost
 from repro.topology import TopologyCounters
 
 
@@ -51,23 +51,18 @@ class ShardStats:
 
     shard_count: int
     halo_radius: int
-    plan_seed: int
-    workers: int
     owned_sizes: List[int] = field(default_factory=list)
     halo_sizes: List[int] = field(default_factory=list)
     halo_rows_total: int = 0
     halo_bytes_total: int = 0
-    halo_rows_per_round: List[int] = field(default_factory=list)
-    halo_bytes_per_round: List[int] = field(default_factory=list)
-    subrounds_per_round: List[int] = field(default_factory=list)
 
 
 def _route_traced(tracer, exchange, round_no: int, kind: str, call):
     """Run one exchange call under a ``halo.route`` span.
 
     The span carries the call's rows/bytes delta read off the exchange's
-    round meter — the numbers the attribution analysis and the timeline
-    overlay consume.  With tracing disabled the call runs bare.
+    round meter — the numbers the attribution analysis consumes.  With
+    tracing disabled the call runs bare.
     """
     if not tracer.enabled:
         return call()
@@ -77,49 +72,6 @@ def _route_traced(tracer, exchange, round_no: int, kind: str, call):
         rows1, bytes1 = exchange.round_meter()
         handle.set(rows=rows1 - rows0, bytes=bytes1 - bytes0)
     return out
-
-
-class _InlineBackend:
-    """All shards hosted in this process (``workers=1``)."""
-
-    def __init__(
-        self, sources: List[Any], tau: int, capture: bool
-    ) -> None:
-        self._shards = [
-            LocalShard(index, tau, source, capture=capture)
-            for index, source in enumerate(sources)
-        ]
-
-    def begin_round(
-        self,
-        batches: Dict[int, List[int]],
-        owned_rows: List[list],
-        halo_rows: List[list],
-    ) -> Dict[int, Tuple[list, list, int]]:
-        for s in self._shards:
-            batch = batches.get(s.index)
-            if batch:
-                s.apply_deletions(batch)
-            s.begin_round(owned_rows[s.index], halo_rows[s.index])
-        return {s.index: s.mis_subround() for s in self._shards}
-
-    def mis_subround(
-        self, deliveries: Dict[int, list]
-    ) -> Dict[int, Tuple[list, list, int]]:
-        for s in self._shards:
-            rows = deliveries.get(s.index)
-            if rows:
-                s.apply_status(rows)
-        return {s.index: s.mis_subround() for s in self._shards}
-
-    def finish(self) -> Dict[int, Tuple[dict, object]]:
-        return {
-            s.index: (s.counters_snapshot(), s.spans_payload())
-            for s in self._shards
-        }
-
-    def close(self) -> None:
-        pass
 
 
 def sharded_dcc_schedule(
@@ -137,12 +89,13 @@ def sharded_dcc_schedule(
     unsharded scheduler would produce for the same ``(graph, protected,
     tau, rng)`` — vertex-identical ``removed`` order, rounds and active
     set — with :class:`ShardStats` attached.  ``workers=1`` hosts every
-    shard in-process; ``workers>1`` (or ``0`` for auto) hosts them in
-    persistent worker processes via
-    :class:`~repro.parallel.runner.ShardWorkerPool`.  ``plan`` overrides
-    the partition (for tests); otherwise one is built from
-    ``(graph, tau, shards)`` with plan seed 0.  The run is observed by the
-    ambient tracer and metrics registry (:func:`repro.obs.tracer.observe`).
+    shard in-process on one :class:`~repro.shard.runtime.ShardHost`;
+    ``workers>1`` (or ``0`` for auto) hosts them in persistent worker
+    processes via :class:`~repro.parallel.runner.ShardWorkerPool`.
+    ``plan`` overrides the partition (for tests); otherwise one is built
+    from ``(graph, tau, shards)`` with plan seed 0.  The run is observed
+    by the ambient tracer and metrics registry
+    (:func:`repro.obs.tracer.observe`).
     """
     from repro.core.scheduler import ScheduleResult
     from repro.parallel.runner import (
@@ -166,16 +119,13 @@ def sharded_dcc_schedule(
 
     capture = tracer.enabled
     pool_size = min(resolve_workers(workers), plan.shard_count)
-    if pool_size > 1:
-        backend = ShardWorkerPool(
-            graph, plan.specs, tau, pool_size, capture=capture
-        )
-    else:
-        backend = _InlineBackend(
-            [partition_parts(graph, spec) for spec in plan.specs],
-            tau,
-            capture,
-        )
+    # Lazy, so no partition outlives the host that builds its shard.
+    parts = (partition_parts(graph, spec) for spec in plan.specs)
+    backend = (
+        ShardWorkerPool(parts, tau, pool_size, capture=capture)
+        if pool_size > 1
+        else ShardHost(enumerate(parts), tau, capture)
+    )
     exchange = HaloExchange(plan.subscribers)
     if capture:
         # Zero-wall marker span recording the shard-to-worker assignment
@@ -198,8 +148,6 @@ def sharded_dcc_schedule(
     stats = ShardStats(
         shard_count=plan.shard_count,
         halo_radius=plan.halo_radius,
-        plan_seed=plan.seed,
-        workers=pool_size,
         owned_sizes=[len(spec.owned) for spec in plan.specs],
         halo_sizes=[len(spec.halo) for spec in plan.specs],
     )
@@ -255,7 +203,14 @@ def sharded_dcc_schedule(
                         "shard.barrier", round=round_no, subround=0
                     ):
                         results = backend.begin_round(
-                            pending, owned_rows, halo_rows
+                            {
+                                index: (
+                                    pending.get(index),
+                                    owned_rows[index],
+                                    halo_rows[index],
+                                )
+                                for index in range(plan.shard_count)
+                            }
                         )
                     pending = {}
                 with tracer.trace(
@@ -301,7 +256,6 @@ def sharded_dcc_schedule(
                             results = backend.mis_subround(deliveries)
                     batch = sorted(winners, key=prio.__getitem__)
                     draw.set(winners=len(batch), subrounds=subrounds)
-                stats.subrounds_per_round.append(subrounds)
                 if not batch:
                     exchange.end_round()
                     break
@@ -353,8 +307,6 @@ def sharded_dcc_schedule(
 
     stats.halo_rows_total = exchange.rows_total
     stats.halo_bytes_total = exchange.bytes_total
-    stats.halo_rows_per_round = list(exchange.rows_per_round)
-    stats.halo_bytes_per_round = list(exchange.bytes_per_round)
 
     if metrics is not None:
         metrics.inc("scheduler.runs")

@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from repro.analysis.experiments import _fig2_cell, _prepare_network
 from repro.core.scheduler import dcc_schedule
 from repro.network.graph import NetworkGraph
 from repro.parallel import runner
@@ -28,7 +29,7 @@ from repro.parallel.runner import (
     current_chaos,
     parallel_starmap,
 )
-from repro.shard import build_shard_plan, sharded_dcc_schedule
+from repro.shard import build_shard_plan, partition_parts, sharded_dcc_schedule
 
 
 @pytest.fixture(autouse=True)
@@ -106,12 +107,34 @@ class TestChaosInvariance:
         chaos = runner._CHAOS
         assert chaos is not None and chaos.permutations > 0
 
+    def test_figure_cells_identical_under_fifty_chaos_seeds(self, monkeypatch):
+        # Figure 2's per-tau cells through the pool, once per chaos
+        # seed: every seeded wait order and worker jitter must give the
+        # one-worker results, and every pool must be reaped.
+        network, cycle, protected = _prepare_network(60, 10.0, 0)
+        tasks = [
+            (network.graph, cycle, protected, 0, tau, True)
+            for tau in (3, 4, 5, 6)
+        ]
+        serial = parallel_starmap(_fig2_cell, tasks, workers=1)
+        before = _live_children()
+        monkeypatch.setenv("REPRO_CHAOS", "1")
+        perturbed = 0
+        for seed in range(50):
+            chaos = ChaosSchedule(seed)
+            monkeypatch.setattr(runner, "_CHAOS", chaos)
+            assert parallel_starmap(_fig2_cell, tasks, workers=2) == serial
+            perturbed += chaos.permutations
+        assert perturbed >= 50
+        assert _live_children() - before == set()
+
     def test_sharded_schedule_identical_under_chaos(self, monkeypatch):
         graph = _random_graph(23)
         protected = set(sorted(graph.vertices())[:3])
         serial = dcc_schedule(
             graph, protected, 4, rng=random.Random(5), workers=1
         )
+        before = _live_children()
         monkeypatch.setenv("REPRO_CHAOS", "1")
         chaotic = sharded_dcc_schedule(
             graph, protected, 4, random.Random(5), shards=2, workers=2
@@ -122,10 +145,13 @@ class TestChaosInvariance:
             serial.active.vertices()
         )
         chaos = runner._CHAOS
-        assert chaos is not None and chaos.permutations > 0
+        # Send and drain orders at every barrier, plus the status
+        # insertion order of every sub-round.
+        assert chaos is not None and chaos.permutations >= 50
         assert chaos_summary() == (
             f"chaos: {chaos.permutations} perturbed orders (seed 0)"
         )
+        assert _live_children() - before == set()
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +161,9 @@ class TestWorkerCrashCleanup:
     def test_killed_worker_raises_died_mid_schedule(self):
         graph = _random_graph(29, nodes=30, density=0.25)
         plan = build_shard_plan(graph, tau=3, shards=2, seed=0)
+        parts = [partition_parts(graph, spec) for spec in plan.specs]
         before = _live_children()
-        pool = ShardWorkerPool(graph, plan.specs, tau=3, workers=2)
+        pool = ShardWorkerPool(parts, tau=3, workers=2)
         try:
             pool._procs[0].kill()
             pool._procs[0].join(timeout=5.0)
@@ -179,6 +206,7 @@ class TestWorkerCrashCleanup:
         # failed constructor must still stop the one already running.
         graph = _random_graph(37, nodes=24, density=0.25)
         plan = build_shard_plan(graph, tau=3, shards=2, seed=0)
+        parts = [partition_parts(graph, spec) for spec in plan.specs]
         before = _live_children()
         real_process = multiprocessing.Process
         started = []
@@ -192,7 +220,7 @@ class TestWorkerCrashCleanup:
 
         monkeypatch.setattr(runner.multiprocessing, "Process", second_spawn_fails)
         with pytest.raises(OSError, match="no processes"):
-            ShardWorkerPool(graph, plan.specs, tau=3, workers=2)
+            ShardWorkerPool(parts, tau=3, workers=2)
         assert len(started) == 1
         assert not started[0].is_alive()
         assert _live_children() - before == set()

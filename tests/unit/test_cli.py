@@ -37,3 +37,12 @@ class TestMain:
         out = capsys.readouterr().out
         assert "Moebius" in out
         assert "false negative" in out
+
+    def test_timeline_draws_one_lane_per_pool_task(self, tmp_path, capsys):
+        path = tmp_path / "lanes.svg"
+        argv = ["fig2", "--nodes", "40", "--degree", "8", "--workers", "1"]
+        assert main(argv + ["--timeline", str(path)]) == 0
+        svg = path.read_text()
+        # One pool task per tau cell, each on its own lane.
+        assert all(f"task{i}" in svg for i in range(4))
+        assert "aligned wall-clock seconds" in svg

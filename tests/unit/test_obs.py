@@ -39,12 +39,10 @@ from repro.obs import (
     render_lane_timeline,
     render_timeline,
     strip_volatile,
-    traced,
     validate_run_report,
     write_run_report,
     write_trace_jsonl,
 )
-from repro.obs.timeline import _BARRIER_SHADE
 from repro.obs.tracer import Span
 from repro.runtime.stats import RuntimeStats
 from repro.topology import TopologyCounters
@@ -343,30 +341,6 @@ class TestAmbientObservation:
         protocol.run()
         assert "engine.verdict_wall_s" in metrics.names()
         assert "engine.verdict" in {span.name for span in tracer.spans()}
-
-    def test_traced_decorator(self):
-        @traced("unit.fn", layer="test")
-        def fn(x):
-            return x + 1
-
-        # Disabled ambient tracer: plain call, nothing recorded.
-        assert fn(1) == 2
-        tracer = Tracer()
-        with observe(tracer):
-            assert fn(2) == 3
-        (span,) = tracer.spans()
-        assert span.name == "unit.fn"
-        assert span.attrs == {"layer": "test"}
-
-    def test_traced_default_name(self):
-        @traced()
-        def named_fn():
-            return None
-
-        tracer = Tracer()
-        with observe(tracer):
-            named_fn()
-        assert "named_fn" in tracer.spans()[0].name
 
 
 class TestMetricsRegistry:
@@ -887,33 +861,35 @@ class TestAttribution:
 # ----------------------------------------------------------------------
 # Multi-lane timeline
 # ----------------------------------------------------------------------
-def _as_pool_task(spans, label):
-    """``spans`` as imported from a pool task: untagged ones get ``label``."""
-    return [
-        Span(
-            span.name, span.depth, span.start_s, span.wall_s, span.cpu_s,
-            {"proc": label, **span.attrs},
-        )
-        for span in spans
-    ]
+def _pooled_figure():
+    """A pooled figure run's spans: each task's schedule round, imported
+    with its task label, under the figure span of this process."""
+    spans = []
+    for index in range(2):
+        label = f"task{index}"
+        spans += [
+            _span(
+                "scheduler.mis_draw", 1, 0.2,
+                start_s=0.01, round=0, proc=label,
+            ),
+            _span(
+                "scheduler.round", 0, 0.3,
+                start_s=0.0, round=0, mode="parallel", proc=label,
+            ),
+            _span("fanout.task", 1, 0.01, start_s=0.4 + 0.02 * index, task=index),
+        ]
+    spans.append(_span("figure.fig2", 0, 0.5, experiment="fig2"))
+    return spans
 
 
 class TestLaneTimeline:
-    def test_lanes_render_with_shading_and_overlay(self):
-        # The second stream is a sharded schedule run as a pool task: the
-        # coordinator's spans carry the task's label, the shards keep
-        # their own, and the task is still drawn as the coordinator.
-        for spans in (
-            _sharded_segment(),
-            _as_pool_task(_sharded_segment(), "task0"),
-        ):
-            svg = render_lane_timeline(spans, title="unit").render()
-            assert "coordinator" in svg
-            assert "shard0" in svg and "shard1" in svg
-            assert "task0" not in svg
-            assert "halo rows/route" in svg
-            assert "aligned wall-clock seconds" in svg
-            assert _BARRIER_SHADE in svg
+    def test_lanes_render_one_per_pool_task(self):
+        svg = render_lane_timeline(_pooled_figure(), title="unit").render()
+        assert "task0" in svg and "task1" in svg
+        assert "aligned wall-clock seconds" in svg
+        # The background and one bar per task's top-level round; the
+        # nested MIS draw and this process's spans are not drawn.
+        assert svg.count("<rect") == 1 + 2
 
     def test_no_distributed_spans_message(self):
         canvas = render_lane_timeline([])

@@ -23,7 +23,7 @@ from repro.shard import (
     HaloExchange,
     ShardPlan,
     build_shard_plan,
-    partition_blob,
+    partition_parts,
     sharded_dcc_schedule,
 )
 from repro.shard.runtime import LocalShard
@@ -142,7 +142,6 @@ class TestHaloExchange:
         assert exchange.end_round() == (0, 0)
         assert exchange.rows_total == 1
         assert exchange.bytes_total == nbytes
-        assert exchange.rows_per_round == [1, 0]
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +163,7 @@ class TestOwnedRegionGuard:
         graph = _random_graph(23)
         plan = build_shard_plan(graph, tau=3, shards=2, seed=0)
         spec = plan.specs[0]
-        shard = LocalShard(0, 3, partition_blob(graph, spec))
+        shard = LocalShard(0, 3, partition_parts(graph, spec))
         assert shard.owned == spec.owned
         assert shard.halo == spec.halo
         # Slots are ranks in the sorted member list, disjoint and total.
@@ -178,7 +177,7 @@ class TestOwnedRegionGuard:
         graph = _random_graph(29)
         plan = build_shard_plan(graph, tau=3, shards=2, seed=1)
         spec = plan.specs[0]
-        shard = LocalShard(0, 3, partition_blob(graph, spec))
+        shard = LocalShard(0, 3, partition_parts(graph, spec))
         owned_rows = [(v, i) for i, v in enumerate(spec.owned)]
         shard.begin_round(owned_rows, [])
         while True:
@@ -210,10 +209,7 @@ class TestShardedSchedule:
         assert stats.shard_count == 3
         assert sum(stats.owned_sizes) == 36
         assert stats.halo_rows_total > 0
-        assert stats.halo_rows_total == sum(stats.halo_rows_per_round)
-        assert stats.halo_bytes_total == sum(stats.halo_bytes_per_round)
-        # One subround count per round, including the final empty draw.
-        assert len(stats.subrounds_per_round) == sharded.rounds + 1
+        assert stats.halo_bytes_total > 0
 
     def test_single_shard_exchanges_nothing(self):
         graph = _random_graph(37, nodes=24, density=0.25)
