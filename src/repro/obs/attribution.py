@@ -36,12 +36,13 @@ skeleton (round/sub-round/row counts) by
 
 Unsharded runs get a coarse fallback: the monolithic loop never waits
 on a barrier, so its phase spans make up the compute lane and the round
-remainder is merge.
+remainder is merge.  Each schedule is one run, whether the schedules ran
+one after another in this process or as pool tasks.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 ATTRIBUTION_SCHEMA = "repro.attribution/v1"
 
@@ -87,6 +88,7 @@ def _attribute_sharded(segment: Sequence[Any]) -> Dict[str, Any]:
     config = segment[0].attrs
     shard_count = int(config.get("shards", 1))
     assignment = config.get("assignment") or [list(range(shard_count))]
+    deleting: Set[int] = set()
 
     round_wall: Dict[int, float] = {}
     barrier: Dict[int, Dict[int, float]] = {}
@@ -124,6 +126,8 @@ def _attribute_sharded(segment: Sequence[Any]) -> Dict[str, Any]:
             per[shard] = per.get(shard, 0.0) + span.wall_s
         elif name == "shard.merge":
             span_import_s += span.wall_s
+        elif name == "scheduler.deletion":
+            deleting.add(attrs["round"])
 
     per_shard_busy = {s: 0.0 for s in range(shard_count)}
     per_shard_subrounds = {s: 0 for s in range(shard_count)}
@@ -178,6 +182,7 @@ def _attribute_sharded(segment: Sequence[Any]) -> Dict[str, Any]:
         "shards": shard_count,
         "workers": int(config.get("workers", 1)),
         "rounds": rounds,
+        "deletion_rounds": len(deleting),
         "totals": totals,
         "per_shard": [
             {
@@ -205,19 +210,44 @@ _COMPUTE_PHASES = (
     "scheduler.mis_draw",
     "scheduler.deletion",
 )
+_ROUND_SPANS = ("scheduler.round",) + _COMPUTE_PHASES
 
 
-def _attribute_unsharded(spans: Sequence[Any]) -> Optional[Dict[str, Any]]:
-    round_wall: Dict[int, float] = {}
-    phase_s: Dict[int, float] = {}
+def _split_unsharded(spans: Sequence[Any]) -> List[List[Any]]:
+    """Split a record-ordered span stream into one segment per schedule.
+
+    A schedule numbers its rounds from 0, and each round's phase spans
+    close before its ``scheduler.round`` span.  Pool tasks' spans are
+    imported task by task.  So a span of a round no later than the last
+    closed one opens the next schedule.
+    """
+    segments: List[List[Any]] = []
+    last_round: Optional[int] = None
     for span in spans:
         rnd = span.attrs.get("round")
-        if rnd is None:
+        if rnd is None or span.name not in _ROUND_SPANS:
             continue
+        if not segments or (last_round is not None and rnd <= last_round):
+            segments.append([])
+            last_round = None
+        segments[-1].append(span)
+        if span.name == "scheduler.round":
+            last_round = rnd
+    return segments
+
+
+def _attribute_unsharded(segment: Sequence[Any]) -> Optional[Dict[str, Any]]:
+    round_wall: Dict[int, float] = {}
+    phase_s: Dict[int, float] = {}
+    deleting: Set[int] = set()
+    for span in segment:
+        rnd = span.attrs["round"]
         if span.name == "scheduler.round":
             round_wall[rnd] = round_wall.get(rnd, 0.0) + span.wall_s
-        elif span.name in _COMPUTE_PHASES:
+        else:
             phase_s[rnd] = phase_s.get(rnd, 0.0) + span.wall_s
+            if span.name == "scheduler.deletion":
+                deleting.add(rnd)
     if not round_wall:
         return None
     rounds: List[Dict[str, Any]] = []
@@ -245,6 +275,7 @@ def _attribute_unsharded(spans: Sequence[Any]) -> Optional[Dict[str, Any]]:
         "shards": 1,
         "workers": 1,
         "rounds": rounds,
+        "deletion_rounds": len(deleting),
         "totals": totals,
         "per_shard": [],
         "setup": {"shm_attach_s": 0.0, "span_import_s": 0.0},
@@ -258,18 +289,21 @@ def _attribute_unsharded(spans: Sequence[Any]) -> Optional[Dict[str, Any]]:
 def attribute_spans(spans: Sequence[Any]) -> Optional[Dict[str, Any]]:
     """Classify an aligned span stream into per-round wall-clock lanes.
 
-    Returns ``None`` when the stream carries no scheduling rounds.  With
-    ``shard.config`` markers present, each sharded schedule run becomes
-    one entry of ``runs``; otherwise a single coarse unsharded run is
-    attributed.  ``totals`` aggregates the lanes across runs.
+    Returns ``None`` when the stream carries no scheduling rounds.  Each
+    schedule run becomes one entry of ``runs``: sharded runs split on
+    their ``shard.config`` markers, unsharded ones where the round
+    numbers start over.  ``totals`` aggregates the lanes across runs.
     """
     segments = _split_sharded(spans)
     if segments:
         runs = [_attribute_sharded(segment) for segment in segments]
         runs = [run for run in runs if run["rounds"]]
     else:
-        run = _attribute_unsharded(spans)
-        runs = [run] if run is not None else []
+        runs = [
+            run
+            for run in map(_attribute_unsharded, _split_unsharded(spans))
+            if run is not None
+        ]
     if not runs:
         return None
     totals = _new_lanes()
@@ -327,7 +361,8 @@ def attribution_summary(attribution: Dict[str, Any]) -> str:
     for index, run in enumerate(attribution["runs"]):
         run_totals = run["totals"]
         lines.append(
-            f"  run {index}: {run['shards']} shard(s) x "
+            f"  run {index}: {len(run['rounds'])} round(s), "
+            f"{run['deletion_rounds']} deleting; {run['shards']} shard(s) x "
             f"{run['workers']} worker(s), wall {run_totals['wall_s']:.4f}s, "
             f"critical path {run['critical_path_s']:.4f}s"
         )

@@ -1,5 +1,7 @@
 """Unit tests for the command-line front end."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -46,3 +48,14 @@ class TestMain:
         # One pool task per tau cell, each on its own lane.
         assert all(f"task{i}" in svg for i in range(4))
         assert "aligned wall-clock seconds" in svg
+
+    def test_attribution_reports_one_run_per_schedule(self, capsys):
+        argv = ["fig2", "--nodes", "80", "--degree", "10", "--workers", "2"]
+        assert main(argv + ["--seed", "0", "--attribute"]) == 0
+        out = capsys.readouterr().out
+        runs = re.findall(r"run \d+: (\d+) round\(s\), (\d+) deleting", out)
+        # One run per tau cell; each lists its deletion rounds and the
+        # closing round that finds no winner.
+        assert [int(deleting) for __, deleting in runs] == [11, 11, 8, 13]
+        assert [int(rounds) for rounds, __ in runs] == [12, 12, 9, 14]
+        assert "rounds=47" in out

@@ -795,6 +795,38 @@ class TestAttribution:
             + row["merge_s"]
         )
 
+    def test_unsharded_schedules_split_into_runs(self):
+        def schedule(rounds, **tag):
+            spans = []
+            for rnd in range(rounds):
+                spans += [
+                    _span("scheduler.mis_draw", 1, 0.1, round=rnd, **tag),
+                    _span("scheduler.deletion", 1, 0.1, round=rnd, **tag),
+                    _span("scheduler.round", 0, 0.3, round=rnd, **tag),
+                ]
+            # The closing round draws no winner and deletes nothing.
+            return spans + [
+                _span("scheduler.mis_draw", 1, 0.1, round=rounds, **tag),
+                _span("scheduler.round", 0, 0.1, round=rounds, **tag),
+            ]
+
+        # Back to back in one process, then two pool tasks' imports.
+        spans = (
+            schedule(2)
+            + schedule(3)
+            + schedule(0, proc="task0")
+            + [_span("fanout.task", 0, 0.01, task=0)]
+            + schedule(1, proc="task1")
+        )
+        attribution = attribute_spans(spans)
+        runs = attribution["runs"]
+        assert [len(run["rounds"]) for run in runs] == [3, 4, 1, 2]
+        assert [run["deletion_rounds"] for run in runs] == [2, 3, 0, 1]
+        assert attribution["totals"]["rounds"] == 10
+        assert attribution["totals"]["wall_s"] == pytest.approx(
+            sum(0.3 * n + 0.1 for n in (2, 3, 0, 1))
+        )
+
     def test_no_rounds_returns_none(self):
         assert attribute_spans([_span("loose", 0, 0.1)]) is None
         assert attribute_spans([]) is None

@@ -2,15 +2,22 @@
 
 import hashlib
 import inspect
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.network.node import distance
 from repro.network.topologies import grid_neighbor_pairs
+from repro.traces import greenorbs
 from repro.traces.greenorbs import (
+    _FILTER_MARGIN_DB,
     GreenOrbsConfig,
     _cluster_positions,
+    _GaussDraws,
     _mean_rssi,
     gauss_bulk,
     generate_greenorbs_trace,
@@ -151,17 +158,42 @@ class TestBulkDraws:
             ]
         assert bulk.getstate() == scalar.getstate()
 
+    @pytest.mark.parametrize("carry", [False, True])
+    def test_exact_draws_match_gauss_at_any_index(self, carry):
+        bulk, scalar = random.Random(31), random.Random(31)
+        if carry:
+            bulk.gauss()
+            scalar.gauss()
+        draws = _GaussDraws(bulk, 101)
+        expected = [scalar.gauss() for __ in range(101)]
+        picks = [0, 3, 4, 50, 97, 99]
+        fresh = [draw - draws.start for draw in picks if draw >= draws.start]
+        values = draws.exact(fresh).tolist()
+        assert values == [expected[draws.start + index] for index in fresh]
+        assert draws.carry == (expected[0] if carry else None)
+        assert bulk.getstate() == scalar.getstate()
+
+    def test_gauss_bulk_scales_each_draw_by_its_sigma(self):
+        import numpy as np
+
+        sigmas = [2.5, 5.0, 5.0, 2.5, 5.0, 0.0, 5.0]
+        bulk, scalar = random.Random(9), random.Random(9)
+        values = gauss_bulk(bulk, len(sigmas), np.array(sigmas)).tolist()
+        assert values == [scalar.gauss(0.0, sigma) for sigma in sigmas]
+        assert bulk.getstate() == scalar.getstate()
+
     def test_transcendentals_stay_libm(self):
         # NumPy's log/cos/sin may differ from libm in the last bit.
-        source = inspect.getsource(gauss_bulk)
-        for name in ("log", "cos", "sin", "exp"):
-            assert f"np.{name}" not in source
+        for exact in (_GaussDraws.__init__, _GaussDraws.exact, gauss_bulk):
+            source = inspect.getsource(exact)
+            for name in ("log", "cos", "sin", "exp"):
+                assert f"np.{name}" not in source
 
 
-def scalar_records(config, seed):
+def scalar_records(config, seed, place=_cluster_positions):
     """The generator's records drawn one ``rng.gauss`` call at a time."""
     rng = random.Random(seed)
-    positions = _cluster_positions(config, rng)
+    positions = place(config, rng)
     nodes = sorted(positions)
     in_range = {v: [] for v in nodes}
     for u, v in grid_neighbor_pairs(positions, config.max_range):
@@ -187,6 +219,18 @@ def scalar_records(config, seed):
     return records
 
 
+def _placement_leaving_a_pending_term(config, rng):
+    """The forest placement, then one odd gaussian draw.
+
+    The placement itself always draws an even number of gaussians; this
+    leaves a Box–Muller sine term pending when epoch 1 starts.
+    """
+    positions = _cluster_positions(config, rng)
+    rng.gauss()
+    assert rng.gauss_next is not None
+    return positions
+
+
 class TestGeneratorMatchesScalarDraws:
     @pytest.mark.parametrize(
         "config, seed",
@@ -207,12 +251,138 @@ class TestGeneratorMatchesScalarDraws:
                 ),
                 1,
             ),
+            # A Box–Muller sine term is pending when epoch 1 starts.
+            (GreenOrbsConfig(node_count=90, clusters=5, epochs=4), "pending"),
         ],
     )
-    def test_records_equal_scalar_reference(self, config, seed):
+    def test_records_equal_scalar_reference(self, config, seed, monkeypatch):
+        place = _cluster_positions
+        if seed == "pending":
+            place, seed = _placement_leaving_a_pending_term, 6
+            monkeypatch.setattr(greenorbs, "_cluster_positions", place)
         trace = generate_greenorbs_trace(config, seed=seed)
         records = [(r.receiver, r.sender, r.rssi_dbm) for r in trace.trace.records]
-        assert records == scalar_records(config, seed)
+        assert records == scalar_records(config, seed, place)
+
+
+def _perturbed_approximation(monkeypatch, offset_db, fading):
+    """Shift every fresh approximate draw by ``±offset_db`` of RSSI.
+
+    The signs come from a fixed stream.  The pending term is an exact
+    value, not an approximation, so it is left alone.
+    """
+    import numpy as np
+
+    approximate = _GaussDraws.approximate
+    signs = np.random.default_rng(0)
+
+    def shifted(self):
+        z = approximate(self)
+        sign = signs.choice([-1.0, 1.0], size=self.fresh)
+        z[self.start :] += sign * offset_db / fading
+        return z
+
+    monkeypatch.setattr(_GaussDraws, "approximate", shifted)
+
+
+class TestCandidateFilter:
+    """Epochs 2..E evaluate libm only for links that can reach a packet."""
+
+    CONFIG = GreenOrbsConfig(node_count=120, epochs=7)
+    # Co-located clusters of 15 with no shadowing and 2**-40 dB fading:
+    # each packet's 10 records come from 14 links whose RSSI ties to
+    # within 1e-11 dB, so shifted approximations reorder the packet
+    # unless the margin keeps every contender.
+    NEAR_TIES = GreenOrbsConfig(
+        node_count=60,
+        clusters=4,
+        cluster_sigma=0.0,
+        pair_shadowing_sigma_db=0.0,
+        fading_sigma_db=2.0**-40,
+        epochs=5,
+    )
+
+    @staticmethod
+    def columns(config):
+        trace = generate_greenorbs_trace(config, seed=2)
+        return [column.tobytes() for column in trace.trace.columns()]
+
+    @pytest.mark.parametrize("config", [CONFIG, NEAR_TIES], ids=["default", "near_ties"])
+    def test_records_survive_errors_up_to_the_guard(self, monkeypatch, config):
+        clean = self.columns(config)
+        # A hair inside margin/4, so float rounding cannot tip it over.
+        _perturbed_approximation(
+            monkeypatch, _FILTER_MARGIN_DB / 4 * (1 - 1e-6), config.fading_sigma_db
+        )
+        assert self.columns(config) == clean
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 1e6])
+    def test_errors_beyond_the_guard_raise(self, monkeypatch, factor):
+        _perturbed_approximation(
+            monkeypatch, _FILTER_MARGIN_DB * factor, self.CONFIG.fading_sigma_db
+        )
+        with pytest.raises(ArithmeticError, match="candidate filter"):
+            generate_greenorbs_trace(self.CONFIG, seed=2)
+
+    def test_libm_runs_for_a_minority_of_links(self, monkeypatch):
+        config = GreenOrbsConfig(epochs=3)
+        positions = _cluster_positions(config, random.Random(1))
+        links = 2 * len(grid_neighbor_pairs(positions, config.max_range))
+        exact = _GaussDraws.exact
+        evaluated = []
+
+        def counting(self, fresh):
+            if len(fresh) > 1:  # not a pending term left behind
+                evaluated.append(len(fresh))
+            return exact(self, fresh)
+
+        monkeypatch.setattr(_GaussDraws, "exact", counting)
+        generate_greenorbs_trace(config, seed=1)
+        # Epoch 1 evaluates all its draws (one per link, one per pair);
+        # each later epoch only the links that can reach a packet.
+        first, *later = evaluated
+        assert first >= links and len(later) == 2
+        assert all(n < 0.2 * links for n in later)
+
+
+_DISPATCH_OFF_DIGESTS = """
+import hashlib
+import numpy._core._multiarray_umath as umath
+from repro.traces.greenorbs import GreenOrbsConfig, generate_greenorbs_trace
+assert not any(umath.__cpu_features__[t] for t in umath.__cpu_dispatch__)
+for nodes, epochs, seed in ((60, 5, 1), (120, 7, 2)):
+    config = GreenOrbsConfig(node_count=nodes, epochs=epochs)
+    trace = generate_greenorbs_trace(config, seed=seed)
+    digest = hashlib.sha256()
+    for r in trace.trace.records:
+        digest.update(repr((r.receiver, r.sender, r.rssi_dbm)).encode())
+    print(digest.hexdigest())
+"""
+
+
+def test_records_are_pinned_with_simd_dispatch_off():
+    # NumPy picks its log/cos/sin kernels by CPU feature at import; with
+    # every dispatch target disabled the filter runs on the baseline
+    # kernels and must still give the pinned records.
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(__cpu_dispatch__)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", _DISPATCH_OFF_DIGESTS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    # The digests of the two pinned-stream tests below.
+    assert run.stdout.split() == [
+        "d031a7c37b91a9f8fd24a5004ec401dfb74feecaecb6df3b6931620b25172d4a",
+        "2986d6bd71d72314bcbb3743422e55c616a07a13177541ab00fa4a8b8c95de18",
+    ]
 
 
 class TestGreenOrbsGenerator:
