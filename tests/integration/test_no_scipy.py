@@ -5,10 +5,11 @@ scipy is a development extra.  The outer boundary cycle and a whole
 importing scipy fails, and must not import it where it is installed.
 
 numpy is a runtime dependency, but only the GreenOrbs trace generator
-and the coverage raster compute with it, and they import it when called.
-Importing the package and the CLI, deploying, extracting the boundary,
-checking the criterion and scheduling at ``workers=1`` must neither load
-numpy nor need it.
+(which imports it when called) and the shard-only maximal independent set
+compute with it; the coverage raster is pure Python.  Importing the
+package and the CLI, deploying, extracting the boundary, checking the
+criterion, scheduling at ``workers=1`` and evaluating the schedule's
+coverage must neither load numpy nor need it.
 """
 
 import os
@@ -44,6 +45,7 @@ import repro
 import repro.cli
 from repro import (
     dcc_schedule,
+    evaluate_coverage,
     is_tau_partitionable,
     network_for_average_degree,
     outer_boundary_cycle,
@@ -56,12 +58,16 @@ before = is_tau_partitionable(net.graph, [boundary], 6)
 result = dcc_schedule(net.graph, protected, 6, rng=random.Random(7), workers=1)
 after = is_tau_partitionable(result.active, [boundary], 6)
 assert before and after, (before, after)
+report = evaluate_coverage(
+    [net.positions[v] for v in result.active.vertices()], net.rs, net.target_area
+)
+assert report.covered_fraction > 0.9, report.covered_fraction
 loaded = sorted(
     name for name, module in sys.modules.items()
     if name.split(".")[0] == "numpy" and module is not None
 )
 assert not loaded, loaded[:5]
-print("no numpy:", result.num_active)
+print("no numpy:", result.num_active, report.covered_fraction)
 """
 
 

@@ -53,12 +53,13 @@ class TestRssiAggregation:
         trace = make_trace([(1, 2, -60.0), (2, 1, -70.0)])
         assert trace.undirected_averages()[(1, 2)] == pytest.approx(-65.0)
 
-    def test_directed_sums_follow_record_order(self):
+    @staticmethod
+    def _assert_means_follow_record_order(receivers, senders):
         # Float addition does not associate: the mean must be the running
         # sum in record order, as a per-record dict accumulation gives it.
         rng = random.Random(4)
         rows = [
-            (rng.randrange(5), rng.randrange(5), rng.uniform(-95.0, -40.0) * 10 ** rng.randrange(-3, 4))
+            (rng.choice(receivers), rng.choice(senders), rng.uniform(-95.0, -40.0) * 10 ** rng.randrange(-3, 4))
             for __ in range(3000)
         ]
         totals, counts = {}, {}
@@ -68,6 +69,15 @@ class TestRssiAggregation:
         expected = {key: totals[key] / counts[key] for key in totals}
         directed = make_trace(rows).directed_averages()
         assert list(directed.items()) == list(expected.items())
+
+    def test_directed_sums_follow_record_order(self):
+        self._assert_means_follow_record_order(range(5), range(5))
+
+    def test_links_group_for_any_id_ranges(self):
+        # The records are grouped by one packed (receiver, sender) key;
+        # negative ids and unequal id ranges must not merge two links.
+        self._assert_means_follow_record_order(range(-7, 3), range(-3, 40))
+        self._assert_means_follow_record_order(range(-3, 40), range(-7, 3))
 
     def test_columns_and_records_agree(self):
         rows = [(1, 2, -60.0), (2, 1, -70.5), (1, 3, -80.25)]
