@@ -25,7 +25,7 @@ oracle; under ``REPRO_SANITIZE`` every kernel answer is recomputed on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.checks.sanitizer import current_sanitizer
 from repro.cycles.cycle_space import Cycle, EdgeIndex
@@ -37,9 +37,19 @@ VertexCycle = Sequence[int]
 
 
 def cycle_edges(cycle: VertexCycle) -> List[Edge]:
-    """Edges of a cycle given as a vertex sequence (closing edge implicit)."""
+    """Edges of a cycle given as a vertex sequence (closing edge implicit).
+
+    The cycle must be simple: a repeated vertex raises ``ValueError``
+    naming the first repeat, since the edges of a walk that doubles back
+    can cancel to an empty sum that would read as covered.
+    """
     if len(cycle) < 3:
         raise ValueError("a simple cycle needs at least three vertices")
+    seen: Set[int] = set()
+    for v in cycle:
+        if v in seen:
+            raise ValueError(f"cycle is not simple: vertex {v} repeats")
+        seen.add(v)
     return [
         canonical_edge(a, b)
         for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]])

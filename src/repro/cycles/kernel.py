@@ -5,8 +5,9 @@ k-ball extraction (BFS), chord numbering (spanning forest), and staged
 tau-capped cycle streaming into a GF(2) elimination; before the last
 two, each ball is shrunk to its strong-collapse core, which has the same
 verdict.  The collapse walks the mirror's rows directly, over scratch
-that is zero outside the call, pops the ball outermost layer first, and
-stops once one vertex is left; member rows are built for the core only.
+that is zero outside the call.  It pops the ball outermost layer first,
+then retests in sweeps only the members a removal touched, and stops
+once one vertex is left; member rows are built for the core only.
 The last two are one staged rank routine (a tree closure that
 solves every chord with a short path through the spanning tree, then
 triangles, 4-cycles and truncated-BFS closures on what is left), which
@@ -46,7 +47,7 @@ drives the kernel against them under random mutation sequences.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from itertools import islice
+from itertools import compress, islice
 from typing import (
     Callable,
     Collection,
@@ -297,16 +298,18 @@ class CSRGraph:
         The pass reads the mirror's own rows.  ``_bit`` and ``_closed``
         are zero in every cell outside a call, so a non-member reads as
         bit 0 with an empty closed neighbourhood and needs no filter.
-        Members are popped from the end of ``members``: for a ball in BFS
-        order the outermost layer, the likeliest to be dominated, goes
-        first.  When one live member is left it is the core.
+        The first sweep pops the unpinned members from the end of
+        ``members``: for a ball in BFS order the outermost layer, the
+        likeliest to be dominated, goes first.  Each later sweep retests,
+        again outermost first, the live members that a removal marked as
+        its neighbours since their last pop.  The pass stops when a sweep
+        ends with nothing marked or one live member, the core, is left.
 
         Returns the core as sorted slots with its member-restricted rows.
         """
         adj = self.adj
         bit = self._bit
         closed = self._closed
-        stamp = self._stamp
         try:
             b = 1
             for u in members:
@@ -317,42 +320,40 @@ class CSRGraph:
             # dominates) and its ``live`` bit; the neighbours' masks go
             # stale, and every test reads them under ``live``.
             live = b - 1
+            getb = bit.__getitem__
             for u in members:
-                closed[u] = bit[u] + sum(map(bit.__getitem__, adj[u]))
-            # A stamp equal to ``tok`` marks a queued member.  Pinned
-            # members keep it, so they are never queued.
-            self._token += 1
-            tok = self._token
-            for u in members:
-                stamp[u] = tok
+                closed[u] = bit[u] + sum(map(getb, adj[u]))
             work = [u for u in members if u not in pinned] if pinned else list(members)
+            unpinned = sum(map(getb, work)) if pinned else live
+            # A removal can only create domination among its live neighbours:
+            # it marks them in ``again``; a pop clears its own mark.
+            again = 0
             left = len(members)
             while work:
                 u = work.pop()
-                stamp[u] = 0
+                bu = bit[u]
+                again &= ~bu
                 cu = closed[u] & live
                 for w in adj[u]:
                     cw = closed[w]
                     if cu | cw == cw:
                         closed[u] = 0
-                        live ^= bit[u]
+                        live ^= bu
                         left -= 1
                         if left == 1:
                             last = members[live.bit_length() - 1]
                             return [last], {last: []}
-                        # A removal can only create domination among
-                        # the removed vertex's neighbours: requeue them.
-                        for x in adj[u]:
-                            if closed[x] and stamp[x] != tok:
-                                stamp[x] = tok
-                                work.append(x)
+                        again |= cu
                         break
+                if not work:
+                    # The next sweep, in ascending bit order: outermost pops first.
+                    marked = bin(again & live & unpinned)[:1:-1]
+                    work = list(compress(members, map("1".__eq__, marked)))
             core = sorted(u for u in members if closed[u])
             return core, {u: [w for w in adj[u] if closed[w]] for u in core}
         finally:
             for u in members:
-                bit[u] = 0
-                closed[u] = 0
+                bit[u] = closed[u] = 0
 
     # ------------------------------------------------------------------
     # Whole-graph short-cycle span (the coverage criterion)

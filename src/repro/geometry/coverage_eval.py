@@ -130,10 +130,13 @@ def coverage_grid(
     otherwise.  A cell is covered when ``e*e + d*d <= rs*rs`` for its
     offsets ``e``, ``d`` from some node: the predicate and the grid are
     the ones ``numpy.meshgrid`` and ``np.square`` would evaluate, so the
-    raster is the same cell for cell.
+    raster is the same cell for cell.  A radius that is not finite and
+    positive, or a position that is not finite, raises ``ValueError``.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    if not (math.isfinite(rs) and rs > 0):
+        raise ValueError(f"sensing radius must be finite and positive, got {rs}")
     n = resolution
     xs = _grid_coords(target.x0, target.x1, n)
     ys = _grid_coords(target.y0, target.y1, n)
@@ -142,6 +145,8 @@ def coverage_grid(
     ones = memoryview(b"\x01" * n)
     rs_sq = rs * rs
     for px, py in active_positions:
+        if not (math.isfinite(px) and math.isfinite(py)):
+            raise ValueError(f"position ({px}, {py}) is not finite")
         # Only cells inside the node's bounding box can be covered by it.
         top, bottom = _inside_run(ys, py, 0.0, rs_sq)
         for i in range(top, bottom):

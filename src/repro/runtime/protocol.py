@@ -119,6 +119,9 @@ class DistributedDCC:
         self.tracer = self.sim.tracer
         self.metrics = self.sim.metrics
         self.protected = set(protected)
+        missing = self.protected - graph.vertex_set()
+        if missing:
+            raise KeyError(f"protected nodes not in graph: {sorted(missing)[:5]}")
         self.tau = tau
         self.k = deletion_radius(tau)
         self.m = self.k + 1

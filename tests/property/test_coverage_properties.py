@@ -80,11 +80,12 @@ def cases(draw):
     )
     on_node = st.tuples(st.sampled_from(xs), st.sampled_from(ys))
     positions = draw(st.lists(st.one_of(free, on_node), max_size=12))
-    # free radii and whole numbers of cell pitches
+    # free radii and whole numbers of cell pitches; a radius must be
+    # positive (``coverage_grid`` rejects 0)
     rs = draw(
         st.one_of(
-            st.floats(0.0, 8.0),
-            st.integers(0, 6).map(lambda k: k * pitch),
+            st.floats(0.0, 8.0, exclude_min=True),
+            st.integers(1, 6).map(lambda k: k * pitch),
         )
     )
     return positions, rs, target, resolution

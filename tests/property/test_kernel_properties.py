@@ -1,12 +1,16 @@
 """Property-based tests: CSR kernel == dict oracle, parallel == serial.
 
-Three invariants carry the kernel:
+Four invariants carry the kernel:
 
 * the kernel's compact-adjacency primitives (hop balls, deletability
   verdicts) agree with the dict-based reference implementations on any
   graph and after any interleaving of mutations — including the
   strong-collapsed span verdict, on unit-disk balls where the collapse
   does fire;
+* the strong collapse of any member subset, in any order and with any
+  pinned members, leaves a sorted, induced, pinned-keeping core with no
+  dominated unpinned member, of the size a dict-set collapse reaches,
+  and leaves its scratch zero;
 * the coverage criterion on the boundary-pinned strong-collapse core, and
   the staged whole-graph span behind ``ShortCycleSpan``, agree with the
   dict-based ``ShortCycleSpan(use_csr=False)`` at tau 3-8, where the tree
@@ -166,6 +170,53 @@ def test_collapsed_verdict_matches_dict_oracle():
     # solves outright, and one where it leaves chords unsolved.
     for outcome in ("full", "residual"):
         assert sum(outcome in seen for seen in closures) >= 3, outcome
+
+
+def _brute_force_core(rows, members, pinned):
+    """Dict-set strong collapse: remove the first dominated unpinned
+    member (in sorted order) until none is left."""
+    closed = {u: (set(rows[u]) & set(members)) | {u} for u in members}
+    while True:
+        for u in sorted(closed):
+            if u not in pinned and any(
+                closed[u] <= closed[w] for w in closed[u] - {u}
+            ):
+                for w in closed.pop(u) - {u}:
+                    closed[w].discard(u)
+                break
+        else:
+            return closed
+
+
+def test_strong_collapse_matches_brute_force():
+    shrunk = []
+
+    @given(unit_disk_or_gnp_graphs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def check(graph, data):
+        csr = graph.csr()
+        slots = list(range(len(csr.ids)))
+        members = data.draw(st.permutations(slots))
+        members = members[: data.draw(st.integers(1, len(members)))]
+        pinned = set(data.draw(st.lists(st.sampled_from(members), max_size=4)))
+        core, rows = csr.strong_collapse(members, pinned)
+        assert not any(csr._bit) and not any(csr._closed)
+        assert core == sorted(core) and set(core) <= set(members)
+        assert pinned <= set(core)
+        inside = set(core)
+        for u in core:
+            assert rows[u] == [w for w in csr.adj[u] if w in inside]
+        closed = {u: set(rows[u]) | {u} for u in core}
+        for u in core:
+            if u not in pinned:
+                assert not any(closed[u] <= closed[w] for w in rows[u])
+        assert len(core) == len(_brute_force_core(csr.adj, members, pinned))
+        shrunk.append(len(core) < len(members))
+
+    check()
+    # The collapse must fire on a good share of the draws, or the
+    # comparison says little about its work order.
+    assert sum(shrunk) > 0.5 * len(shrunk)
 
 
 @st.composite

@@ -35,6 +35,21 @@ class TestCoverageGrid:
         with pytest.raises(ValueError):
             coverage_grid([], 1.0, unit_target, 1)
 
+    @pytest.mark.parametrize("rs", [-1.0, 0.0, float("nan"), float("inf"), -float("inf")])
+    def test_impossible_radius_rejected(self, unit_target, rs):
+        # rs = -1 would read as rs = 1 (the predicate squares it) and
+        # rs = nan as nothing covered.
+        with pytest.raises(ValueError, match="sensing radius"):
+            evaluate_coverage([(1.0, 1.0), (3.0, 3.0)], rs, unit_target, 20)
+        with pytest.raises(ValueError, match="sensing radius"):
+            coverage_grid([], rs, unit_target, 20)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_position_rejected(self, unit_target, bad):
+        for position in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="not finite"):
+                evaluate_coverage([(1.0, 1.0), position], 1.0, unit_target, 20)
+
 
 class TestEvaluateCoverage:
     def test_blanket_report(self, unit_target):

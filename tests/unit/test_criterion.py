@@ -11,6 +11,7 @@ from repro.core.criterion import (
     verify_confine_coverage,
 )
 from repro.cycles.horton import ShortCycleSpan
+from repro.network.graph import NetworkGraph
 from repro.network.topologies import triangulated_grid
 
 
@@ -21,6 +22,15 @@ class TestCycleEdges:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             cycle_edges([0, 1])
+
+    def test_repeated_vertex_rejected(self):
+        # On the path 0-1-2-3 the walk 0-1-2-1 doubles back: its edges
+        # cancel to an empty sum, which would read as covered.
+        path = NetworkGraph(range(4), [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="vertex 1 repeats"):
+            cycle_edges([0, 1, 2, 1])
+        with pytest.raises(ValueError, match="vertex 1 repeats"):
+            is_tau_partitionable(path, [[0, 1, 2, 1]], 3)
 
 
 class TestBoundaryEdgeSum:

@@ -7,6 +7,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+from repro.core.scheduler import dcc_schedule
 from repro.core.vpt import deletable_vertices
 from repro.network.deployment import Rectangle, build_network
 from repro.network.graph import NetworkGraph
@@ -161,6 +162,20 @@ class TestDistributedDCC:
         assert sorted(result.active.vertex_set()) == [0, 1]
         assert sorted(result.removed) == [2, 3, 4]
         assert deletable_vertices(result.active, 3, exclude={0, 1}) == []
+
+    def test_confine_below_three_raises(self):
+        g = NetworkGraph(range(5), combinations(range(5), 2))  # K5
+        with pytest.raises(ValueError, match="at least 3"):
+            distributed_dcc_schedule(g, [0], 2)
+
+    def test_unknown_protected_nodes_raise(self):
+        """An unknown protected id is an error, as in ``dcc_schedule``;
+        ignoring it would let the schedule delete all of C5."""
+        c5 = NetworkGraph(range(5), [(v, (v + 1) % 5) for v in range(5)])
+        for schedule in (distributed_dcc_schedule, dcc_schedule):
+            with pytest.raises(KeyError, match=r"protected nodes not in graph: \[99\]"):
+                schedule(c5, [99], 4)
+        assert c5.vertex_set() == set(range(5))
 
     def test_all_candidates_protected_is_immediate_fixpoint(self, trigrid6):
         """Protecting every node leaves nothing to elect: one look, done."""
