@@ -93,12 +93,19 @@ class ConfineRequirement:
     rc: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("sensing ratio must be positive")
-        if self.max_hole_diameter < 0:
-            raise ValueError("hole diameter requirement cannot be negative")
-        if self.rc <= 0:
-            raise ValueError("communication range must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(
+                f"sensing ratio gamma must be finite and positive, got {self.gamma}"
+            )
+        if not (math.isfinite(self.max_hole_diameter) and self.max_hole_diameter >= 0):
+            raise ValueError(
+                "hole diameter requirement max_hole_diameter must be finite and "
+                f"non-negative, got {self.max_hole_diameter}"
+            )
+        if not (math.isfinite(self.rc) and self.rc > 0):
+            raise ValueError(
+                f"communication range rc must be finite and positive, got {self.rc}"
+            )
 
     @property
     def is_blanket(self) -> bool:

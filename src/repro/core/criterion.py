@@ -56,11 +56,29 @@ def cycle_edges(cycle: VertexCycle) -> List[Edge]:
     ]
 
 
-def boundary_edge_sum(boundary_cycles: Sequence[VertexCycle]) -> List[Edge]:
-    """GF(2) sum (symmetric difference) of the boundary cycles' edge sets."""
+def boundary_edge_sum(
+    boundary_cycles: Sequence[VertexCycle], graph=None
+) -> List[Edge]:
+    """GF(2) sum (symmetric difference) of the boundary cycles' edge sets.
+
+    With ``graph`` (a :class:`NetworkGraph` or a subgraph view), each
+    cycle must also lie in it: a vertex not in the graph raises
+    ``KeyError`` and a consecutive pair that is not an edge raises
+    ``ValueError``, each naming the first bad item.  Either would
+    otherwise read as "not partitionable", indistinguishable from a real
+    coverage hole.
+    """
     parity: Dict[Edge, int] = {}
     for cycle in boundary_cycles:
-        for edge in cycle_edges(cycle):
+        edges = cycle_edges(cycle)
+        if graph is not None:
+            for v in cycle:
+                if v not in graph:
+                    raise KeyError(f"boundary vertex {v} not in graph")
+            for u, v in edges:
+                if not graph.has_edge(u, v):
+                    raise ValueError(f"boundary pair ({u}, {v}) is not an edge")
+        for edge in edges:
             parity[edge] = parity.get(edge, 0) ^ 1
     return [edge for edge, bit in parity.items() if bit]
 
@@ -74,11 +92,12 @@ def is_tau_partitionable(
 
     This is the computational form of Propositions 2/3: the boundary sum
     must be a GF(2) combination of cycles of length at most ``tau`` that
-    live entirely inside ``graph``.
+    live entirely inside ``graph``.  Every boundary cycle must be a cycle
+    of ``graph``; :func:`boundary_edge_sum` raises on one that is not.
     """
     if not boundary_cycles:
         raise ValueError("at least one boundary cycle is required")
-    edges = boundary_edge_sum(boundary_cycles)
+    edges = boundary_edge_sum(boundary_cycles, graph)
     if not hasattr(graph, "csr"):
         return ShortCycleSpan(graph, tau).contains_edges(edges)
     answer = graph.csr().short_cycles_contain(edges, tau)

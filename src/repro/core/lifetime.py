@@ -168,8 +168,11 @@ def rotation_simulation(
         shifts_survived=0,
         always_on_shifts=model.always_on_shifts,
     )
+    on_boundary = {v for cycle in boundary_cycles for v in cycle}
     for shift in range(1, max_shifts + 1):
-        if not alive.boundary_partitionable(boundary_cycles):
+        # A dead boundary node takes the boundary cycle with it.
+        lost = any(v not in work for v in on_boundary)
+        if lost or not alive.boundary_partitionable(boundary_cycles):
             report.cause_of_death = "criterion lost"
             break
         schedule = energy_aware_schedule(

@@ -225,12 +225,14 @@ def is_non_redundant(
     promises for the scheduler's output.  ``graph`` should be the
     *reduced* graph returned by the scheduler.  The check recomputes the
     global criterion once per internal node, so use it on small graphs.
+    A boundary vertex can never be spared: deleting it removes the
+    boundary itself.
     """
-    protected_set = set(protected)
+    keep = set(protected).union(*boundary_cycles)
     if not is_tau_partitionable(graph, boundary_cycles, tau):
         return False
     for v in graph.vertices():
-        if v in protected_set:
+        if v in keep:
             continue
         thinner = graph.copy()
         thinner.remove_vertex(v)

@@ -150,6 +150,12 @@ class Network:
         }
 
 
+def _require_radius(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``name`` unless it is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def build_network(
     count: int,
     region: Rectangle,
@@ -167,6 +173,8 @@ def build_network(
     95% of the nodes when ``require_connected`` is set, mirroring the
     dense deployments used in the paper's simulations.
     """
+    _require_radius("rc", rc)
+    _require_radius("rs", rs)
     rng = random.Random(seed)
     band = boundary_band if boundary_band is not None else rc
     for __ in range(max_attempts):
@@ -208,6 +216,8 @@ def network_for_average_degree(
     """
     if average_degree <= 0:
         raise ValueError("average degree must be positive")
+    # rc sizes the region, so check it first; build_network checks rs.
+    _require_radius("rc", rc)
     side = math.sqrt(count * math.pi * rc * rc / average_degree)
     region = Rectangle(0.0, 0.0, side, side)
     return build_network(count, region, rc, rs, seed=seed)

@@ -30,9 +30,17 @@ class NetworkGraph:
     vertices as it thins the network.  Every mutation bumps :attr:`version`,
     which lets caches layered on top (notably
     :class:`repro.topology.LocalTopologyEngine`) detect staleness cheaply.
+
+    Adjacency rows are shared copy-on-write between a graph and its
+    :meth:`copy`.  ``_owned`` is ``None`` while every row belongs to this
+    graph alone (it was never copied); otherwise it holds the vertices
+    whose rows this graph has written since, each row copied before that
+    first write.  Rows handed out by
+    :meth:`neighbors` and :meth:`remove_vertex` may therefore be shared
+    with another graph: they are read-only.
     """
 
-    __slots__ = ("_adj", "_version", "_csr")
+    __slots__ = ("_adj", "_version", "_csr", "_owned")
 
     def __init__(
         self,
@@ -42,6 +50,7 @@ class NetworkGraph:
         self._adj: Dict[int, Set[int]] = {}
         self._version = 0
         self._csr = None
+        self._owned: Optional[Set[int]] = None
         for v in vertices:
             self.add_vertex(v)
         for u, v in edges:
@@ -67,13 +76,16 @@ class NetworkGraph:
             self._csr = CSRGraph(self)
         return self._csr
 
-    # -- pickling (drop the CSR mirror: cheap to rebuild, heavy to ship)
+    # -- pickling (drop the CSR mirror: cheap to rebuild, heavy to ship).
+    # The ownership set travels too: pickle's memo keeps a row shared by
+    # two graphs of one dump shared after loading, so it must stay unowned.
     def __getstate__(self):
-        return {"_adj": self._adj, "_version": self._version}
+        return {"_adj": self._adj, "_version": self._version, "_owned": self._owned}
 
     def __setstate__(self, state) -> None:
         self._adj = state["_adj"]
         self._version = state["_version"]
+        self._owned = state.get("_owned")
         self._csr = None
 
     # ------------------------------------------------------------------
@@ -95,10 +107,30 @@ class NetworkGraph:
         return out
 
     def copy(self) -> "NetworkGraph":
-        """Return an independent copy of the graph (no shared CSR mirror)."""
+        """Return an independent copy of the graph (no shared CSR mirror).
+
+        O(V): only the vertex dict is copied.  Both graphs then share
+        every row copy-on-write, so neither owns any row, and each copies
+        a row on its own first write to it.  Mutations of either graph
+        never show in the other.
+        """
         clone = NetworkGraph()
-        clone._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
+        clone._adj = self._adj.copy()
+        clone._owned = set()
+        self._owned = set()
         return clone
+
+    def _private_row(self, u: int) -> Set[int]:
+        """``u``'s row, safe to write in place: copied first if it may be
+        shared, created empty if ``u`` is new."""
+        row = self._adj.get(u)
+        owned = self._owned
+        if owned is not None and u not in owned:
+            owned.add(u)
+            row = self._adj[u] = set() if row is None else set(row)
+        elif row is None:
+            row = self._adj[u] = set()
+        return row
 
     # ------------------------------------------------------------------
     # Basic mutation
@@ -110,26 +142,37 @@ class NetworkGraph:
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError("self-loops are not allowed")
-        self._adj.setdefault(u, set()).add(v)
-        self._adj.setdefault(v, set()).add(u)
+        if self._owned is None:
+            # Never copied: every row is ours, so the build path pays no
+            # ownership check.
+            self._adj.setdefault(u, set()).add(v)
+            self._adj.setdefault(v, set()).add(u)
+        else:
+            self._private_row(u).add(v)
+            self._private_row(v).add(u)
         self._version += 1
 
     def remove_edge(self, u: int, v: int) -> None:
-        try:
-            self._adj[u].remove(v)
-            self._adj[v].remove(u)
-        except KeyError as exc:
-            raise KeyError(f"edge ({u}, {v}) not in graph") from exc
+        if not self.has_edge(u, v):
+            raise KeyError(f"edge ({u}, {v}) not in graph")
+        self._private_row(u).remove(v)
+        self._private_row(v).remove(u)
         self._version += 1
 
     def remove_vertex(self, v: int) -> Set[int]:
-        """Delete ``v`` in place; returns its former neighbour set."""
+        """Delete ``v`` in place; returns its former neighbour set.
+
+        The returned set may be shared with a copy of this graph: read it,
+        never mutate it.
+        """
         try:
             nbrs = self._adj.pop(v)
         except KeyError as exc:
             raise KeyError(f"vertex {v} not in graph") from exc
+        if self._owned is not None:
+            self._owned.discard(v)
         for u in nbrs:
-            self._adj[u].discard(v)
+            self._private_row(u).discard(v)
         self._version += 1
         return nbrs
 
@@ -154,6 +197,8 @@ class NetworkGraph:
         return nbrs is not None and v in nbrs
 
     def neighbors(self, v: int) -> Set[int]:
+        """``v``'s adjacency row itself, not a copy.  It may be shared with
+        a copy of this graph, so it is read-only."""
         return self._adj[v]
 
     def degree(self, v: int) -> int:
@@ -219,7 +264,7 @@ class NetworkGraph:
         return set(dist)
 
     def induced_subgraph(self, vs: Iterable[int]) -> "NetworkGraph":
-        """Vertex-induced subgraph :math:`H[X]`."""
+        """Vertex-induced subgraph :math:`H[X]` (its rows are its own)."""
         keep = set(vs)
         missing = keep - set(self._adj)
         if missing:

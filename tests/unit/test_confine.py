@@ -110,6 +110,21 @@ class TestConfineRequirement:
         with pytest.raises(ValueError):
             ConfineRequirement(gamma=1.0, rc=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_gamma_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="gamma"):
+            ConfineRequirement(gamma=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_hole_diameter_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValueError, match="max_hole_diameter"):
+            ConfineRequirement(1.0, max_hole_diameter=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_rc_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="rc"):
+            ConfineRequirement(1.0, rc=bad)
+
 
 class TestGhristGranularity:
     def test_fixed_hole_diameter(self):

@@ -47,6 +47,43 @@ class TestBoundaryEdgeSum:
         assert boundary_edge_sum([[0, 1, 2], [0, 1, 2]]) == []
 
 
+class TestMalformedBoundary:
+    """A boundary that is not a cycle of the graph raises; it never reads
+    as "not partitionable"."""
+
+    @pytest.fixture
+    def chorded_square(self):
+        return NetworkGraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+
+    def test_unknown_vertex_raises_key_error(self, chorded_square):
+        with pytest.raises(KeyError, match="vertex 99"):
+            boundary_edge_sum([[0, 1, 2, 99]], chorded_square)
+        with pytest.raises(KeyError, match="vertex 99"):
+            is_tau_partitionable(chorded_square, [[0, 1, 2, 99]], 3)
+
+    def test_non_edge_pair_raises_value_error(self, chorded_square):
+        with pytest.raises(ValueError, match=r"\(1, 3\)"):
+            boundary_edge_sum([[0, 1, 3]], chorded_square)
+        with pytest.raises(ValueError, match=r"\(1, 3\)"):
+            is_tau_partitionable(chorded_square, [[0, 1, 3]], 3)
+
+    def test_first_bad_item_is_named(self, chorded_square):
+        # The second cycle holds two unknown vertices; the first one is named.
+        with pytest.raises(KeyError, match="vertex 7"):
+            is_tau_partitionable(chorded_square, [[0, 1, 2], [0, 7, 8]], 3)
+
+    def test_subgraph_view_is_checked_too(self, chorded_square):
+        view = chorded_square.subgraph_view([0, 1, 2])
+        with pytest.raises(KeyError, match="vertex 3"):
+            is_tau_partitionable(view, [[0, 2, 3]], 3)
+
+    def test_valid_boundary_answers_as_before(self, chorded_square):
+        assert is_tau_partitionable(chorded_square, [[0, 1, 2, 3]], 3)
+        assert boundary_edge_sum([[0, 1, 2]], chorded_square) == boundary_edge_sum(
+            [[0, 1, 2]]
+        )
+
+
 class TestPartitionability:
     def test_grid_boundary(self, grid5):
         assert is_tau_partitionable(grid5.graph, [grid5.outer_boundary], 4)
@@ -77,11 +114,13 @@ class TestPartitionability:
             is_tau_partitionable(grid5.graph, [], 4)
 
     def test_boundary_edge_missing_from_subgraph(self, grid5):
-        # delete a boundary edge: the boundary cycle no longer exists there
+        # delete a boundary edge: the boundary cycle no longer exists there,
+        # which is a malformed input, not an uncovered one
         thinner = grid5.graph.copy()
         a, b = grid5.outer_boundary[0], grid5.outer_boundary[1]
         thinner.remove_edge(a, b)
-        assert not is_tau_partitionable(thinner, [grid5.outer_boundary], 4)
+        with pytest.raises(ValueError, match=rf"\({min(a, b)}, {max(a, b)}\)"):
+            is_tau_partitionable(thinner, [grid5.outer_boundary], 4)
 
     def test_dominated_boundary_corner_is_pinned(self):
         # The corner of a triangulated grid is dominated by its diagonal

@@ -1,5 +1,6 @@
 """Unit tests for regions, deployments and network construction."""
 
+import math
 
 import pytest
 
@@ -105,6 +106,14 @@ class TestNetworkConstruction:
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):
             network_for_average_degree(100, 0.0)
+
+    @pytest.mark.parametrize("name", ["rc", "rs"])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_radii_must_be_finite_and_positive(self, name, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            network_for_average_degree(100, 10.0, **{name: bad})
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            build_network(100, Rectangle(0, 0, 10, 10), **{"rc": 1.0, "rs": 1.0, name: bad})
 
     def test_impossible_connectivity_raises(self):
         with pytest.raises(RuntimeError):

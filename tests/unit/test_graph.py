@@ -1,8 +1,15 @@
 """Unit tests for the NetworkGraph adjacency structure."""
 
+import math
+import pickle
+import random
+import tracemalloc
+
 import pytest
 
+from repro.core.scheduler import dcc_schedule
 from repro.network.graph import NetworkGraph, canonical_edge
+from repro.network.topologies import geometric_graph, triangulated_grid
 
 
 class TestCanonicalEdge:
@@ -141,3 +148,75 @@ class TestSubgraphsAndCopies:
         assert forward.vertices() == backward.vertices() == [0, 8, 16, 24]
         assert forward.edges() == backward.edges()
         assert forward.edges() == sorted(forward.edges())
+
+
+def _allocated(build) -> int:
+    """Bytes still allocated after ``build()`` returns (result kept alive)."""
+    tracemalloc.start()
+    try:
+        result = build()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del result
+    return size
+
+
+class TestCopyOnWrite:
+    @pytest.fixture(scope="class")
+    def udg(self):
+        """A 2 000-node unit-disk graph of average degree about 9."""
+        rng = random.Random(7)
+        side = math.sqrt(2000 * math.pi / 9.0)
+        positions = {
+            v: (rng.uniform(0, side), rng.uniform(0, side)) for v in range(2000)
+        }
+        return geometric_graph(positions, 1.0), positions, side
+
+    def test_copy_shares_rows_instead_of_copying_them(self, udg):
+        g = udg[0]
+        deep = _allocated(lambda: {v: set(g.neighbors(v)) for v in g})
+        shallow = _allocated(g.copy)
+        assert shallow < 0.15 * deep
+
+    def test_schedule_leaves_its_input_untouched(self, udg):
+        g, positions, side = udg
+        before = g.edges()
+        band = {
+            v for v, (x, y) in positions.items()
+            if min(x, y) < 1.0 or max(x, y) > side - 1.0
+        }
+        result = dcc_schedule(g, band, 4, rng=random.Random(0))
+        assert result.removed
+        assert g.edges() == before
+
+    def test_source_mirror_survives_writes_to_a_copy(self):
+        g = triangulated_grid(6, 6).graph
+        csr = g.csr()
+        before = {v: csr.ball_ids(v, 2) for v in g}
+        clone = g.copy()
+        clone.remove_vertex(14)
+        clone.add_edge(0, 35)
+        clone.remove_edge(20, 21)
+        clone.csr().delete_vertex(7)
+        assert g.csr() is csr
+        assert {v: g.csr().ball_ids(v, 2) for v in g} == before
+
+    def test_second_generation_copies_stay_independent(self):
+        g = NetworkGraph(range(4), [(0, 1), (1, 2), (2, 3)])
+        child = g.copy()
+        grandchild = child.copy()
+        child.remove_vertex(1)
+        grandchild.add_edge(0, 3)
+        g.remove_edge(2, 3)
+        assert sorted(g.edges()) == [(0, 1), (1, 2)]
+        assert sorted(child.edges()) == [(2, 3)]
+        assert sorted(grandchild.edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+
+    def test_pickled_pair_keeps_its_rows_apart(self):
+        g = NetworkGraph(range(3), [(0, 1), (1, 2)])
+        a, b = pickle.loads(pickle.dumps((g, g.copy())))
+        b.remove_vertex(1)
+        a.add_edge(0, 2)
+        assert sorted(a.edges()) == [(0, 1), (0, 2), (1, 2)]
+        assert b.edges() == []

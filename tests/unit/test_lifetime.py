@@ -84,6 +84,23 @@ class TestRotation:
         assert report.shifts_survived == model.always_on_shifts
         assert report.cause_of_death == "protected node depleted"
 
+    def test_dead_unprotected_boundary_loses_the_criterion(self, mesh):
+        # Sleeping costs as much as sensing, so every node dies at capacity;
+        # nothing is protected, so the boundary nodes leave the graph.
+        model = EnergyModel(battery_capacity=2.0, active_cost=1.0, sleep_cost=1.0)
+        report = rotation_simulation(
+            mesh.graph,
+            [mesh.outer_boundary],
+            [],
+            tau=6,
+            model=model,
+            rng=random.Random(6),
+            boundary_immortal=False,
+            max_shifts=10,
+        )
+        assert report.shifts_survived == 2
+        assert report.cause_of_death == "criterion lost"
+
     def test_max_shifts_cap(self, mesh):
         model = EnergyModel(battery_capacity=100.0, active_cost=1.0)
         report = rotation_simulation(

@@ -69,6 +69,15 @@ class TestNonRedundancy:
         result = dcc_schedule(wheel, rim, 6, rng=random.Random(0))
         assert is_non_redundant(result.active, [rim], 6, rim)
 
+    def test_unprotected_boundary_is_never_spared(self):
+        # Deleting a rim vertex removes the boundary itself; the oracle
+        # must count it as needed rather than query a broken boundary.
+        wheel = wheel_graph(6)
+        rim = list(range(6))
+        result = dcc_schedule(wheel, rim, 6, rng=random.Random(0))
+        assert is_non_redundant(result.active, [rim], 6, [])
+        assert not is_non_redundant(wheel, [rim], 6, [])
+
     def test_wheel_with_hub_is_redundant(self):
         wheel = wheel_graph(6)
         rim = list(range(6))
