@@ -69,7 +69,7 @@ def bench_tracer_overhead() -> Dict[str, Any]:
     disabled_wall = time.perf_counter() - start
 
     tracer = Tracer()
-    with observe(tracer, None):
+    with observe(tracer):
         enabled = sharded_dcc_schedule(
             graph, protected, TAU, random.Random(0), shards=SHARDS, workers=1
         )

@@ -19,15 +19,14 @@ env var so parallel worker processes sanitize too.  When active:
   scratch (``_bit``, ``_closed``) must be zero in every cell
   (``kernel-scratch-dirty``);
 * every **planar-backbone Delaunay triangulation** is checked with
-  Lawson's local test under the exact predicates (``delaunay``);
-* every **parallel metrics merge** of three or more worker payloads is
-  re-associated — ``merge(a, merge(b, c))`` against
-  ``merge(merge(a, b), c)`` — and the resulting registries compared.
+  Lawson's local test under the exact predicates (``delaunay``).
 
-Violations are reported through the ambient obs tracer (a zero-width
-``sanitizer.violation`` span) and metrics registry
-(``sanitizer.violations``), and raise :class:`SanitizerError` unless
-the mode is ``warn``.  All checks are read-only recomputations: a
+Checks are counted per kind in :attr:`Sanitizer.checks`; pool workers'
+counts fold back into the caller's sanitizer, and the CLI's run-report
+summarises the run's account as ``sanitizer.checks.<kind>`` /
+``sanitizer.violations`` metrics.  Violations are reported through the
+ambient obs tracer (a zero-width ``sanitizer.violation`` span) and
+raise :class:`SanitizerError` unless the mode is ``warn``.  All checks are read-only recomputations: a
 sanitized run is slower but produces byte-identical schedules, figures
 and traces (modulo the sanitizer's own spans).
 
@@ -47,8 +46,7 @@ from repro import knobs
 from repro.cycles.horton import ShortCycleSpan
 from repro.geometry.delaunay import Triangle, incircle_exact, orient2d_exact
 from repro.network.node import Position
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import current_metrics, current_tracer
+from repro.obs.tracer import current_tracer
 
 
 class SanitizerError(AssertionError):
@@ -106,48 +104,6 @@ def oracle_deletable(graph: Any, v: int, tau: int) -> bool:
     return ShortCycleSpan(view, tau, use_csr=False).spans_cycle_space()
 
 
-def check_merge_associativity(
-    payloads: Sequence[Sequence[Any]],
-) -> Optional[str]:
-    """Re-associate a metrics merge; ``None`` if both groupings agree.
-
-    ``payloads`` are :meth:`MetricsRegistry.to_payload` snapshots in
-    submission order.  Folding left ``((a + b) + c)`` and folding right
-    ``(a + (b + c))`` must produce identical registries — counters and
-    histogram concatenations are associative, gauges resolve
-    last-write-wins under either grouping because submission order is
-    preserved.  Returns a description of the first differing metric
-    otherwise.
-    """
-    registries: List[MetricsRegistry] = []
-    for rows in payloads:
-        reg = MetricsRegistry()
-        reg.merge_payload(list(rows))
-        registries.append(reg)
-    if len(registries) < 2:
-        return None
-    left = MetricsRegistry()
-    for reg in registries:
-        left.merge(reg)
-    right = MetricsRegistry()
-    for reg in reversed(registries):
-        flipped = MetricsRegistry()
-        flipped.merge(reg)
-        flipped.merge(right)
-        right = flipped
-    left_dict, right_dict = left.as_dict(), right.as_dict()
-    if left_dict == right_dict:
-        return None
-    names = sorted(set(left_dict) | set(right_dict))
-    for name in names:
-        if left_dict.get(name) != right_dict.get(name):
-            return (
-                f"metric {name!r}: left-fold {left_dict.get(name)!r} != "
-                f"right-fold {right_dict.get(name)!r}"
-            )
-    return "registries differ"  # pragma: no cover - defensive
-
-
 # ----------------------------------------------------------------------
 # The sanitizer itself
 # ----------------------------------------------------------------------
@@ -170,18 +126,12 @@ class Sanitizer:
     # -- accounting ----------------------------------------------------
     def _count(self, kind: str) -> None:
         self.checks[kind] = self.checks.get(kind, 0) + 1
-        metrics = current_metrics()
-        if metrics is not None:
-            metrics.inc(f"sanitizer.checks.{kind}")
 
     def _violate(self, kind: str, **detail: Any) -> None:
         violation = Violation(kind, detail)
         self.violations.append(violation)
         tracer = current_tracer()
         tracer.add_span("sanitizer.violation", 0.0, kind=kind, **detail)
-        metrics = current_metrics()
-        if metrics is not None:
-            metrics.inc("sanitizer.violations")
         if self.mode == "raise":
             raise SanitizerError(repr(violation))
 
@@ -310,17 +260,6 @@ class Sanitizer:
                 expected=2 * distinct - 2 - hull,
             )
 
-    def check_merge(self, payloads: Sequence[Sequence[Any]]) -> None:
-        """Associativity of a live parallel metrics merge (>= 3 parts)."""
-        if len(payloads) < 3:
-            return
-        self._count("merge_associativity")
-        mismatch = check_merge_associativity(payloads)
-        if mismatch is not None:
-            self._violate(
-                "merge-associativity", parts=len(payloads), mismatch=mismatch
-            )
-
     # -- pool workers -------------------------------------------------
     def mark(self) -> Tuple[Dict[str, int], int]:
         """A snapshot of the account, for :meth:`since`."""
@@ -343,10 +282,10 @@ class Sanitizer:
     ) -> None:
         """Fold in a pool task's account (:meth:`since` in the worker).
 
-        Only the counts and the violation list move: the task's spans and
-        ``sanitizer.*`` metrics already ship with its observation, so
-        nothing is recorded twice.  A violation raises here in ``raise``
-        mode, as it would have in the worker.
+        Only the counts and the violation list move: the task's spans
+        already ship with its observation, so nothing is recorded twice.
+        A violation raises here in ``raise`` mode, as it would have in
+        the worker.
         """
         for kind, count in checks.items():
             self.checks[kind] = self.checks.get(kind, 0) + count

@@ -9,11 +9,11 @@ Examples::
     repro-coverage all
     python -m repro.cli fig6
 
-Every invocation runs under an enabled tracer and metrics registry (the
-per-figure timing printed after each table is the figure's recorded
-span, so it always agrees with ``--report``); ``--trace`` / ``--report``
-/ ``--profile`` / ``--timeline`` export the observation in the formats
-of :mod:`repro.obs.export` and :mod:`repro.obs.timeline`.
+Every invocation runs under an enabled tracer (the per-figure timing
+printed after each table is the figure's recorded span, so it always
+agrees with ``--report``); ``--trace`` / ``--report`` / ``--profile`` /
+``--timeline`` export its spans in the formats of
+:mod:`repro.obs.export` and :mod:`repro.obs.timeline`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.analysis.experiments import (
     run_fig7_trace,
 )
 from repro.obs import (
-    MetricsRegistry,
     Tracer,
     attribution_from_tracer,
     attribution_summary,
@@ -178,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "write a schema-versioned run-report (repro.run_report/v1) "
-            "with per-phase wall times and merged metrics"
+            "with per-phase wall times and the metrics derived from the "
+            "same spans"
         ),
     )
     parser.add_argument(
@@ -211,9 +211,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     names = sorted(_COMMANDS) if args.experiment == "all" else [args.experiment]
     sanitizer = current_sanitizer()
+    # The report counts this run's checks only, not the process's.
+    mark = sanitizer.mark() if sanitizer is not None else ({}, 0)
     tracer = Tracer()
-    metrics = MetricsRegistry()
-    with observe(tracer, metrics):
+    with observe(tracer):
         for name in names:
             with tracer.trace(f"figure.{name}", experiment=name):
                 output = _COMMANDS[name](args)
@@ -235,7 +236,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.attribute:
         attribution = attribution_from_tracer(tracer)
         if attribution is not None:
-            metrics.absorb_attribution(attribution)
             print(attribution_summary(attribution))
         else:
             print("attribution: no scheduling rounds recorded")
@@ -243,7 +243,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         report = build_run_report(
             f"repro-coverage:{args.experiment}",
             tracer,
-            metrics,
             meta={
                 "experiment": args.experiment,
                 "figures": names,
@@ -255,6 +254,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "workers": args.workers,
             },
             attribution=attribution,
+            sanitizer=sanitizer.since(mark) if sanitizer is not None else None,
         )
         validate_run_report(report)
         write_run_report(report, args.report)

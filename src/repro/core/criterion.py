@@ -150,15 +150,14 @@ def find_cycle_partition(
 
     Returns a list of cycles of length at most ``tau`` whose GF(2) sum
     equals the boundary sum, or ``None`` when the boundary is not
-    tau-partitionable.  This materialises all capped Horton candidates and
-    solves a full linear system, so it is intended for reporting and tests
-    on small graphs; scheduling only ever needs the boolean test.
+    tau-partitionable.  A boundary that is not a cycle of ``graph`` raises,
+    as in :func:`boundary_edge_sum`.  This materialises all capped Horton
+    candidates and solves a full linear system, so it is intended for
+    reporting and tests on small graphs; scheduling only ever needs the
+    boolean test.
     """
+    target_edges = boundary_edge_sum(boundary_cycles, graph)
     index = EdgeIndex.from_graph(graph)
-    target_edges = boundary_edge_sum(boundary_cycles)
-    for u, v in target_edges:
-        if not graph.has_edge(u, v):
-            return None
     target_mask = index.mask_of_edges(target_edges)
     candidates = horton_candidate_cycles(graph, max_length=tau)
     candidates.sort(key=len)
@@ -175,11 +174,16 @@ def partition_is_valid(
     partition: Sequence[Cycle],
     tau: int,
 ) -> bool:
-    """Verify that ``partition`` really is a tau-bounded cycle partition."""
+    """Verify that ``partition`` really is a tau-bounded cycle partition.
+
+    A boundary that is not a cycle of ``graph`` raises, as in
+    :func:`boundary_edge_sum`.
+    """
+    target_edges = boundary_edge_sum(boundary_cycles, graph)
     if any(cycle.length > tau for cycle in partition):
         return False
     index = EdgeIndex.from_graph(graph)
-    target = index.mask_of_edges(boundary_edge_sum(boundary_cycles))
+    target = index.mask_of_edges(target_edges)
     total = 0
     for cycle in partition:
         total ^= index.mask_of_vertex_cycle(cycle.vertices)

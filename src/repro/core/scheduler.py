@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.core.criterion import VertexCycle, is_tau_partitionable
@@ -94,12 +93,13 @@ def dcc_schedule(
     run is always a single in-process loop, so any ``workers`` other
     than ``1`` without ``shards=`` raises :class:`ValueError`.
 
-    The run is observed by the ambient pair
-    (:func:`repro.obs.tracer.observe`); a run with both disabled pays
-    only the null-tracer guards.  When observed, every round records a
+    The run is observed by the ambient tracer
+    (:func:`repro.obs.tracer.observe`); an untraced run pays only the
+    null-tracer guards.  When traced, every round records a
     ``scheduler.round`` span with nested candidate-discovery, MIS-draw
-    and deletion phases, and the engine's counter delta is absorbed into
-    the registry under ``topology.*``.
+    and deletion phases; the round span carries the round's
+    :class:`TopologyCounters` delta as attributes, which the run-report
+    sums into its ``topology.*`` metrics.
     """
     rng = rng if rng is not None else random.Random(seed)
     if shards is None and workers != 1:
@@ -135,16 +135,18 @@ def _dcc_schedule_rounds(
     rng: random.Random,
 ) -> ScheduleResult:
     tracer = engine.tracer
-    metrics = engine.metrics
+    counters = engine.counters
     removed: List[int] = []
     deletions_per_round: List[int] = []
     separation = mis_separation(tau)
-    counters_before = engine.counters.as_dict() if metrics is not None else None
     round_no = 0
 
     while True:
-        round_start = perf_counter()
-        with tracer.trace("scheduler.round", round=round_no, mode="parallel"):
+        with tracer.trace(
+            "scheduler.round", round=round_no, mode="parallel"
+        ) as round_span:
+            if tracer.enabled:
+                before = counters.as_dict()
             # Lazy MIS: one random priority order over the internal
             # vertices; a vertex blocked by an earlier winner skips the
             # deletability test entirely.  A blocked vertex can never be
@@ -171,37 +173,22 @@ def _dcc_schedule_rounds(
                         batch.append(v)
                         blocked |= engine.ball(v, separation - 1)
                 draw.set(winners=len(batch))
-            if not batch:
-                break
-            with tracer.trace(
-                "scheduler.deletion", round=round_no, deletions=len(batch)
-            ):
-                for v in batch:
-                    engine.delete_vertex(v)
-                    removed.append(v)
-            deletions_per_round.append(len(batch))
-        if metrics is not None:
-            metrics.observe(
-                "scheduler.round_wall_s",
-                perf_counter() - round_start,
-                volatile=True,
-            )
-            metrics.observe("scheduler.deletions_per_round", len(batch))
+            if batch:
+                with tracer.trace(
+                    "scheduler.deletion", round=round_no, deletions=len(batch)
+                ):
+                    for v in batch:
+                        engine.delete_vertex(v)
+                        removed.append(v)
+            if tracer.enabled:
+                # The round's engine work, for the run-report's
+                # ``topology.*`` counters.
+                after = counters.as_dict()
+                round_span.set(**{k: after[k] - before[k] for k in after})
+        if not batch:
+            break
+        deletions_per_round.append(len(batch))
         round_no += 1
-
-    if metrics is not None:
-        metrics.inc("scheduler.runs")
-        metrics.inc("scheduler.rounds", len(deletions_per_round))
-        metrics.inc("scheduler.deletions", len(removed))
-        after = engine.counters.as_dict()
-        metrics.absorb_topology(
-            TopologyCounters(
-                **{
-                    name: after[name] - counters_before[name]
-                    for name in after
-                }
-            )
-        )
 
     return ScheduleResult(
         active=work,

@@ -1,16 +1,16 @@
-"""Observability: structured tracing, a metrics registry, run-reports.
+"""Observability: structured tracing and the exports built on it.
 
 ``TopologyCounters`` and ``RuntimeStats`` *count* the repo's work;
 this subpackage records *when and where* that work happens and exports
-it machine-readably:
+it machine-readably.  The tracer is a run's one recorder: every export,
+the run-report's metrics included, is derived from its spans.
 
 * :mod:`repro.obs.tracer` — ring-buffered span tracer with a no-op null
   tracer as the universal default and an ambient-observer context
   (:func:`observe` / :func:`current_tracer`).
-* :mod:`repro.obs.metrics` — named counters/gauges/histograms that
-  absorb the existing accounting objects and merge associatively.
 * :mod:`repro.obs.export` — JSONL traces, schema-versioned deterministic
-  run-reports (``repro.run_report/v1``) and the ``--profile`` tree.
+  run-reports (``repro.run_report/v1``, metrics derived from the spans)
+  and the ``--profile`` tree.
 * :mod:`repro.obs.attribution` — distributed wall-clock attribution
   (``repro.attribution/v1``): per-round compute / barrier-wait / halo /
   merge lanes over the aligned cross-process span timeline.
@@ -38,29 +38,24 @@ from repro.obs.export import (
     phase_aggregates,
     profile_summary,
     read_trace_jsonl,
+    span_metrics,
     strip_volatile,
     validate_run_report,
     write_run_report,
     write_trace_jsonl,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.timeline import render_lane_timeline, render_timeline
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
     Span,
     Tracer,
-    current_metrics,
     current_tracer,
     observe,
 )
 
 __all__ = [
     "ATTRIBUTION_SCHEMA",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "RUN_REPORT_SCHEMA",
@@ -73,13 +68,13 @@ __all__ = [
     "attribution_from_tracer",
     "attribution_summary",
     "build_run_report",
-    "current_metrics",
     "current_tracer",
     "load_run_report",
     "observe",
     "phase_aggregates",
     "profile_summary",
     "read_trace_jsonl",
+    "span_metrics",
     "render_lane_timeline",
     "render_timeline",
     "strip_volatile",

@@ -53,14 +53,42 @@ LANES = ("compute_s", "barrier_wait_s", "halo_s", "merge_s")
 _SUMMARY_MAX_ROUNDS = 40
 
 
-def _new_lanes() -> Dict[str, float]:
-    return {lane: 0.0 for lane in LANES}
+def _new_totals() -> Dict[str, float]:
+    return dict.fromkeys(LANES + ("wall_s",), 0.0)
 
 
 def _accumulate(total: Dict[str, float], part: Dict[str, Any]) -> None:
     for lane in LANES:
         total[lane] += part[lane]
     total["wall_s"] += part["wall_s"]
+
+
+def _run(
+    mode: str,
+    shards: int,
+    workers: int,
+    rounds: List[Dict[str, Any]],
+    deleting: Set[int],
+    per_shard: List[Dict[str, Any]],
+    span_import_s: float,
+) -> Dict[str, Any]:
+    """One schedule's attribution entry; its totals sum the rounds."""
+    totals = _new_totals()
+    for row in rounds:
+        _accumulate(totals, row)
+    return {
+        "mode": mode,
+        "shards": shards,
+        "workers": workers,
+        "rounds": rounds,
+        "deletion_rounds": len(deleting),
+        "totals": totals,
+        "per_shard": per_shard,
+        # Partitions ship pickled, so no worker attaches shared memory;
+        # the key stays (at zero) for consumers of the attribution block.
+        "setup": {"shm_attach_s": 0.0, "span_import_s": span_import_s},
+        "critical_path_s": totals["compute_s"],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -75,9 +103,7 @@ def _split_sharded(spans: Sequence[Any]) -> List[List[Any]]:
     consecutive ``shard.config`` records holds everything the run
     produced.
     """
-    marks = [
-        i for i, span in enumerate(spans) if span.name == "shard.config"
-    ]
+    marks = [i for i, span in enumerate(spans) if span.name == "shard.config"]
     if not marks:
         return []
     bounds = marks + [len(spans)]
@@ -132,9 +158,6 @@ def _attribute_sharded(segment: Sequence[Any]) -> Dict[str, Any]:
     per_shard_busy = {s: 0.0 for s in range(shard_count)}
     per_shard_subrounds = {s: 0 for s in range(shard_count)}
     rounds: List[Dict[str, Any]] = []
-    totals = _new_lanes()
-    totals["wall_s"] = 0.0
-
     for rnd in sorted(round_wall):
         wall = round_wall[rnd]
         barrier_s = sum(barrier.get(rnd, {}).values())
@@ -175,31 +198,19 @@ def _attribute_sharded(segment: Sequence[Any]) -> Dict[str, Any]:
         # Exactness: barrier splits into compute + wait, so the four
         # lanes cover the round wall (up to the merge-lane clamp).
         rounds.append(row)
-        _accumulate(totals, row)
 
-    return {
-        "mode": "sharded",
-        "shards": shard_count,
-        "workers": int(config.get("workers", 1)),
-        "rounds": rounds,
-        "deletion_rounds": len(deleting),
-        "totals": totals,
-        "per_shard": [
-            {
-                "shard": s,
-                "busy_s": per_shard_busy.get(s, 0.0),
-                "subrounds": per_shard_subrounds.get(s, 0),
-            }
-            for s in range(shard_count)
-        ],
-        # Partitions ship pickled, so no worker attaches shared memory;
-        # the key stays (at zero) for consumers of the attribution block.
-        "setup": {
-            "shm_attach_s": 0.0,
-            "span_import_s": span_import_s,
-        },
-        "critical_path_s": totals["compute_s"],
-    }
+    per_shard = [
+        {
+            "shard": s,
+            "busy_s": per_shard_busy.get(s, 0.0),
+            "subrounds": per_shard_subrounds.get(s, 0),
+        }
+        for s in range(shard_count)
+    ]
+    workers = int(config.get("workers", 1))
+    return _run(
+        "sharded", shard_count, workers, rounds, deleting, per_shard, span_import_s
+    )
 
 
 # ----------------------------------------------------------------------
@@ -251,8 +262,6 @@ def _attribute_unsharded(segment: Sequence[Any]) -> Optional[Dict[str, Any]]:
     if not round_wall:
         return None
     rounds: List[Dict[str, Any]] = []
-    totals = _new_lanes()
-    totals["wall_s"] = 0.0
     for rnd in sorted(round_wall):
         wall = round_wall[rnd]
         compute = phase_s.get(rnd, 0.0)
@@ -269,18 +278,7 @@ def _attribute_unsharded(segment: Sequence[Any]) -> Optional[Dict[str, Any]]:
             "straggler_spread_s": 0.0,
         }
         rounds.append(row)
-        _accumulate(totals, row)
-    return {
-        "mode": "parallel",
-        "shards": 1,
-        "workers": 1,
-        "rounds": rounds,
-        "deletion_rounds": len(deleting),
-        "totals": totals,
-        "per_shard": [],
-        "setup": {"shm_attach_s": 0.0, "span_import_s": 0.0},
-        "critical_path_s": totals["compute_s"],
-    }
+    return _run("parallel", 1, 1, rounds, deleting, [], 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -306,8 +304,7 @@ def attribute_spans(spans: Sequence[Any]) -> Optional[Dict[str, Any]]:
         ]
     if not runs:
         return None
-    totals = _new_lanes()
-    totals["wall_s"] = 0.0
+    totals = _new_totals()
     round_count = 0
     for run in runs:
         _accumulate(totals, run["totals"])
@@ -329,64 +326,49 @@ def attribution_from_tracer(tracer: Any) -> Optional[Dict[str, Any]]:
 
 
 def _pct(part: float, whole: float) -> str:
-    if whole <= 0.0:
-        return "  0.0%"
-    return f"{100.0 * part / whole:5.1f}%"
+    return f"{100.0 * part / whole:.1f}%" if whole > 0.0 else "0.0%"
+
+
+#: ``(label, lane)`` of the summary's total line
+_SUMMARY_LANES = (
+    ("compute", "compute_s"),
+    ("barrier-wait", "barrier_wait_s"),
+    ("halo", "halo_s"),
+    ("merge", "merge_s"),
+)
 
 
 def attribution_summary(attribution: Dict[str, Any]) -> str:
     """Human-readable attribution table (the ``--attribute`` output)."""
-    lines: List[str] = []
     totals = attribution["totals"]
-    lines.append(
-        f"wall-clock attribution ({attribution['schema']}, "
-        f"mode={attribution['mode']}, rounds={totals['rounds']})"
-    )
     wall = totals["wall_s"]
-    lines.append(
-        "  total %.4fs = compute %.4fs (%s) + barrier-wait %.4fs (%s) "
-        "+ halo %.4fs (%s) + merge %.4fs (%s)"
-        % (
-            wall,
-            totals["compute_s"],
-            _pct(totals["compute_s"], wall).strip(),
-            totals["barrier_wait_s"],
-            _pct(totals["barrier_wait_s"], wall).strip(),
-            totals["halo_s"],
-            _pct(totals["halo_s"], wall).strip(),
-            totals["merge_s"],
-            _pct(totals["merge_s"], wall).strip(),
-        )
+    lanes = " + ".join(
+        f"{label} {totals[lane]:.4f}s ({_pct(totals[lane], wall)})"
+        for label, lane in _SUMMARY_LANES
     )
+    lines = [
+        f"wall-clock attribution ({attribution['schema']}, "
+        f"mode={attribution['mode']}, rounds={totals['rounds']})",
+        f"  total {wall:.4f}s = {lanes}",
+    ]
     for index, run in enumerate(attribution["runs"]):
-        run_totals = run["totals"]
         lines.append(
             f"  run {index}: {len(run['rounds'])} round(s), "
             f"{run['deletion_rounds']} deleting; {run['shards']} shard(s) x "
-            f"{run['workers']} worker(s), wall {run_totals['wall_s']:.4f}s, "
+            f"{run['workers']} worker(s), wall {run['totals']['wall_s']:.4f}s, "
             f"critical path {run['critical_path_s']:.4f}s"
         )
-        header = (
+        lines.append(
             "    round     wall  compute     wait     halo    merge  "
             "sub   spread  halo rows/bytes"
         )
-        lines.append(header)
         shown = run["rounds"][:_SUMMARY_MAX_ROUNDS]
         for row in shown:
+            times = " ".join(f"{row[key]:8.4f}" for key in ("wall_s",) + LANES)
             lines.append(
-                "    %5d %8.4f %8.4f %8.4f %8.4f %8.4f  %3d %8.4f  %d/%d"
-                % (
-                    row["round"],
-                    row["wall_s"],
-                    row["compute_s"],
-                    row["barrier_wait_s"],
-                    row["halo_s"],
-                    row["merge_s"],
-                    row["subrounds"],
-                    row["straggler_spread_s"],
-                    row["halo_rows"],
-                    row["halo_bytes"],
-                )
+                f"    {row['round']:5d} {times}  {row['subrounds']:3d} "
+                f"{row['straggler_spread_s']:8.4f}  "
+                f"{row['halo_rows']}/{row['halo_bytes']}"
             )
         hidden = len(run["rounds"]) - len(shown)
         if hidden > 0:
@@ -398,8 +380,5 @@ def attribution_summary(attribution: Dict[str, Any]) -> str:
                 for entry in run["per_shard"]
             )
             lines.append(f"    per-shard busy: {busy}")
-        setup = run["setup"]
-        lines.append(
-            "    setup: span import %.4fs" % setup["span_import_s"]
-        )
+        lines.append(f"    setup: span import {run['setup']['span_import_s']:.4f}s")
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Trace/metrics export: JSONL traces, run-reports, profile trees.
+"""Trace export: JSONL traces, run-reports, profile trees.
 
 Three consumers, one span stream:
 
@@ -6,9 +6,10 @@ Three consumers, one span stream:
   headed by a schema line (machine processing, flame tooling).
 * :func:`build_run_report` — a deterministic, schema-versioned JSON
   document combining per-phase time aggregates with the metrics
-  registry.  :func:`strip_volatile` removes every wall-clock field so
-  reports from runs at different worker counts (or on different
-  machines) can be compared for determinism.
+  derived from the same spans (:func:`span_metrics`).
+  :func:`strip_volatile` removes every wall-clock field so reports from
+  runs at different worker counts (or on different machines) can be
+  compared for determinism.
 * :func:`profile_summary` — a human-readable tree (per-phase
   inclusive/exclusive wall time, call counts, top-N hottest spans).
 
@@ -24,6 +25,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.obs.attribution import ATTRIBUTION_SCHEMA, LANES
 from repro.obs.tracer import Span, Tracer
 
 RUN_REPORT_SCHEMA = "repro.run_report/v1"
@@ -34,6 +36,13 @@ TRACE_SCHEMA = "repro.trace/v1"
 #: comparisons.
 VOLATILE_META_KEYS = frozenset(
     {"wall_s", "cpu_s", "workers", "cpu_count", "hostname", "created", "python"}
+)
+
+#: the :class:`~repro.topology.TopologyCounters` fields whose per-round
+#: deltas each ``scheduler.round`` span of a traced schedule carries
+ROUND_COUNTERS = (
+    "deletability_queries", "deletability_cache_hits", "deletability_tests",
+    "span_computations", "ball_computations", "bfs_expansions", "invalidations",
 )
 
 #: ``profile_summary``: phase-tree depth shown, and hottest spans listed
@@ -79,6 +88,91 @@ def phase_aggregates(spans: Sequence[Span]) -> Dict[str, Dict[str, Any]]:
 
 
 # ----------------------------------------------------------------------
+# Metrics derived from the spans
+# ----------------------------------------------------------------------
+def _histogram(values: List[Any], volatile: bool) -> Dict[str, Any]:
+    """Count, total, extremes, mean and nearest-rank percentiles."""
+    out: Dict[str, Any] = {"type": "histogram", "count": len(values), "volatile": volatile}
+    if values:
+        total = sum(values)
+        ordered = sorted(values)
+        last = len(ordered) - 1
+        out.update(total=total, min=ordered[0], max=ordered[-1], mean=total / len(values))
+        for q in (50, 90, 99):
+            out[f"p{q}"] = ordered[max(0, min(last, round(q / 100.0 * last)))]
+    return out
+
+
+def span_metrics(
+    spans: Sequence[Span],
+    attribution: Optional[Dict[str, Any]] = None,
+    sanitizer: Optional[Tuple[Dict[str, int], Sequence[Any]]] = None,
+) -> Dict[str, Dict[str, Any]]:
+    """The run-report's ``metrics`` block, read off what the run recorded.
+
+    ``engine.verdict`` spans time the fresh verdicts.
+    ``scheduler.deletion`` spans count the deleting rounds and their
+    deletions.  ``scheduler.round`` spans count the runs (one round 0
+    each), time the rounds that deleted (whose last child is the
+    deletion) and carry the :data:`ROUND_COUNTERS` deltas summed into
+    ``topology.*`` (zeros omitted).  ``runtime.round`` spans give the
+    simulator's per-round message counts.  ``attribution`` adds its lane
+    totals and ``sanitizer``, a :meth:`repro.checks.Sanitizer.since`
+    account, its check and violation counts.  Wall-clock histograms are
+    ``volatile``.  Like ``phases``, the block is exact only while the
+    ring buffer dropped nothing.
+    """
+    counters: Dict[str, int] = {}
+    histograms: Dict[str, Tuple[List[Any], bool]] = {}
+
+    def observe(name: str, value: Any, volatile: bool = False) -> None:
+        histograms.setdefault(name, ([], volatile))[0].append(value)
+
+    runs = 0
+    previous: Optional[Span] = None
+    for span in spans:
+        name, attrs = span.name, span.attrs
+        if name == "engine.verdict":
+            observe("engine.verdict_wall_s", span.wall_s, volatile=True)
+        elif name == "scheduler.deletion":
+            observe("scheduler.deletions_per_round", attrs["deletions"])
+        elif name == "scheduler.round":
+            if attrs.get("round") == 0:
+                runs += 1
+            if previous is not None and previous.name == "scheduler.deletion":
+                observe("scheduler.round_wall_s", span.wall_s, volatile=True)
+            for key in ROUND_COUNTERS:
+                if attrs.get(key):
+                    counters["topology." + key] = counters.get("topology." + key, 0) + attrs[key]
+        elif name == "runtime.round":
+            observe("runtime.messages_per_round", attrs["messages"])
+            observe("runtime.delivered_per_round", attrs["delivered"])
+        previous = span
+    if runs:
+        deletions = histograms.get("scheduler.deletions_per_round", ([], False))[0]
+        counters["scheduler.runs"] = runs
+        counters["scheduler.rounds"] = len(deletions)
+        counters["scheduler.deletions"] = sum(deletions)
+    if attribution is not None:
+        totals = attribution["totals"]
+        for lane in ("wall_s",) + LANES:
+            observe("attribution." + lane, totals[lane], volatile=True)
+        counters["attribution.rounds"] = totals["rounds"]
+    if sanitizer is not None:
+        checks, violations = sanitizer
+        for kind, amount in checks.items():
+            counters[f"sanitizer.checks.{kind}"] = amount
+        if violations:
+            counters["sanitizer.violations"] = len(violations)
+    out: Dict[str, Dict[str, Any]] = {
+        name: {"type": "counter", "value": value} for name, value in counters.items()
+    }
+    for name, (values, volatile) in histograms.items():
+        out[name] = _histogram(values, volatile)
+    return {name: out[name] for name in sorted(out)}
+
+
+# ----------------------------------------------------------------------
 # JSONL trace export
 # ----------------------------------------------------------------------
 def write_trace_jsonl(tracer: Tracer, path: str) -> int:
@@ -99,9 +193,8 @@ def write_trace_jsonl(tracer: Tracer, path: str) -> int:
         )
         for span in spans:
             record = span.as_dict()
-            record["start_s"] = round(record["start_s"], 6)
-            record["wall_s"] = round(record["wall_s"], 6)
-            record["cpu_s"] = round(record["cpu_s"], 6)
+            for key in ("start_s", "wall_s", "cpu_s"):
+                record[key] = round(record[key], 6)
             handle.write(json.dumps(record, sort_keys=True) + "\n")
     return len(spans)
 
@@ -121,12 +214,15 @@ def read_trace_jsonl(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
 def build_run_report(
     name: str,
     tracer: Tracer,
-    metrics: Optional[Any] = None,
     meta: Optional[Dict[str, Any]] = None,
     attribution: Optional[Dict[str, Any]] = None,
+    sanitizer: Optional[Tuple[Dict[str, int], Sequence[Any]]] = None,
 ) -> Dict[str, Any]:
     """A schema-versioned report of one run: phases + metrics + meta.
 
+    ``phases`` and ``metrics`` both come from the tracer's spans
+    (:func:`phase_aggregates`, :func:`span_metrics`); the metrics also
+    summarise ``attribution`` and the ``sanitizer`` account when given.
     ``attribution`` (a ``repro.attribution/v1`` document from
     :func:`repro.obs.attribution.attribute_spans`) is attached under an
     ``attribution`` key only when provided, so reports without the
@@ -135,12 +231,13 @@ def build_run_report(
     Deterministic at fixed seeds apart from wall/cpu fields and the
     volatile ``meta`` keys — see :func:`strip_volatile`.
     """
+    spans = tracer.spans()
     report = {
         "schema": RUN_REPORT_SCHEMA,
         "name": name,
         "meta": dict(meta) if meta else {},
-        "phases": phase_aggregates(tracer.spans()),
-        "metrics": metrics.as_dict() if metrics is not None else {},
+        "phases": phase_aggregates(spans),
+        "metrics": span_metrics(spans, attribution, sanitizer),
         "spans_dropped": tracer.dropped,
     }
     if attribution is not None:
@@ -205,8 +302,6 @@ def validate_run_report(report: Dict[str, Any]) -> None:
         attribution = report["attribution"]
         if not isinstance(attribution, dict):
             raise SchemaError("attribution must be an object")
-        from repro.obs.attribution import ATTRIBUTION_SCHEMA
-
         if attribution.get("schema") != ATTRIBUTION_SCHEMA:
             raise SchemaError(
                 "attribution schema must be "
@@ -241,11 +336,7 @@ def strip_volatile(report: Dict[str, Any]) -> Dict[str, Any]:
     metrics = out.get("metrics", {})
     for name, metric in metrics.items():
         if metric.get("type") == "histogram" and metric.get("volatile"):
-            metrics[name] = {
-                "type": "histogram",
-                "count": metric["count"],
-                "volatile": True,
-            }
+            metrics[name] = {"type": "histogram", "count": metric["count"], "volatile": True}
     if "attribution" in out:
         out["attribution"] = _strip_timing(out["attribution"])
     return out
@@ -276,19 +367,13 @@ def _strip_timing(value: Any) -> Any:
 def _build_tree(spans: Sequence[Span]) -> List[Dict[str, Any]]:
     """Reconstruct the nesting forest from the exit-ordered stream."""
     pending: Dict[int, List[Dict[str, Any]]] = {}
-    min_depth = None
     for span in spans:
         node = {
             "name": span.name,
             "wall_s": span.wall_s,
-            "cpu_s": span.cpu_s,
             "children": pending.pop(span.depth + 1, []),
         }
         pending.setdefault(span.depth, []).append(node)
-        if min_depth is None or span.depth < min_depth:
-            min_depth = span.depth
-    if min_depth is None:
-        return []
     # Orphans deeper than the shallowest recorded depth (open parents,
     # ring-dropped heads) are promoted to roots rather than lost.
     roots: List[Dict[str, Any]] = []

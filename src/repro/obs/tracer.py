@@ -13,12 +13,14 @@ when tracing is off.  Coarse sites (one span per scheduling round, per
 figure) may call :meth:`Tracer.trace` unconditionally — the
 null tracer hands back a shared no-op context manager.
 
-An *ambient* tracer/metrics pair can be installed with :func:`observe`;
-:func:`current_tracer` / :func:`current_metrics` are the only way any
-layer (the engine, the schedulers, the simulator, the fan-out runner)
-picks one up.  The ambient slot is process-global: worker
-processes of the parallel layer start with the null tracer and install
-their own capture-local observers (see :mod:`repro.parallel.runner`).
+An *ambient* tracer can be installed with :func:`observe`;
+:func:`current_tracer` is the only way any layer (the engine, the
+schedulers, the simulator, the fan-out runner) picks one up.  The
+tracer is the run's one recorder: a run-report's metrics are derived
+from its spans (:func:`repro.obs.export.build_run_report`).  The
+ambient slot is process-global: worker processes of the parallel layer
+start with the null tracer and install their own capture-local tracers
+(see :mod:`repro.parallel.runner`).
 
 Determinism contract: span *names, attributes, nesting and order* are
 deterministic functions of the computation at a fixed seed; only the
@@ -152,18 +154,7 @@ class Tracer:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._buf: List[Span] = []
-        self._next = 0
-        self.dropped = 0
-        self._depth = 0
-        self._epoch = time.perf_counter()
-        # The wall-clock instant matching self._epoch: span start offsets
-        # map onto one shared timeline as epoch_unix + start_s, which is
-        # how cross-process payloads align at import time.  Wall clock is
-        # volatile by the determinism contract: only repro/obs/ reads it,
-        # and CI's byte-diff of two example runs shows no output
-        # depends on it.
-        self._epoch_unix = time.time()
+        self.clear()
 
     # ------------------------------------------------------------------
     @property
@@ -214,11 +205,18 @@ class Tracer:
         return self._buf[self._next - 1]
 
     def clear(self) -> None:
-        self._buf = []
+        """Drop every span and restart the clock."""
+        self._buf: List[Span] = []
         self._next = 0
         self.dropped = 0
         self._depth = 0
         self._epoch = time.perf_counter()
+        # The wall-clock instant matching self._epoch: span start offsets
+        # map onto one shared timeline as epoch_unix + start_s, which is
+        # how cross-process payloads align at import time.  Wall clock is
+        # volatile by the determinism contract: only repro/obs/ reads it,
+        # and CI's byte-diff of two example runs shows no output
+        # depends on it.
         self._epoch_unix = time.time()
 
     # ------------------------------------------------------------------
@@ -325,7 +323,6 @@ NULL_TRACER = NullTracer()
 # Ambient observation (process-global; workers install their own)
 # ----------------------------------------------------------------------
 _CURRENT_TRACER: Any = NULL_TRACER
-_CURRENT_METRICS: Any = None
 
 
 def current_tracer() -> Any:
@@ -333,54 +330,44 @@ def current_tracer() -> Any:
     return _CURRENT_TRACER
 
 
-def current_metrics() -> Any:
-    """The ambient metrics registry, or ``None``."""
-    return _CURRENT_METRICS
-
-
 def reset_ambient() -> None:
-    """Reset the ambient observer slots to their import-time defaults.
+    """Reset the ambient tracer to the null tracer.
 
     Worker bootstraps call this so forked pool workers never observe
-    through a tracer/metrics pair inherited from the coordinator
-    (fork-inheritance hygiene): workers capture through
-    explicit task-local observers whose payloads merge back in
-    submission order.
+    through a tracer inherited from the coordinator (fork-inheritance
+    hygiene): workers capture through explicit task-local tracers whose
+    payloads merge back in submission order.
     """
-    global _CURRENT_TRACER, _CURRENT_METRICS
+    global _CURRENT_TRACER
     _CURRENT_TRACER = NULL_TRACER
-    _CURRENT_METRICS = None
 
 
 class _Observation:
-    """Context manager installing an ambient tracer/metrics pair."""
+    """Context manager installing an ambient tracer."""
 
-    __slots__ = ("tracer", "metrics", "_prev")
+    __slots__ = ("tracer", "_prev")
 
-    def __init__(self, tracer: Any, metrics: Any) -> None:
+    def __init__(self, tracer: Any) -> None:
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
 
     def __enter__(self) -> "_Observation":
-        global _CURRENT_TRACER, _CURRENT_METRICS
-        self._prev = (_CURRENT_TRACER, _CURRENT_METRICS)
+        global _CURRENT_TRACER
+        self._prev = _CURRENT_TRACER
         _CURRENT_TRACER = self.tracer
-        _CURRENT_METRICS = self.metrics
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        global _CURRENT_TRACER, _CURRENT_METRICS
-        _CURRENT_TRACER, _CURRENT_METRICS = self._prev
+        global _CURRENT_TRACER
+        _CURRENT_TRACER = self._prev
 
 
-def observe(tracer: Any = None, metrics: Any = None) -> _Observation:
-    """Install ``tracer``/``metrics`` as the ambient observers.
+def observe(tracer: Any = None) -> _Observation:
+    """Install ``tracer`` as the ambient observer.
 
     ::
 
-        tracer, registry = Tracer(), MetricsRegistry()
-        with observe(tracer, registry):
-            dcc_schedule(...)   # picks the pair up ambiently
+        tracer = Tracer()
+        with observe(tracer):
+            dcc_schedule(...)   # picks the tracer up ambiently
     """
-    return _Observation(tracer, metrics)
-
+    return _Observation(tracer)

@@ -21,14 +21,12 @@ of region shards.  Both follow one determinism contract:
   :class:`~repro.topology.TopologyCounters` deltas with their results;
   the caller merges them into its own counters, so instrumentation is a
   complete account of the run no matter where the work executed.
-* **Observations merge back the same way.**  When the ambient tracer is
-  enabled (or an ambient metrics registry is installed — see
-  :func:`repro.obs.tracer.observe`), every task runs under a fresh
-  capture-local :class:`~repro.obs.tracer.Tracer` and
-  :class:`~repro.obs.metrics.MetricsRegistry` whose contents ship back
-  with the result and merge in *submission order* — in both the
-  worker-pool path and the serial inline path, so a serial run and a
-  fanned-out run produce identical run-reports once the volatile
+* **Spans merge back the same way.**  When the ambient tracer is
+  enabled (see :func:`repro.obs.tracer.observe`), every task runs under
+  a fresh capture-local :class:`~repro.obs.tracer.Tracer` whose spans
+  ship back with the result and import in *submission order* — in both
+  the worker-pool path and the serial inline path, so a serial run and
+  a fanned-out run produce identical run-reports once the volatile
   wall-clock fields are stripped (DESIGN.md section 6).  A pool task's
   sanitizer checks and violations ship back too and fold into the
   caller's sanitizer in submission order, so ``REPRO_SANITIZE`` reports
@@ -56,14 +54,7 @@ from typing import (
 
 from repro import knobs
 from repro.checks.sanitizer import current_sanitizer
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import (
-    Tracer,
-    current_metrics,
-    current_tracer,
-    observe,
-    reset_ambient,
-)
+from repro.obs.tracer import Tracer, current_tracer, observe, reset_ambient
 
 
 # ----------------------------------------------------------------------
@@ -179,14 +170,13 @@ def chunk_evenly(items: Sequence[Any], chunks: int) -> List[Sequence[Any]]:
 
 def _observed_call(
     label: str, capture: bool, func: Callable[..., Any], *args: Any
-) -> Tuple[Any, Any, Any, Any]:
+) -> Tuple[Any, Any, Any]:
     """Run one task and return its result with what observed it.
 
-    With ``capture``, installs a per-task :class:`Tracer` /
-    :class:`MetricsRegistry` pair as the ambient observers for the
-    duration of the call and returns their picklable exports (``None``
-    each otherwise).  Used identically by the worker-pool and
-    serial-inline paths of :func:`parallel_starmap`, so what gets
+    With ``capture``, installs a per-task :class:`Tracer` as the ambient
+    observer for the duration of the call and returns its picklable
+    export (``None`` otherwise).  Used identically by the worker-pool
+    and serial-inline paths of :func:`parallel_starmap`, so what gets
     captured does not depend on where the task ran.  The spans ship as
     an aligned v2 payload labelled ``label`` (the submission index, e.g.
     ``task3``), so merged spans carry a deterministic ``proc`` attribute
@@ -203,16 +193,14 @@ def _observed_call(
     mark = sanitizer.mark() if sanitizer is not None else None
     if not capture:
         result = func(*args)
-        spans = rows = None
+        spans = None
     else:
         tracer = Tracer()
-        metrics = MetricsRegistry()
-        with observe(tracer, metrics):
+        with observe(tracer):
             result = func(*args)
         spans = tracer.export_payload(process=label)
-        rows = metrics.to_payload()
     account = sanitizer.since(mark) if sanitizer is not None else None
-    return result, spans, rows, account
+    return result, spans, account
 
 
 def parallel_starmap(
@@ -228,65 +216,47 @@ def parallel_starmap(
     from the first failing task in *submission* order; later tasks may
     already have run.
 
-    When the *caller's* ambient tracer is enabled (or an ambient metrics
-    registry is installed), every task is wrapped in
-    :func:`_observed_call`: its spans import under a ``fanout.task``
-    span and its metrics merge into the ambient registry, always in
-    submission order.  The serial inline path performs the identical
-    capture-and-merge, which is what makes run-reports worker-count
-    invariant modulo wall-clock fields.  Under an active sanitizer, each
-    pool task's checks and violations fold into this process's
-    sanitizer in submission order; inline tasks count here directly.
+    When the *caller's* ambient tracer is enabled, every task is wrapped
+    in :func:`_observed_call`: its spans import under a ``fanout.task``
+    span, always in submission order.  The serial inline path performs
+    the identical capture-and-import, which is what makes run-reports
+    worker-count invariant modulo wall-clock fields.  Under an active
+    sanitizer, each pool task's checks and violations fold into this
+    process's sanitizer in submission order; inline tasks count here
+    directly.
     """
     count = resolve_workers(workers)
     tracer = current_tracer()
-    metrics = current_metrics()
     sanitizer = current_sanitizer()
-    capture = tracer.enabled or metrics is not None
-    merged_rows: List[Any] = []
+    capture = tracer.enabled
 
-    def consume(
-        index: int, observed: Tuple[Any, Any, Any, Any], pooled: bool
-    ) -> Any:
-        result, spans, rows, account = observed
+    def consume(index: int, observed: Tuple[Any, Any, Any], pooled: bool) -> Any:
+        result, spans, account = observed
         if capture:
             with tracer.trace("fanout.task", task=index):
                 tracer.import_spans(spans)
-            if metrics is not None:
-                metrics.merge_payload(rows)
-                merged_rows.append(rows)
         if pooled and sanitizer is not None and account is not None:
             # An inline task already counted in this process's sanitizer.
             sanitizer.absorb(*account)
         return result
 
-    def check_merge() -> None:
-        # Shadow-oracle: re-associate the submission-order metrics merge
-        # and require the re-grouped registries to agree.
-        if sanitizer is not None:
-            sanitizer.check_merge(merged_rows)
-
     if count <= 1 or len(tasks) <= 1:
         if not capture:
             return [func(*task) for task in tasks]
-        results = [
+        return [
             consume(i, _observed_call(f"task{i}", True, func, *task), False)
             for i, task in enumerate(tasks)
         ]
-        check_merge()
-        return results
     with ProcessPoolExecutor(max_workers=count) as pool:
         futures = [
             pool.submit(_observed_call, f"task{i}", capture, func, *task)
             for i, task in enumerate(tasks)
         ]
         _chaos_wait(futures)
-        results = [
+        return [
             consume(i, future.result(), True)
             for i, future in enumerate(futures)
         ]
-        check_merge()
-        return results
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,7 @@ class _LocalView:
     deletability verdict is served by the engine's caches — it is only
     recomputed after a deletion inside the node's own k-ball, instead of
     once per protocol iteration.  The engine observes through the
-    ambient pair at construction.
+    ambient tracer at construction.
     """
 
     __slots__ = ("adjacency", "_engine")
@@ -100,9 +100,9 @@ class _LocalView:
 class DistributedDCC:
     """Runs the DCC protocol on a simulated network.
 
-    Observed by the ambient tracer and metrics registry captured at
-    construction (:func:`repro.obs.tracer.observe`); every node's view
-    engine observes through the same pair.
+    Observed by the ambient tracer captured at construction
+    (:func:`repro.obs.tracer.observe`); every node's view engine
+    observes through the same tracer.
     """
 
     def __init__(
@@ -115,9 +115,8 @@ class DistributedDCC:
         seed: int = 0,
     ) -> None:
         self.sim = Simulator(graph)
-        # Share the observers the simulator captured.
+        # Share the tracer the simulator captured.
         self.tracer = self.sim.tracer
-        self.metrics = self.sim.metrics
         self.protected = set(protected)
         missing = self.protected - graph.vertex_set()
         if missing:
@@ -158,10 +157,6 @@ class DistributedDCC:
                     self.sim.deactivate(winner)
                     self.views.pop(winner, None)
                 removed.extend(winners)
-        if self.metrics is not None:
-            self.metrics.inc("protocol.runs")
-            self.metrics.inc("protocol.deletions", len(removed))
-            self.metrics.absorb_runtime(self.sim.stats)
         return DistributedResult(
             # Result assembly: the surviving topology is collected for the
             # caller *after* the protocol fixpoint — no node decision
@@ -181,7 +176,7 @@ class DistributedDCC:
         k-hop neighbours (including those between two depth-k nodes).
         """
         sim = self.sim
-        with observe(self.tracer, self.metrics):
+        with observe(self.tracer):
             for node in sim.active:
                 view = _LocalView(self.tau, counters=self.counters)
                 # A radio hears its one-hop neighbours for free; this seeds

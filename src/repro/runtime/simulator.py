@@ -13,7 +13,7 @@ from time import perf_counter
 from typing import Dict, List, Set
 
 from repro.network.graph import NetworkGraph
-from repro.obs.tracer import current_metrics, current_tracer
+from repro.obs.tracer import current_tracer
 from repro.runtime.messages import Message
 from repro.runtime.stats import RuntimeStats
 
@@ -21,13 +21,12 @@ from repro.runtime.stats import RuntimeStats
 class Simulator:
     """Synchronous broadcast rounds over a (mutable) topology.
 
-    Observed by the ambient tracer and metrics registry captured at
-    construction (:func:`repro.obs.tracer.observe`).  When observing,
-    every :meth:`step` records a ``runtime.round`` span plus
-    per-round message-volume histograms (``runtime.messages_per_round``,
-    ``runtime.delivered_per_round`` and per-kind
-    ``runtime.round_messages.<kind>``) — all deterministic at a fixed
-    seed, so they survive run-report determinism comparisons.
+    Observed by the ambient tracer captured at construction
+    (:func:`repro.obs.tracer.observe`).  When tracing, every
+    :meth:`step` records a ``runtime.round`` span carrying the round's
+    broadcast and delivery counts, deterministic at a fixed seed; the
+    run-report turns them into the ``runtime.messages_per_round`` and
+    ``runtime.delivered_per_round`` histograms.
     """
 
     def __init__(self, graph: NetworkGraph) -> None:
@@ -37,7 +36,6 @@ class Simulator:
         self.outboxes: Dict[int, List[Message]] = defaultdict(list)
         self.stats = RuntimeStats()
         self.tracer = current_tracer()
-        self.metrics = current_metrics()
 
     def send(self, message: Message) -> None:
         """Queue a local broadcast for delivery next round."""
@@ -54,14 +52,11 @@ class Simulator:
     def step(self) -> int:
         """Deliver all queued messages; returns the number delivered."""
         tracer = self.tracer
-        metrics = self.metrics
-        observing = tracer.enabled or metrics is not None
-        start = perf_counter() if observing else 0.0
+        start = perf_counter() if tracer.enabled else 0.0
         self.stats.rounds += 1
         round_no = self.stats.rounds
         broadcasts = 0
         delivered = 0
-        by_kind: Dict[str, int] = {}
         new_inboxes: Dict[int, List[Message]] = defaultdict(list)
         for src, queue in self.outboxes.items():
             if src not in self.active:
@@ -70,32 +65,21 @@ class Simulator:
                 v for v in sorted(self.graph.neighbors(src)) if v in self.active
             ]
             for message in queue:
-                kind = message.kind.value
-                self.stats.record_send(kind, len(neighbors))
+                self.stats.record_send(message.kind.value, len(neighbors))
                 broadcasts += 1
-                if observing:
-                    by_kind[kind] = by_kind.get(kind, 0) + 1
                 for v in neighbors:
                     new_inboxes[v].append(message)
                     delivered += 1
         self.outboxes = defaultdict(list)
         self.inboxes = new_inboxes
-        if observing:
-            if metrics is not None:
-                metrics.observe("runtime.messages_per_round", broadcasts)
-                metrics.observe("runtime.delivered_per_round", delivered)
-                for kind in sorted(by_kind):
-                    metrics.observe(
-                        f"runtime.round_messages.{kind}", by_kind[kind]
-                    )
-            if tracer.enabled:
-                tracer.add_span(
-                    "runtime.round",
-                    perf_counter() - start,
-                    round=round_no,
-                    messages=broadcasts,
-                    delivered=delivered,
-                )
+        if tracer.enabled:
+            tracer.add_span(
+                "runtime.round",
+                perf_counter() - start,
+                round=round_no,
+                messages=broadcasts,
+                delivered=delivered,
+            )
         return delivered
 
     def inbox(self, node: int) -> List[Message]:

@@ -79,7 +79,7 @@ class LocalShard:
         self._owned_set = frozenset(self.owned)
         self._boundary = frozenset(boundary)
         # The engine observes through this shard's own tracer only, never
-        # the host's ambient pair (inline shards share the coordinator's).
+        # the host's ambient tracer (inline shards share the coordinator's).
         with observe(self.tracer):
             self.engine = LocalTopologyEngine(
                 partition, tau, owned=self._owned_set

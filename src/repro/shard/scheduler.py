@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, Iterable, List, Optional
 
 from repro.network.graph import NetworkGraph
-from repro.obs.tracer import current_metrics, current_tracer
+from repro.obs.tracer import current_tracer
 from repro.shard.halo import HaloExchange
 from repro.shard.plan import ShardPlan, build_shard_plan, partition_parts
 # Loaded in the coordinator, so forked shard workers inherit it (and the
@@ -94,8 +93,7 @@ def sharded_dcc_schedule(
     processes via :class:`~repro.parallel.runner.ShardWorkerPool`.
     ``plan`` overrides the partition (for tests); otherwise one is built
     from ``(graph, tau, shards)`` with plan seed 0.  The run is observed
-    by the ambient tracer and metrics registry
-    (:func:`repro.obs.tracer.observe`).
+    by the ambient tracer (:func:`repro.obs.tracer.observe`).
     """
     from repro.core.scheduler import ScheduleResult
     from repro.parallel.runner import (
@@ -106,7 +104,6 @@ def sharded_dcc_schedule(
     )
 
     tracer = current_tracer()
-    metrics = current_metrics()
     if plan is None:
         plan = build_shard_plan(graph, tau, shards)
     elif plan.tau != tau:
@@ -158,7 +155,6 @@ def sharded_dcc_schedule(
     pending: Dict[int, List[int]] = {}
     try:
         while True:
-            round_start = perf_counter()
             with tracer.trace("scheduler.round", round=round_no, mode="sharded"):
                 with tracer.trace(
                     "scheduler.candidates", round=round_no
@@ -277,17 +273,7 @@ def sharded_dcc_schedule(
                         for index in range(plan.shard_count)
                     }
                 deletions_per_round.append(len(batch))
-            rows, nbytes = exchange.end_round()
-            if metrics is not None:
-                metrics.observe(
-                    "scheduler.round_wall_s",
-                    perf_counter() - round_start,
-                    volatile=True,
-                )
-                metrics.observe("scheduler.deletions_per_round", len(batch))
-                metrics.inc("shard.halo_rows", rows)
-                metrics.inc("shard.halo_bytes", nbytes)
-                metrics.observe("shard.subrounds", subrounds)
+            exchange.end_round()
             round_no += 1
         accounts = backend.finish()
     finally:
@@ -307,13 +293,6 @@ def sharded_dcc_schedule(
 
     stats.halo_rows_total = exchange.rows_total
     stats.halo_bytes_total = exchange.bytes_total
-
-    if metrics is not None:
-        metrics.inc("scheduler.runs")
-        metrics.inc("scheduler.rounds", len(deletions_per_round))
-        metrics.inc("scheduler.deletions", len(removed))
-        metrics.set_gauge("shard.count", plan.shard_count)
-        metrics.absorb_topology(counters)
 
     return ScheduleResult(
         active=work,

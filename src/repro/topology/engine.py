@@ -18,9 +18,8 @@ once, incrementally:
   the engine's mutations patch the kernel mirror and the graph together.
 * **Instrumentation.**  All of the above is counted in
   :class:`TopologyCounters`, surfaced on ``ScheduleResult`` and
-  ``RuntimeStats``.  Spans and verdict timings go to the ambient
-  observers (:func:`repro.obs.tracer.observe`) captured when the engine
-  is built.
+  ``RuntimeStats``.  Verdict spans go to the ambient tracer
+  (:func:`repro.obs.tracer.observe`) captured when the engine is built.
 
 The engine owns its graph: all mutations must go through
 :meth:`delete_vertex` / :meth:`delete_edge` / :meth:`add_edge` /
@@ -31,12 +30,11 @@ stay correct even then.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.checks.sanitizer import current_sanitizer
 from repro.network.graph import NetworkGraph
-from repro.obs.tracer import current_metrics, current_tracer, observe
+from repro.obs.tracer import current_tracer, observe
 from repro.topology.counters import TopologyCounters
 from repro.topology.radii import neighborhood_radius
 
@@ -110,15 +108,14 @@ class LocalTopologyEngine:
     # Observability
     # ------------------------------------------------------------------
     def _capture_ambient(self) -> None:
-        """Observe through the ambient tracer and metrics registry.
+        """Observe through the ambient tracer.
 
-        Timing is recorded only while ``tracer.enabled`` (or a registry
-        is installed): the disabled path pays two attribute lookups per
-        fresh verdict.  The tracer is propagated to the kernel mirror so
-        its ball-BFS and span-verdict spans nest under the engine's.
+        Timing is recorded only while ``tracer.enabled``: the disabled
+        path pays one attribute lookup per fresh verdict.  The tracer is
+        propagated to the kernel mirror so its ball-BFS and span-verdict
+        spans nest under the engine's.
         """
         self.tracer = current_tracer()
-        self.metrics = current_metrics()
         self._kernel.tracer = self.tracer if self.tracer.enabled else None
 
     # ------------------------------------------------------------------
@@ -224,19 +221,9 @@ class LocalTopologyEngine:
             return cached
         self.counters.deletability_tests += 1
         tracer = self.tracer
-        metrics = self.metrics
-        if tracer.enabled or metrics is not None:
-            # Observed path: span + wall-time histogram per fresh verdict.
-            start = perf_counter()
-            if tracer.enabled:
-                with tracer.trace("engine.verdict", vertex=v):
-                    verdict = self._fresh_verdict(v)
-            else:
+        if tracer.enabled:
+            with tracer.trace("engine.verdict", vertex=v):
                 verdict = self._fresh_verdict(v)
-            if metrics is not None:
-                metrics.observe(
-                    "engine.verdict_wall_s", perf_counter() - start, volatile=True
-                )
         else:
             verdict = self._fresh_verdict(v)
         self._verdicts[v] = verdict
@@ -284,14 +271,14 @@ class LocalTopologyEngine:
     def fork(self) -> "LocalTopologyEngine":
         """An engine on an independent graph copy with a warm verdict cache.
 
-        Shares the counters object and the observers with the parent (so
+        Shares the counters object and the tracer with the parent (so
         accounting aggregates), but copies the graph and the verdict cache —
         mutations in the fork leave the parent untouched.  Used by the
         lifetime rotation: each shift schedules on a fork and inherits
         every verdict that is still valid.
         """
         self._sync()
-        with observe(self.tracer, self.metrics):
+        with observe(self.tracer):
             clone = LocalTopologyEngine(
                 self.graph.copy(),
                 self.tau,

@@ -11,7 +11,7 @@ from repro.analysis.experiments import (
     run_fig5_rssi_cdf,
     run_trace_confine,
 )
-from repro.obs import MetricsRegistry, Tracer, observe
+from repro.obs import Tracer, observe
 from repro.traces.greenorbs import GreenOrbsConfig, generate_greenorbs_trace
 
 SMALL_TRACE = GreenOrbsConfig(
@@ -63,7 +63,7 @@ class TestPreparedInputs:
             count=70, degree=10.0, taus=(3, 4, 5), seed=0
         )
         assert len(calls) == 1
-        with observe(Tracer(), MetricsRegistry()):
+        with observe(Tracer()):
             observed = run_fig2_vertex_deletion(
                 count=70, degree=10.0, taus=(3, 4, 5), seed=0
             )
@@ -75,7 +75,7 @@ class TestPreparedInputs:
         taus = (3, 4, 5, 6, 7, 8)
         plain = run_trace_confine(taus=taus, config=SMALL_TRACE, seed=4)
         assert len(calls) == 1
-        with observe(Tracer(), MetricsRegistry()):
+        with observe(Tracer()):
             observed = run_trace_confine(taus=taus, config=SMALL_TRACE, seed=4)
         assert len(calls) == 2
         assert observed.format_table("6") == plain.format_table("6")

@@ -15,7 +15,7 @@ from repro.checks.sanitizer import (
     disable_sanitizer,
     enable_sanitizer,
 )
-from repro.obs import MetricsRegistry, Tracer, observe
+from repro.obs import Tracer, observe
 
 
 class TestSanitizedFig2:
@@ -55,7 +55,7 @@ def _sanitized_fig3_summary(workers, observed):
     sanitizer = enable_sanitizer()
     try:
         if observed:
-            with observe(Tracer(), MetricsRegistry()):
+            with observe(Tracer()):
                 result = run_fig3_confine_size(
                     count=60, degree=10.0, taus=(3, 4), runs=2, workers=workers
                 )

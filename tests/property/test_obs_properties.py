@@ -3,8 +3,8 @@
 The headline guarantee (DESIGN.md section 6): at a fixed seed, a fan-out's
 or a figure driver's run-report is identical at any worker count once
 :func:`repro.obs.export.strip_volatile` removes the wall-clock fields —
-span structure, call counts, merged counters and histogram contents all
-survive the serial-to-fanned-out transition byte-for-byte.
+span structure, call counts, and the counters and histogram contents
+derived from the spans all survive the serial-to-fanned-out transition byte-for-byte.
 """
 
 import random
@@ -18,11 +18,11 @@ from repro.network.deployment import Rectangle, build_network
 from repro.parallel import parallel_starmap
 from repro.traces.greenorbs import GreenOrbsConfig
 from repro.obs import (
-    MetricsRegistry,
     Tracer,
     build_run_report,
     load_run_report,
     observe,
+    span_metrics,
     strip_volatile,
     validate_run_report,
     write_run_report,
@@ -40,13 +40,11 @@ def _schedule_cell(count, seed):
 
 def _report_for(workers, counts, seeds, tmp_path):
     """Run-report of ``parallel_starmap`` over a count x seed grid."""
-    tracer, metrics = Tracer(), MetricsRegistry()
+    tracer = Tracer()
     tasks = [(count, seed) for count in counts for seed in seeds]
-    with observe(tracer, metrics):
+    with observe(tracer):
         parallel_starmap(_schedule_cell, tasks, workers=workers)
-    report = build_run_report(
-        "cells", tracer, metrics, meta={"cells": len(tasks)}
-    )
+    report = build_run_report("cells", tracer, meta={"cells": len(tasks)})
     path = tmp_path / f"workers{workers}.json"
     write_run_report(report, str(path))
     report = load_run_report(str(path))
@@ -60,14 +58,12 @@ def _trace_driver_report(workers):
         node_count=120, clusters=6, epochs=24,
         strip_width=220.0, strip_height=80.0,
     )
-    tracer, metrics = Tracer(), MetricsRegistry()
-    with observe(tracer, metrics):
+    tracer = Tracer()
+    with observe(tracer):
         run_trace_confine(
             taus=(3, 4, 5), config=config, seed=4, workers=workers
         )
-    report = build_run_report(
-        "trace", tracer, metrics, meta={"workers": workers}
-    )
+    report = build_run_report("trace", tracer, meta={"workers": workers})
     validate_run_report(report)
     return report
 
@@ -114,8 +110,8 @@ class TestReportWorkerInvariance:
     def test_ambient_merge_preserves_structure(self):
         """A fan-out inside an observation leaves its tasks' spans behind."""
         for workers in (1, 2):
-            tracer, metrics = Tracer(), MetricsRegistry()
-            with observe(tracer, metrics):
+            tracer = Tracer()
+            with observe(tracer):
                 parallel_starmap(
                     _schedule_cell, [(30, 0), (30, 1)], workers=workers
                 )
@@ -123,7 +119,7 @@ class TestReportWorkerInvariance:
             tasks = [span for span in spans if span.name == "fanout.task"]
             assert [span.attrs["task"] for span in tasks] == [0, 1]
             assert "scheduler.round" in {span.name for span in spans}
-            assert metrics.counter("scheduler.runs").value == 2
+            assert span_metrics(spans)["scheduler.runs"]["value"] == 2
 
 
 class TestSpanStreamProperties:
@@ -192,8 +188,8 @@ class TestShardedReportInvariance:
         from repro.obs import attribution_from_tracer, build_run_report
         from repro.shard import sharded_dcc_schedule
 
-        tracer, metrics = Tracer(), MetricsRegistry()
-        with observe(tracer, metrics):
+        tracer = Tracer()
+        with observe(tracer):
             result = sharded_dcc_schedule(
                 graph,
                 protected,
@@ -204,10 +200,7 @@ class TestShardedReportInvariance:
             )
         attribution = attribution_from_tracer(tracer)
         assert attribution is not None
-        metrics.absorb_attribution(attribution)
-        report = build_run_report(
-            "sharded", tracer, metrics, attribution=attribution
-        )
+        report = build_run_report("sharded", tracer, attribution=attribution)
         validate_run_report(report)
         return result, report
 

@@ -7,7 +7,6 @@ import pytest
 from repro.checks.sanitizer import (
     Sanitizer,
     SanitizerError,
-    check_merge_associativity,
     current_sanitizer,
     disable_sanitizer,
     enable_sanitizer,
@@ -17,7 +16,6 @@ from repro.checks.sanitizer import (
 from repro.core.criterion import boundary_edge_sum
 from repro.network.graph import NetworkGraph
 from repro.network.topologies import triangulated_grid
-from repro.obs.metrics import MetricsRegistry
 from repro.topology.engine import LocalTopologyEngine
 
 
@@ -54,16 +52,6 @@ class TestSanitizerOracles:
         for v in sorted(graph.vertices()):
             assert oracle_deletable(graph, v, 4) == engine.deletable(v)
 
-    def test_merge_associativity_accepts_real_payloads(self):
-        payloads = []
-        for i in range(3):
-            reg = MetricsRegistry()
-            reg.inc("work", i + 1)
-            reg.set_gauge("cfg", float(i))
-            reg.observe("lat", 0.5 * i)
-            payloads.append(reg.to_payload())
-        assert check_merge_associativity(payloads) is None
-
 
 class TestSanitizerChecks:
     def test_check_ball_passes_on_truth(self):
@@ -86,18 +74,6 @@ class TestSanitizerChecks:
         assert len(sanitizer.violations) == 1
         with pytest.raises(SanitizerError):
             sanitizer.assert_clean()
-
-    def test_check_merge_flags_bad_reassociation(self):
-        # A forged payload whose "counter" merges by replacement is not
-        # associative; simulate by feeding inconsistent gauge orders.
-        reg_a, reg_b, reg_c = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
-        reg_a.inc("n", 1)
-        reg_b.inc("n", 2)
-        reg_c.inc("n", 3)
-        sanitizer = Sanitizer()
-        sanitizer.check_merge([reg_a.to_payload(), reg_b.to_payload(),
-                               reg_c.to_payload()])
-        assert sanitizer.violations == []
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):

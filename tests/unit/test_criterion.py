@@ -60,12 +60,20 @@ class TestMalformedBoundary:
             boundary_edge_sum([[0, 1, 2, 99]], chorded_square)
         with pytest.raises(KeyError, match="vertex 99"):
             is_tau_partitionable(chorded_square, [[0, 1, 2, 99]], 3)
+        with pytest.raises(KeyError, match="vertex 99"):
+            find_cycle_partition(chorded_square, [[0, 1, 2, 99]], 3)
+        with pytest.raises(KeyError, match="vertex 99"):
+            partition_is_valid(chorded_square, [[0, 1, 2, 99]], [], 3)
 
     def test_non_edge_pair_raises_value_error(self, chorded_square):
         with pytest.raises(ValueError, match=r"\(1, 3\)"):
             boundary_edge_sum([[0, 1, 3]], chorded_square)
         with pytest.raises(ValueError, match=r"\(1, 3\)"):
             is_tau_partitionable(chorded_square, [[0, 1, 3]], 3)
+        with pytest.raises(ValueError, match=r"\(1, 3\)"):
+            find_cycle_partition(chorded_square, [[0, 1, 3]], 3)
+        with pytest.raises(ValueError, match=r"\(1, 3\)"):
+            partition_is_valid(chorded_square, [[0, 1, 3]], [], 3)
 
     def test_first_bad_item_is_named(self, chorded_square):
         # The second cycle holds two unknown vertices; the first one is named.
@@ -187,8 +195,11 @@ class TestExplicitPartition:
             grid5.graph, [grid5.outer_boundary], partition, 3
         )
 
-    def test_partition_with_missing_edges_is_none(self, grid5):
+    def test_partition_with_missing_boundary_edge_raises(self, grid5):
+        # A boundary that is not a cycle of the graph is malformed input;
+        # None would read as a coverage hole.
         thinner = grid5.graph.copy()
         a, b = grid5.outer_boundary[0], grid5.outer_boundary[1]
         thinner.remove_edge(a, b)
-        assert find_cycle_partition(thinner, [grid5.outer_boundary], 4) is None
+        with pytest.raises(ValueError, match="is not an edge"):
+            find_cycle_partition(thinner, [grid5.outer_boundary], 4)

@@ -1,4 +1,4 @@
-"""Unit tests for the observability layer: tracer, metrics, export.
+"""Unit tests for the observability layer: tracer, export.
 
 The layer's contracts, each pinned here:
 
@@ -6,7 +6,7 @@ The layer's contracts, each pinned here:
   invariant every consumer relies on);
 * the ring buffer drops the *oldest* spans and counts the drops;
 * the null tracer is free-ish and structurally inert;
-* metric merging is associative and submission-ordered;
+* a run-report's metrics are read off the spans the run recorded;
 * run-reports are schema-stable and, after :func:`strip_volatile`,
   deterministic.
 """
@@ -19,7 +19,6 @@ import pytest
 from repro.network.graph import NetworkGraph
 from repro.obs import (
     ATTRIBUTION_SCHEMA,
-    MetricsRegistry,
     NULL_TRACER,
     RUN_REPORT_SCHEMA,
     SchemaError,
@@ -29,7 +28,6 @@ from repro.obs import (
     attribution_from_tracer,
     attribution_summary,
     build_run_report,
-    current_metrics,
     current_tracer,
     load_run_report,
     observe,
@@ -38,11 +36,13 @@ from repro.obs import (
     read_trace_jsonl,
     render_lane_timeline,
     render_timeline,
+    span_metrics,
     strip_volatile,
     validate_run_report,
     write_run_report,
     write_trace_jsonl,
 )
+from repro.obs.export import ROUND_COUNTERS
 from repro.obs.tracer import Span
 from repro.runtime.stats import RuntimeStats
 from repro.topology import TopologyCounters
@@ -259,7 +259,7 @@ class TestHotPathGuards:
         counting = CountingNullTracer()
         monkeypatch.setattr("repro.shard.runtime.NULL_TRACER", counting)
         boundary = trigrid6.outer_boundary
-        with observe(counting, MetricsRegistry()):
+        with observe(counting):
             dcc_schedule(trigrid6.graph, boundary, 4)
             dcc_schedule(trigrid6.graph, boundary, 4, shards=2)
             is_tau_partitionable(trigrid6.graph, [boundary], 4)
@@ -274,20 +274,18 @@ class TestHotPathGuards:
 class TestAmbientObservation:
     def test_defaults(self):
         assert current_tracer() is NULL_TRACER
-        assert current_metrics() is None
 
     def test_observe_installs_and_restores(self):
-        tracer, metrics = Tracer(), MetricsRegistry()
-        with observe(tracer, metrics):
+        tracer = Tracer()
+        with observe(tracer):
             assert current_tracer() is tracer
-            assert current_metrics() is metrics
             inner = Tracer()
             with observe(inner):
                 assert current_tracer() is inner
-                assert current_metrics() is None
+            with observe(None):
+                assert current_tracer() is NULL_TRACER
             assert current_tracer() is tracer
         assert current_tracer() is NULL_TRACER
-        assert current_metrics() is None
 
     def test_observe_restores_on_exception(self):
         tracer = Tracer()
@@ -318,152 +316,156 @@ class TestAmbientObservation:
         from repro.network.topologies import triangulated_grid
         from repro.topology import LocalTopologyEngine
 
-        tracer, metrics = Tracer(), MetricsRegistry()
-        with observe(tracer, metrics):
+        tracer = Tracer()
+        with observe(tracer):
             engine = LocalTopologyEngine(triangulated_grid(4, 4).graph, 4)
-        fork = engine.fork()
-        assert fork.tracer is tracer and fork.metrics is metrics
+        assert engine.fork().tracer is tracer
         with observe(Tracer()):
             assert engine.fork().tracer is tracer
 
-    def test_protocol_views_receive_the_metrics_registry(self):
+    def test_protocol_views_observe_through_the_tracer(self):
         import random
 
         from repro.network.topologies import triangulated_grid
         from repro.runtime.protocol import DistributedDCC
 
         mesh = triangulated_grid(4, 4)
-        tracer, metrics = Tracer(), MetricsRegistry()
-        with observe(tracer, metrics):
+        tracer = Tracer()
+        with observe(tracer):
             protocol = DistributedDCC(
                 mesh.graph, set(mesh.outer_boundary), 3, rng=random.Random(0)
             )
-        protocol.run()
-        assert "engine.verdict_wall_s" in metrics.names()
-        assert "engine.verdict" in {span.name for span in tracer.spans()}
+        result = protocol.run()
+        metrics = span_metrics(tracer.spans())
+        # Every view engine's fresh verdicts, and every simulator round.
+        assert (
+            metrics["engine.verdict_wall_s"]["count"]
+            == result.stats.topology.deletability_tests
+        )
+        assert metrics["runtime.messages_per_round"]["count"] == result.stats.rounds
+        assert (
+            metrics["runtime.delivered_per_round"]["total"]
+            == result.stats.messages_delivered
+        )
 
 
-class TestMetricsRegistry:
-    def test_counter_gauge_histogram(self):
-        reg = MetricsRegistry()
-        reg.inc("c")
-        reg.inc("c", 4)
-        reg.set_gauge("g", 1.0)
-        reg.set_gauge("g", 2.5)
-        reg.observe("h", 1.0)
-        reg.observe("h", 3.0)
-        assert reg.counter("c").value == 5
-        assert reg.gauge("g").value == 2.5
-        assert reg.histogram("h").count == 2
-        assert reg.names() == ["c", "g", "h"]
-        assert "c" in reg and "missing" not in reg
-        assert len(reg) == 3
+def _deployment():
+    """A 60-node unit-disk deployment whose schedules delete at tau 3 and 4."""
+    from repro.network.deployment import Rectangle, build_network
 
-    def test_kind_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.inc("x")
-        with pytest.raises(TypeError):
-            reg.observe("x", 1.0)
-        with pytest.raises(TypeError):
-            reg.set_gauge("x", 1.0)
+    net = build_network(60, Rectangle(0, 0, 4.2, 4.2), 1.0, 1.0, seed=1)
+    return net.graph, net.boundary_nodes
+
+
+def _round(round_no, depth=0, deleted=0, wall_s=0.1, **counters):
+    """One scheduler round in exit order: its deletion span, then itself."""
+    spans = []
+    if deleted:
+        spans.append(_span("scheduler.deletion", depth + 1, 0.01,
+                           round=round_no, deletions=deleted))
+    spans.append(_span("scheduler.round", depth, wall_s, round=round_no,
+                       mode="parallel", **counters))
+    return spans
+
+
+class TestSpanMetrics:
+    def test_round_counters_are_the_topology_counters(self):
+        assert set(ROUND_COUNTERS) == set(TopologyCounters().as_dict())
+
+    def test_scheduler_metrics_from_round_spans(self):
+        spans = (
+            _round(0, deleted=3, wall_s=0.5)
+            + _round(1, deleted=1, wall_s=0.25)
+            + _round(2)
+            + _round(0)
+        )
+        metrics = span_metrics(spans)
+        assert metrics["scheduler.runs"] == {"type": "counter", "value": 2}
+        assert metrics["scheduler.rounds"]["value"] == 2
+        assert metrics["scheduler.deletions"]["value"] == 4
+        # Only the rounds that deleted are timed.
+        walls = metrics["scheduler.round_wall_s"]
+        assert walls["volatile"] and walls["count"] == 2 and walls["total"] == 0.75
 
     def test_histogram_stats(self):
-        reg = MetricsRegistry()
-        for v in (4.0, 1.0, 3.0, 2.0):
-            reg.observe("h", v)
-        out = reg.as_dict()["h"]
-        assert out["min"] == 1.0 and out["max"] == 4.0
-        assert out["mean"] == 2.5 and out["total"] == 10.0
-        assert out["p50"] in (2.0, 3.0)
+        spans = []
+        for round_no, deleted in enumerate((4, 1, 3, 2)):
+            spans += _round(round_no, deleted=deleted)
+        out = span_metrics(spans)["scheduler.deletions_per_round"]
+        assert out["count"] == 4 and out["volatile"] is False
+        assert out["min"] == 1 and out["max"] == 4
+        assert out["mean"] == 2.5 and out["total"] == 10
+        assert out["p50"] in (2, 3)
 
-    def test_volatile_flag_sticks(self):
-        reg = MetricsRegistry()
-        reg.observe("h", 1.0)
-        reg.observe("h", 2.0, volatile=True)
-        assert reg.histogram("h").volatile is True
+    def test_round_counters_skip_zeros(self):
+        spans = _round(0, deletability_tests=3, invalidations=0) + _round(
+            1, deletability_tests=2
+        )
+        topology = {
+            name: metric["value"]
+            for name, metric in span_metrics(spans).items()
+            if name.startswith("topology.")
+        }
+        assert topology == {"topology.deletability_tests": 5}
 
-    def test_merge_is_associative(self):
-        def make(seed_values):
-            reg = MetricsRegistry()
-            for v in seed_values:
-                reg.inc("count", v)
-                reg.observe("dist", float(v))
-            reg.set_gauge("last", seed_values[-1])
-            return reg
+    def test_sanitizer_account(self):
+        metrics = span_metrics([], sanitizer=({"ball": 2, "delaunay": 1}, []))
+        assert sorted(metrics) == ["sanitizer.checks.ball", "sanitizer.checks.delaunay"]
+        assert metrics["sanitizer.checks.ball"]["value"] == 2
+        metrics = span_metrics([], sanitizer=({}, ["one", "two"]))
+        assert metrics == {"sanitizer.violations": {"type": "counter", "value": 2}}
 
-        a, b, c = make([1, 2]), make([3]), make([4, 5])
-        left = MetricsRegistry()
-        left.merge(a)
-        left.merge(b)
-        left.merge(c)
+    def test_schedule_report_matches_its_result(self):
+        """A traced schedule's report restates its result's accounting."""
+        from repro.core.scheduler import dcc_schedule
 
-        bc = make([3])
-        bc.merge(make([4, 5]))
-        right = MetricsRegistry()
-        right.merge(make([1, 2]))
-        right.merge(bc)
-        assert left.as_dict() == right.as_dict()
+        graph, protected = _deployment()
+        tracer = Tracer()
+        with observe(tracer):
+            first = dcc_schedule(graph, protected, 4)
+            second = dcc_schedule(graph, protected, 3)
+        assert first.rounds and second.rounds
+        metrics = span_metrics(tracer.spans())
+        assert metrics["scheduler.runs"]["value"] == 2
+        assert metrics["scheduler.rounds"]["value"] == first.rounds + second.rounds
+        assert (
+            metrics["scheduler.deletions"]["value"]
+            == first.num_removed + second.num_removed
+        )
+        totals = TopologyCounters()
+        totals.merge(first.counters)
+        totals.merge(second.counters)
+        expected = {
+            f"topology.{name}": value
+            for name, value in totals.as_dict().items()
+            if value
+        }
+        got = {
+            name: metric["value"]
+            for name, metric in metrics.items()
+            if name.startswith("topology.")
+        }
+        assert got == expected
+        assert metrics["engine.verdict_wall_s"]["count"] == totals.deletability_tests
+        walls = metrics["scheduler.round_wall_s"]
+        assert walls["count"] == first.rounds + second.rounds
 
-    def test_merge_kind_mismatch_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("x")
-        b.observe("x", 1.0)
-        with pytest.raises(TypeError):
-            a.merge(b)
+    def test_sharded_schedule_report_matches_its_result(self):
+        """Sharded rounds give the same scheduler metrics; their counters
+        merge from the shards after the last round, so none ride along."""
+        from repro.core.scheduler import dcc_schedule
 
-    def test_gauge_merge_is_last_write_wins(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.set_gauge("g", 1.0)
-        b.gauge("g")  # present but never set: must not clobber
-        a.merge(b)
-        assert a.gauge("g").value == 1.0
-        c = MetricsRegistry()
-        c.set_gauge("g", 9.0)
-        a.merge(c)
-        assert a.gauge("g").value == 9.0
-
-    def test_payload_round_trip(self):
-        reg = MetricsRegistry()
-        reg.inc("c", 2)
-        reg.set_gauge("g", 7.0)
-        reg.observe("h", 1.5, volatile=True)
-        other = MetricsRegistry()
-        other.merge_payload(reg.to_payload())
-        assert other.as_dict() == reg.as_dict()
-
-    def test_payload_merge_matches_registry_merge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("c")
-        a.observe("h", 1.0)
-        b.inc("c", 2)
-        b.observe("h", 2.0)
-        via_merge = MetricsRegistry()
-        via_merge.merge(a)
-        via_merge.merge(b)
-        via_payload = MetricsRegistry()
-        via_payload.merge_payload(a.to_payload())
-        via_payload.merge_payload(b.to_payload())
-        assert via_merge.as_dict() == via_payload.as_dict()
-
-    def test_absorb_topology_skips_zeros(self):
-        reg = MetricsRegistry()
-        reg.absorb_topology(TopologyCounters(deletability_tests=3))
-        assert reg.names() == ["topology.deletability_tests"]
-        assert reg.counter("topology.deletability_tests").value == 3
-
-    def test_absorb_runtime(self):
-        stats = RuntimeStats()
-        stats.rounds = 2
-        stats.record_send("hello", deliveries=3)
-        stats.topology.span_computations = 5
-        reg = MetricsRegistry()
-        reg.absorb_runtime(stats)
-        out = reg.as_dict()
-        assert out["runtime.rounds"]["value"] == 2
-        assert out["runtime.messages_sent"]["value"] == 1
-        assert out["runtime.messages_delivered"]["value"] == 3
-        assert out["runtime.messages_by_kind.hello"]["value"] == 1
-        assert out["topology.span_computations"]["value"] == 5
+        graph, protected = _deployment()
+        tracer = Tracer()
+        with observe(tracer):
+            result = dcc_schedule(graph, protected, 4, shards=2)
+        assert result.rounds
+        metrics = span_metrics(tracer.spans())
+        assert metrics["scheduler.runs"]["value"] == 1
+        assert metrics["scheduler.rounds"]["value"] == result.rounds
+        assert metrics["scheduler.deletions"]["value"] == result.num_removed
+        assert metrics["scheduler.round_wall_s"]["count"] == result.rounds
+        assert not any(name.startswith("topology.") for name in metrics)
 
 
 class TestRuntimeStatsSemantics:
@@ -531,10 +533,9 @@ class TestExport:
             read_trace_jsonl(str(path))
 
     def test_build_run_report_shape(self):
-        tracer, metrics = Tracer(), MetricsRegistry()
+        tracer = Tracer()
         tracer.add_span("phase", 0.1)
-        metrics.inc("c")
-        report = build_run_report("unit", tracer, metrics, meta={"seed": 0})
+        report = build_run_report("unit", tracer, meta={"seed": 0})
         assert report["schema"] == RUN_REPORT_SCHEMA
         assert set(report) == {
             "schema",
@@ -573,25 +574,24 @@ class TestExport:
         assert load_run_report(str(path)) == report
 
     def test_strip_volatile(self):
-        tracer, metrics = Tracer(), MetricsRegistry()
-        tracer.add_span("phase", 0.123)
-        metrics.observe("walls", 0.5, volatile=True)
-        metrics.observe("sizes", 7.0)
-        metrics.inc("count")
+        tracer = Tracer()
+        with tracer.trace("scheduler.round", round=0):
+            tracer.add_span("engine.verdict", 0.123)
+            tracer.add_span("scheduler.deletion", 0.5, deletions=7)
         report = build_run_report(
-            "unit", tracer, metrics, meta={"seed": 0, "workers": 4, "wall_s": 1.0}
+            "unit", tracer, meta={"seed": 0, "workers": 4, "wall_s": 1.0}
         )
         stripped = strip_volatile(report)
         assert stripped["meta"] == {"seed": 0}
-        assert stripped["phases"] == {"phase": {"calls": 1}}
-        assert stripped["metrics"]["walls"] == {
+        assert stripped["phases"]["engine.verdict"] == {"calls": 1}
+        assert stripped["metrics"]["engine.verdict_wall_s"] == {
             "type": "histogram",
             "count": 1,
             "volatile": True,
         }
         # Deterministic metrics keep their full statistics.
-        assert stripped["metrics"]["sizes"]["mean"] == 7.0
-        assert stripped["metrics"]["count"] == {"type": "counter", "value": 1}
+        assert stripped["metrics"]["scheduler.deletions_per_round"]["mean"] == 7
+        assert stripped["metrics"]["scheduler.runs"] == {"type": "counter", "value": 1}
         # The original report is untouched.
         assert report["meta"]["workers"] == 4
 
@@ -883,11 +883,10 @@ class TestAttribution:
                 validate_run_report(broken)
 
     def test_metrics_absorb_attribution(self):
-        metrics = MetricsRegistry()
-        metrics.absorb_attribution(attribute_spans(_sharded_segment()))
-        assert metrics.get("attribution.rounds").value == 1
-        walls = metrics.get("attribution.wall_s")
-        assert walls.volatile and walls.count == 1
+        metrics = span_metrics([], attribution=attribute_spans(_sharded_segment()))
+        assert metrics["attribution.rounds"]["value"] == 1
+        walls = metrics["attribution.wall_s"]
+        assert walls["volatile"] and walls["count"] == 1
 
 
 # ----------------------------------------------------------------------
